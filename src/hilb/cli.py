@@ -64,13 +64,18 @@ def _add_ring_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--ring", metavar="PATH", help="ring document to load")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, limit: bool = False, sampling: bool = False
+) -> None:
+    """--format always; --limit and the sampled-suite --jobs/--seed on request."""
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument(
-        "--limit", type=int, default=DEFAULT_LIMIT, help="resource limit override"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
+    if limit:
+        parser.add_argument(
+            "--limit", type=int, default=DEFAULT_LIMIT, help="resource limit override"
+        )
+    if sampling:
+        parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+        parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
 
 def _resolve_ring(args) -> SurfaceRing:
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_ring_source(verify)
-    _add_common(verify)
+    _add_common(verify, limit=True, sampling=True)
     verify.add_argument("-n", type=int, default=None)
     verify.set_defaults(func=_cmd_verify)
 
@@ -286,19 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     closed = series_sub.add_parser("closed", help="closed-form family expansion")
     closed.add_argument("--case", required=True, help=f"one of {', '.join(CASE_NAMES)}")
     closed.add_argument("--s-bound", type=int, required=True, dest="s_bound")
-    _add_common(closed)
     closed.set_defaults(func=_cmd_series, action="closed")
 
     refined = series_sub.add_parser("refined", help="refined product from ring data")
     _add_ring_source(refined)
     refined.add_argument("--s-bound", type=int, required=True, dest="s_bound")
-    _add_common(refined)
     refined.set_defaults(func=_cmd_series, action="refined")
 
     brute = series_sub.add_parser("bruteforce", help="orbit-count Poincare polynomial")
     _add_ring_source(brute)
     brute.add_argument("-n", type=int, required=True)
-    _add_common(brute)
+    _add_common(brute, limit=True)
     brute.set_defaults(func=_cmd_series, action="bruteforce")
 
     compare = series_sub.add_parser("compare", help="compare two series files")

@@ -54,10 +54,6 @@ class TruncatedSeries:
     def one(cls, s_bound: int) -> "TruncatedSeries":
         return cls({(0, 0, 0): Fraction(1)}, s_bound)
 
-    @classmethod
-    def monomial(cls, coeff, e_s: int, e_q: int, e_t: int, s_bound: int) -> "TruncatedSeries":
-        return cls({(e_s, e_q, e_t): Fraction(coeff)}, s_bound)
-
     # -- basic protocol -----------------------------------------------
 
     def __eq__(self, other) -> bool:

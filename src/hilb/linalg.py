@@ -12,10 +12,6 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 

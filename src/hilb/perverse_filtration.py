@@ -34,6 +34,9 @@ from .wreath_ring import (
     _mul_sequence,
     _perm_orbit_blocks,
     cup,
+    euler_vanishes,
+    lift_element,
+    local_product,
     render_element,
     restrict_perm,
 )
@@ -84,9 +87,9 @@ def perversity_class(ring: SurfaceRing, cls: WreathClass) -> PerversityValue:
 def _local_mult_stats(ring: SurfaceRing, sigma: Perm, tau: Perm):
     """Worst perversity excess on one transitive joint orbit.
 
-    Returns (best_excess, argmax factor tuples, any_nonzero) over all local
-    factor assignments; best_excess is None when every local product
-    vanishes, in which case no global pair through this orbit can violate.
+    Returns (best_excess, argmax factor tuples) over all local factor
+    assignments; both are None when every local product vanishes, in which
+    case no global pair through this orbit can violate.
     """
     cache = ring._caches.setdefault("mult_local", {})
     key = (sigma.images, tau.images)
@@ -95,18 +98,17 @@ def _local_mult_stats(ring: SurfaceRing, sigma: Perm, tau: Perm):
         return hit
     m = sigma.n
     g = graph_defect(sigma, tau)[tuple(range(1, m + 1))]
-    s_blocks = _perm_orbit_blocks(sigma.images)
-    t_blocks = _perm_orbit_blocks(tau.images)
-    st_blocks = _perm_orbit_blocks(sigma.compose(tau).images)
-    shift_x = m - len(s_blocks)
-    shift_y = m - len(t_blocks)
-    shift_res = m - len(st_blocks)
     best = None
     arg = None
-    if g >= 2:
-        result = (None, None)
-        cache[key] = result
-        return result
+    if euler_vanishes(g):
+        cache[key] = (best, arg)
+        return best, arg
+    s_blocks = _perm_orbit_blocks(sigma.images)
+    t_blocks = _perm_orbit_blocks(tau.images)
+    m_res = len(_perm_orbit_blocks(sigma.compose(tau).images))
+    shift_x = m - len(s_blocks)
+    shift_y = m - len(t_blocks)
+    shift_res = m - m_res
     perv = ring.perversities
     for fx in iproduct(range(ring.size), repeat=len(s_blocks)):
         mx = _mul_sequence(ring, fx)
@@ -117,12 +119,7 @@ def _local_mult_stats(ring: SurfaceRing, sigma: Perm, tau: Perm):
             my = _mul_sequence(ring, fy)
             if not my:
                 continue
-            prod = ring.mul_class(mx, my)
-            if g == 1:
-                prod = ring.mul_class(prod, ring.euler)
-            if not prod:
-                continue
-            split = diagonal_push(ring, len(st_blocks), prod)
+            split = local_product(ring, mx, my, g, m_res)
             if not split:
                 continue
             py = sum(perv[f] for f in fy) + shift_y
@@ -134,19 +131,6 @@ def _local_mult_stats(ring: SurfaceRing, sigma: Perm, tau: Perm):
     result = (best, arg)
     cache[key] = result
     return result
-
-
-def _assemble_factors(
-    sigma: Perm, joint_blocks, local_args: list[tuple[int, ...]], ring: SurfaceRing
-) -> tuple[int, ...]:
-    """Merge per-joint-orbit local factor tuples back onto the global orbits."""
-    blocks = _perm_orbit_blocks(sigma.images)
-    factor_at: dict[int, int] = {}
-    for block, fx in zip(joint_blocks, local_args):
-        members = [b for b in blocks if b[0] in block]
-        for b, f in zip(members, fx):
-            factor_at[b[0]] = f
-    return tuple(factor_at[b[0]] for b in blocks)
 
 
 def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict | None:
@@ -166,8 +150,8 @@ def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict 
         args_y.append(arg[1])
     if total <= 0:
         return None
-    x = WreathElement(n, sigma, _assemble_factors(sigma, joint.blocks, args_x, ring))
-    y = WreathElement(n, tau, _assemble_factors(tau, joint.blocks, args_y, ring))
+    x = lift_element(ring, n, sigma, joint.blocks, args_x)
+    y = lift_element(ring, n, tau, joint.blocks, args_y)
     product_class = cup(ring, x, y)
     px = perversity(ring, x)
     py = perversity(ring, y)

@@ -169,17 +169,8 @@ class OrbitPartition:
 
     blocks: tuple[tuple[int, ...], ...]
 
-    def carrier(self) -> tuple[int, ...]:
-        return tuple(sorted(x for block in self.blocks for x in block))
-
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise UsageError(f"{x} not in carrier")
 
     def refines(self, coarser: "OrbitPartition") -> bool:
         """True if every block of self lies inside a block of `coarser`."""

@@ -11,10 +11,11 @@ The S_n-action conjugates the permutation and transports factors along the
 relabeling; the cup product pulls both factor tensors back to the joint
 orbits of <sigma, tau>, multiplies there, inserts Euler-class powers e^g
 prescribed by the graph defect (with e^g = 0 for g >= 2, since e sits in top
-degree), and pushes forward to the orbits of <sigma tau>.  Odd-degree factors
-contribute Koszul signs at every reordering; the pushforward sign is fixed to
-the reordering sign of moving the inserted diagonal components into canonical
-orbit order.
+degree), and pushes forward to the orbits of <sigma tau>; `local_product` is
+that step on one joint orbit, shared with the multiplicativity checker.
+Odd-degree factors contribute Koszul signs at every reordering; the
+pushforward sign is fixed to the reordering sign of moving the inserted
+diagonal components into canonical orbit order.
 """
 
 from __future__ import annotations
@@ -235,108 +236,6 @@ def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
     return out.scale(Fraction(1, factorial(n)))
 
 
-# -- pullback and pushforward ------------------------------------------------
-
-
-def _check_partitions(src: OrbitPartition, dst: OrbitPartition, finer_src: bool) -> None:
-    if finer_src:
-        ok = src.refines(dst)
-    else:
-        ok = dst.refines(src)
-    if not ok:
-        raise UsageError("orbit partitions are not nested the required way")
-
-
-def pullback_merge(
-    ring: SurfaceRing, tensor: Tensor, src: OrbitPartition, dst: OrbitPartition
-) -> Tensor:
-    """Merge a tensor over src orbits into a coarser partition dst.
-
-    The factors of the src blocks inside one dst block are cup-multiplied in
-    canonical order; regrouping the whole factor sequence by dst block incurs
-    the Koszul reordering sign.
-    """
-    _check_partitions(src, dst, finer_src=True)
-    dst_rank: dict[int, int] = {}
-    for r, block in enumerate(dst.blocks):
-        for v in block:
-            dst_rank[v] = r
-    src_ranks = [dst_rank[block[0]] for block in src.blocks]
-    order = sorted(range(len(src.blocks)), key=lambda m: (src_ranks[m], m))
-    new_pos = [0] * len(src.blocks)
-    for rank, m in enumerate(order):
-        new_pos[m] = rank
-    groups: list[list[int]] = [[] for _ in dst.blocks]
-    for m in order:
-        groups[src_ranks[m]].append(m)
-    out: Tensor = {}
-    for key, coeff in tensor.items():
-        degs = [ring.degrees[f] for f in key]
-        sign = koszul_reorder_sign(degs, new_pos)
-        merged: list[Vec] = []
-        for grp in groups:
-            acc: Vec = {ring.unit: 1}
-            for m in grp:
-                acc = ring.mul_class(acc, {key[m]: 1})
-                if not acc:
-                    break
-            merged.append(acc)
-        if any(not m for m in merged):
-            continue
-        for combo in iproduct(*[sorted(m.items()) for m in merged]):
-            new_key = tuple(idx for idx, _ in combo)
-            c = sign * coeff
-            for _, ci in combo:
-                c *= ci
-            acc2 = out.get(new_key, 0) + c
-            if acc2:
-                out[new_key] = acc2
-            else:
-                out.pop(new_key, None)
-    return out
-
-
-def pushforward_split(
-    ring: SurfaceRing, tensor: Tensor, src: OrbitPartition, dst: OrbitPartition
-) -> Tensor:
-    """Split a tensor over src orbits along a finer partition dst.
-
-    Each src factor is pushed along the small diagonal into its dst
-    sub-blocks; the inserted components are then moved into canonical dst
-    order, contributing the Koszul reordering sign.
-    """
-    _check_partitions(src, dst, finer_src=False)
-    sub_ranks: list[list[int]] = []
-    for block in src.blocks:
-        members = [r for r, d in enumerate(dst.blocks) if d[0] in block]
-        sub_ranks.append(members)
-    out: Tensor = {}
-    for key, coeff in tensor.items():
-        pushed = [diagonal_push(ring, len(sub_ranks[j]), key[j]) for j in range(len(key))]
-        if any(not p for p in pushed):
-            continue
-        for combo in iproduct(*[sorted(p.items()) for p in pushed]):
-            flat_positions: list[int] = []
-            flat_factors: list[int] = []
-            c = coeff
-            for j, (sub_key, cj) in enumerate(combo):
-                c *= cj
-                flat_positions.extend(sub_ranks[j])
-                flat_factors.extend(sub_key)
-            degs = [ring.degrees[f] for f in flat_factors]
-            sign = koszul_reorder_sign(degs, flat_positions)
-            new_key = [0] * len(dst.blocks)
-            for pos, f in zip(flat_positions, flat_factors):
-                new_key[pos] = f
-            new_key_t = tuple(new_key)
-            acc = out.get(new_key_t, 0) + sign * c
-            if acc:
-                out[new_key_t] = acc
-            else:
-                out.pop(new_key_t, None)
-    return out
-
-
 # -- cup product --------------------------------------------------------------
 
 
@@ -375,6 +274,28 @@ def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
     return acc
 
 
+def euler_vanishes(g: int) -> bool:
+    """e^g = 0 for g >= 2: e sits in top degree."""
+    return g >= 2
+
+
+def local_product(ring: SurfaceRing, mx: Vec, my: Vec, g: int, m: int) -> Tensor:
+    """The product on one transitive joint orbit of <sigma, tau>.
+
+    mx and my are the two sides' factors already merged onto the joint orbit
+    (by _mul_sequence); their product, times e^g for the graph defect g, is
+    pushed along the small diagonal into the m orbits of sigma tau there.
+    """
+    if euler_vanishes(g):
+        return {}
+    prod = ring.mul_class(mx, my)
+    if g == 1:
+        prod = ring.mul_class(prod, ring.euler)
+    if not prod:
+        return {}
+    return diagonal_push(ring, m, prod)
+
+
 def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
     """Lehn cup product of two basis elements; bilinear closure is cup_class.
 
@@ -388,66 +309,49 @@ def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
         return cached
     if len(cache) > 2_000_000:
         cache.clear()  # keep the memo bounded on long exhaustive runs
+    out = cache[(x, y)] = _cup_terms(ring, x, y)
+    return out
+
+
+def _cup_terms(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
+    """The product joint orbit by joint orbit, assembled with Koszul signs."""
     n = x.n
     st, joint, x_groups, y_groups, dst_groups, g_values = _cup_plan(
         x.sigma.images, y.sigma.images
     )
     out = WreathClass(n)
-    if any(g >= 2 for g in g_values):
-        cache[(x, y)] = out
-        return out  # e^g = 0 for g >= 2: e has top degree
+    if any(euler_vanishes(g) for g in g_values):
+        return out
+    pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
+    for xg, yg, dg, g in zip(x_groups, y_groups, dst_groups, g_values):
+        mx = _mul_sequence(ring, tuple(x.factors[m] for m in xg))
+        if not mx:
+            return out
+        my = _mul_sequence(ring, tuple(y.factors[m] for m in yg))
+        if not my:
+            return out
+        split = local_product(ring, mx, my, g, len(dg))
+        if not split:
+            return out
+        pushed.append(sorted(split.items()))
+
     degs = ring.degrees
     has_odd = any(d % 2 for d in degs)
-
-    # Koszul sign of regrouping the x (resp. y) factor sequence by joint orbit
-    def regroup_sign(factors, groups):
-        if not has_odd:
-            return 1
-        new_pos = [0] * len(factors)
-        rank = 0
-        for grp in groups:
-            for m in grp:
-                new_pos[m] = rank
-                rank += 1
-        return koszul_reorder_sign([degs[f] for f in factors], new_pos)
-
-    sign = regroup_sign(x.factors, x_groups) * regroup_sign(y.factors, y_groups)
-
-    # merged components and the interleave sign between the two tensors
-    merged_x: list[Vec] = []
-    merged_y: list[Vec] = []
-    for k in range(len(joint.blocks)):
-        mx = _mul_sequence(ring, tuple(x.factors[m] for m in x_groups[k]))
-        if not mx:
-            cache[(x, y)] = out
-            return out
-        my = _mul_sequence(ring, tuple(y.factors[m] for m in y_groups[k]))
-        if not my:
-            cache[(x, y)] = out
-            return out
-        merged_x.append(mx)
-        merged_y.append(my)
+    sign = 1
     if has_odd:
-        par_x = [sum(degs[x.factors[m]] for m in x_groups[k]) % 2 for k in range(len(joint.blocks))]
-        par_y = [sum(degs[y.factors[m]] for m in y_groups[k]) % 2 for k in range(len(joint.blocks))]
+        # regroup each factor sequence by joint orbit, then interleave the
+        # two regrouped tensors orbit by orbit
+        for factors, groups in ((x.factors, x_groups), (y.factors, y_groups)):
+            new_pos = [0] * len(factors)
+            for rank, m in enumerate(m for grp in groups for m in grp):
+                new_pos[m] = rank
+            sign *= koszul_reorder_sign([degs[f] for f in factors], new_pos)
+        par_x = [sum(degs[x.factors[m]] for m in grp) % 2 for grp in x_groups]
+        par_y = [sum(degs[y.factors[m]] for m in grp) % 2 for grp in y_groups]
         for i in range(len(joint.blocks)):
             for j in range(i + 1, len(joint.blocks)):
                 if par_y[i] and par_x[j]:
                     sign = -sign
-
-    pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
-    for k in range(len(joint.blocks)):
-        prod = ring.mul_class(merged_x[k], merged_y[k])
-        if g_values[k] == 1:
-            prod = ring.mul_class(prod, ring.euler)
-        if not prod:
-            cache[(x, y)] = out
-            return out
-        split = diagonal_push(ring, len(dst_groups[k]), prod)
-        if not split:
-            cache[(x, y)] = out
-            return out
-        pushed.append(sorted(split.items()))
 
     n_dst = sum(len(d) for d in dst_groups)
     for combo in iproduct(*pushed):
@@ -466,7 +370,6 @@ def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
         for pos, f in zip(flat_positions, flat_factors):
             new_key[pos] = f
         out.add_term(WreathElement(n=n, sigma=st, factors=tuple(new_key)), coeff)
-    cache[(x, y)] = out
     return out
 
 
@@ -662,19 +565,24 @@ def _associativity_triples(
     return bad
 
 
-def _pad_element(
-    ring: SurfaceRing, n: int, sigma: Perm, block: tuple[int, ...], local: WreathElement
+def lift_element(
+    ring: SurfaceRing, n: int, sigma: Perm, joint_blocks, local_factors
 ) -> WreathElement:
-    """Lift a relabeled block-local element back to [n], units elsewhere."""
-    blocks = _perm_orbit_blocks(sigma.images)
-    local_blocks = _perm_orbit_blocks(local.sigma.images)
+    """Lift per-joint-orbit local factor tuples back onto sigma's orbits.
+
+    local_factors[k] holds the factors of sigma's orbits inside
+    joint_blocks[k], in canonical order; orbits outside every given joint
+    block get the unit.
+    """
     factor_at: dict[int, int] = {}
-    for lb, f in zip(local_blocks, local.factors):
-        factor_at[block[lb[0] - 1]] = f
-    factors = []
-    for b in blocks:
-        factors.append(factor_at.get(b[0], ring.unit))
-    return WreathElement(n=n, sigma=sigma, factors=tuple(factors))
+    blocks = _perm_orbit_blocks(sigma.images)
+    for joint_block, factors in zip(joint_blocks, local_factors):
+        members = [b for b in blocks if b[0] in joint_block]
+        for b, f in zip(members, factors):
+            factor_at[b[0]] = f
+    return WreathElement(
+        n=n, sigma=sigma, factors=tuple(factor_at.get(b[0], ring.unit) for b in blocks)
+    )
 
 
 def check_associativity(
@@ -711,9 +619,9 @@ def check_associativity(
                     )
                     checked += 1
                     for lx, ly, lz in bad:
-                        gx = _pad_element(ring, n, sigma, block, lx)
-                        gy = _pad_element(ring, n, tau, block, ly)
-                        gz = _pad_element(ring, n, rho, block, lz)
+                        gx = lift_element(ring, n, sigma, (block,), (lx.factors,))
+                        gy = lift_element(ring, n, tau, (block,), (ly.factors,))
+                        gz = lift_element(ring, n, rho, (block,), (lz.factors,))
                         witnesses.append(
                             {
                                 "x": render_element(ring, gx),

@@ -185,6 +185,15 @@ def test_series_bruteforce_matches_closed_coefficient(capsys):
     assert series.coefficient_of_s(3) == expected
 
 
+def test_series_closed_rejects_seed_flag(capsys):
+    # series closed reads no seed, so the flag is not accepted
+    code, _, err = run(
+        capsys, "series", "closed", "--case", "dynkin4", "--s-bound", "1", "--seed", "1"
+    )
+    assert code == 2
+    assert "--seed" in err
+
+
 def test_series_unknown_case_exits_2(capsys):
     code, _, err = run(capsys, "series", "closed", "--case", "dynkin5", "--s-bound", "2")
     assert code == 2

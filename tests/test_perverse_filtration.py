@@ -9,6 +9,7 @@ from hilb.perverse_filtration import (
     BOTTOM,
     MONODROMY_MATRICES,
     TRIANGLE_MATRIX,
+    _local_mult_stats,
     check_diagonal_bound,
     check_intersection_nondegenerate,
     check_monodromy_suite,
@@ -19,12 +20,13 @@ from hilb.perverse_filtration import (
     pw_transport,
 )
 from hilb.surface_ring import SurfaceRing, preset
-from hilb.symmetric_groups import Perm, enumerate_sn, parse_cycles
+from hilb.symmetric_groups import Perm, enumerate_sn, orbits, parse_cycles
 from hilb.wreath_ring import (
     WreathClass,
     cup,
     enumerate_wreath_basis,
     make_element,
+    restrict_perm,
     sn_act,
     unit_element,
 )
@@ -85,6 +87,39 @@ def test_multiplicativity_small_presets():
         report = check_multiplicativity(ring, 2)
         assert report.passed, report.render_text()
         assert report.info["mode"] == "exhaustive"
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, 2) for name in ("a0", "d4", "e6", "e7", "e8", "abelian")]
+    + [("a0", 3), ("d4", 3)],
+)
+def test_joint_orbit_factorization_matches_brute_force(name, n):
+    # the worst excess over all basis pairs on (sigma, tau) is the sum of the
+    # per-joint-orbit worst excesses, and a dead orbit kills every product
+    ring = preset(name)
+    by_sigma: dict[Perm, list] = {}
+    for x in enumerate_wreath_basis(ring, n):
+        by_sigma.setdefault(x.sigma, []).append(x)
+    for sigma, xs in by_sigma.items():
+        for tau, ys in by_sigma.items():
+            brute = None
+            for x in xs:
+                px = perversity(ring, x)
+                for y in ys:
+                    product = cup(ring, x, y)
+                    if product:
+                        excess = perversity_class(ring, product) - px - perversity(ring, y)
+                        brute = excess if brute is None else max(brute, excess)
+            bests = [
+                _local_mult_stats(ring, restrict_perm(sigma, b), restrict_perm(tau, b))[0]
+                for b in orbits(n, [sigma, tau]).blocks
+            ]
+            context = (sigma.cycle_string(), tau.cycle_string())
+            if None in bests:
+                assert brute is None, context
+            else:
+                assert brute == sum(bests), context
 
 
 def _corrupted_d4() -> SurfaceRing:

@@ -1,4 +1,4 @@
-"""The wreath product: action, pullback/pushforward, cup product, projection."""
+"""The wreath product: action, the joint-orbit kernel, cup product, projection."""
 
 from fractions import Fraction
 
@@ -6,9 +6,10 @@ import pytest
 
 from hilb.errors import UsageError
 from hilb.surface_ring import preset
-from hilb.symmetric_groups import OrbitPartition, Perm, parse_cycles
+from hilb.symmetric_groups import Perm, parse_cycles
 from hilb.wreath_ring import (
     WreathClass,
+    _mul_sequence,
     basis_count,
     check_unit_laws,
     cup,
@@ -17,9 +18,8 @@ from hilb.wreath_ring import (
     enumerate_wreath_basis,
     invariant_project,
     iter_orbit_reps,
+    local_product,
     make_element,
-    pullback_merge,
-    pushforward_split,
     render_class,
     render_element,
     sn_act,
@@ -75,43 +75,37 @@ def test_sn_act_odd_transposition_sign():
     assert sign == -1
 
 
-def test_pullback_merge_identity_and_cup():
+def test_local_product_merges_and_multiplies():
     ring = preset("k3")
     f, s = ring.index("f"), ring.index("s")
     pt = ring.top_index()
-    fine = OrbitPartition(((1,), (2,)))
-    coarse = OrbitPartition(((1, 2),))
-    tensor = {(f, s): Fraction(1)}
-    assert pullback_merge(ring, tensor, fine, fine) == tensor
-    assert pullback_merge(ring, tensor, fine, coarse) == {(pt,): 1}
+    unit = {ring.unit: 1}
+    # one slot, unit on the other side: the factor comes back unchanged
+    assert local_product(ring, {f: 1}, unit, 0, 1) == {(f,): 1}
+    # f and s merged onto one joint orbit multiply to the point class
+    assert local_product(ring, _mul_sequence(ring, (f, s)), unit, 0, 1) == {(pt,): 1}
+    assert local_product(ring, {f: 1}, {s: 1}, 0, 1) == {(pt,): 1}
 
 
-def test_pullback_merge_zero_product():
+def test_local_product_zero_product():
     ring = preset("d4")
-    fine = OrbitPartition(((1,), (2,)))
-    coarse = OrbitPartition(((1, 2),))
-    assert pullback_merge(ring, {(1, 1): Fraction(1)}, fine, coarse) == {}
+    assert _mul_sequence(ring, (1, 1)) == {}
+    assert local_product(ring, {1: 1}, {1: 1}, 0, 1) == {}
 
 
-def test_pushforward_split_identity_and_diagonal():
+def test_local_product_diagonal_push():
     ring = preset("d4")
-    fine = OrbitPartition(((1,), (2,)))
-    coarse = OrbitPartition(((1, 2),))
-    tensor = {(0,): Fraction(1)}
-    assert pushforward_split(ring, tensor, coarse, coarse) == tensor
-    assert pushforward_split(ring, tensor, coarse, fine) == {
-        (i, i): -1 for i in range(1, 5)
-    }
+    unit = {0: 1}
+    assert local_product(ring, unit, unit, 0, 1) == {(0,): 1}
+    assert local_product(ring, unit, unit, 0, 2) == {(i, i): -1 for i in range(1, 5)}
 
 
-def test_pushforward_requires_nesting():
-    ring = preset("d4")
-    p1 = OrbitPartition(((1, 2), (3,)))
-    p2 = OrbitPartition(((1,), (2, 3)))
-    with pytest.raises(UsageError):
-        pushforward_split(ring, {(0, 0): Fraction(1)}, p1, p2)
-    with pytest.raises(UsageError):
-        pullback_merge(ring, {(0, 0): Fraction(1)}, p1, p2)
+def test_local_product_euler_insertion():
+    ring = preset("k3")
+    unit = {ring.unit: 1}
+    pt = ring.top_index()
+    assert local_product(ring, unit, unit, 1, 1) == {(pt,): 24}
+    assert local_product(ring, unit, unit, 2, 1) == {}
 
 
 def test_cup_d4_transposition_squares_to_diagonal():
