@@ -65,16 +65,20 @@ def _add_ring_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, limit: bool = False, sampling: bool = False
+    parser: argparse.ArgumentParser,
+    limit: bool = False,
+    jobs: bool = False,
+    seed: bool = False,
 ) -> None:
-    """--format always; --limit and the sampled-suite --jobs/--seed on request."""
+    """--format always; --limit, --jobs and --seed on request."""
     parser.add_argument("--format", choices=("text", "json"), default="text")
     if limit:
         parser.add_argument(
             "--limit", type=int, default=DEFAULT_LIMIT, help="resource limit override"
         )
-    if sampling:
+    if jobs:
         parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    if seed:
         parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
 
@@ -184,25 +188,37 @@ def _cmd_mul(args) -> int:
     return EXIT_PASS
 
 
+# suite -> (the flags it reads besides --format, runner(ring, n, args));
+# "ring" stands for the ring source and -n
+VERIFY_SUITES = {
+    "multiplicativity": (
+        ("ring", "limit", "jobs", "seed"),
+        lambda ring, n, a: check_multiplicativity(
+            ring, n, limit=a.limit, seed=a.seed, jobs=a.jobs
+        ),
+    ),
+    "diagonal": (("ring",), lambda ring, n, a: check_diagonal_bound(ring, n_max=max(n, 2))),
+    "associativity": (
+        ("ring", "limit", "seed"),
+        lambda ring, n, a: check_associativity(ring, n, limit=a.limit, seed=a.seed),
+    ),
+    "equivariance": (
+        ("ring", "limit", "seed"),
+        lambda ring, n, a: check_equivariance(ring, n, limit=a.limit, seed=a.seed),
+    ),
+    "monodromy": ((), lambda ring, n, a: check_monodromy_suite()),
+}
+
+
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "monodromy":
-        return _emit_report(check_monodromy_suite(), args.format)
+    flags, run = VERIFY_SUITES[args.suite]
+    if "ring" not in flags:
+        return _emit_report(run(None, None, args), args.format)
     ring = _resolve_ring(args)
     n = args.n if args.n is not None else 2
-    if suite == "multiplicativity":
-        report = check_multiplicativity(
-            ring, n, limit=args.limit, seed=args.seed, jobs=args.jobs
-        )
-    elif suite == "diagonal":
-        report = check_diagonal_bound(ring, n_max=max(n, 2))
-    elif suite == "associativity":
-        report = check_associativity(ring, n, limit=args.limit, seed=args.seed)
-    elif suite == "equivariance":
-        report = check_equivariance(ring, n, limit=args.limit, seed=args.seed)
-    else:
-        raise UsageError(f"unknown suite {suite!r}")
-    report.info.setdefault("seed", args.seed)
+    report = run(ring, n, args)
+    # every ring suite echoes n and a seed (0 for suites that never sample)
+    report.info.setdefault("seed", getattr(args, "seed", 0))
     report.info.setdefault("n", n)
     return _emit_report(report, args.format)
 
@@ -270,20 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     mul.set_defaults(func=_cmd_mul)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "suite",
-        choices=(
-            "multiplicativity",
-            "diagonal",
-            "associativity",
-            "equivariance",
-            "monodromy",
-        ),
-    )
-    _add_ring_source(verify)
-    _add_common(verify, limit=True, sampling=True)
-    verify.add_argument("-n", type=int, default=None)
-    verify.set_defaults(func=_cmd_verify)
+    verify_sub = verify.add_subparsers(dest="suite", required=True, metavar="SUITE")
+    for suite, (flags, _) in VERIFY_SUITES.items():
+        suite_parser = verify_sub.add_parser(suite)
+        if "ring" in flags:
+            _add_ring_source(suite_parser)
+            suite_parser.add_argument("-n", type=int, default=None)
+        _add_common(
+            suite_parser,
+            limit="limit" in flags,
+            jobs="jobs" in flags,
+            seed="seed" in flags,
+        )
+        suite_parser.set_defaults(func=_cmd_verify)
 
     series = sub.add_parser("series", help="generating-series commands")
     series_sub = series.add_subparsers(dest="action", required=True)

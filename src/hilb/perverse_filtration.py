@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from multiprocessing import Pool
 
 from .errors import UsageError
-from .report import CheckReport
+from .report import CheckReport, run_suite
 from .surface_ring import SurfaceRing, diagonal_push, load_ring, save_ring
 from .symmetric_groups import Perm, enumerate_sn, graph_defect, orbits
 from .wreath_ring import (
@@ -133,6 +133,34 @@ def _local_mult_stats(ring: SurfaceRing, sigma: Perm, tau: Perm):
     return result
 
 
+def _mult_witness(
+    ring: SurfaceRing, x: WreathElement, y: WreathElement, excess: int | None = None
+) -> dict | None:
+    """The witness for the pair (x, y), or None when it keeps the bound.
+
+    With `excess` given (the local search's prediction) the witness is built
+    whatever the product turns out to be, so a factorization error shows up
+    in the report instead of being filtered out.
+    """
+    px = perversity(ring, x)
+    py = perversity(ring, y)
+    actual = perversity_class(ring, cup(ring, x, y))
+    actual = None if isinstance(actual, _Bottom) else int(actual)
+    if excess is None:
+        if actual is None or actual <= px + py:
+            return None
+        excess = actual - px - py
+    return {
+        "x": render_element(ring, x),
+        "y": render_element(ring, y),
+        "perversity_x": px,
+        "perversity_y": py,
+        "bound": px + py,
+        "actual": actual,
+        "excess": excess,
+    }
+
+
 def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict | None:
     """Worst violation witness among pairs with the given permutations, or None."""
     joint = orbits(n, [sigma, tau])
@@ -152,19 +180,7 @@ def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict 
         return None
     x = lift_element(ring, n, sigma, joint.blocks, args_x)
     y = lift_element(ring, n, tau, joint.blocks, args_y)
-    product_class = cup(ring, x, y)
-    px = perversity(ring, x)
-    py = perversity(ring, y)
-    actual = perversity_class(ring, product_class)
-    return {
-        "x": render_element(ring, x),
-        "y": render_element(ring, y),
-        "perversity_x": px,
-        "perversity_y": py,
-        "bound": px + py,
-        "actual": int(actual) if not isinstance(actual, _Bottom) else None,
-        "excess": total,
-    }
+    return _mult_witness(ring, x, y, excess=total)
 
 
 def _mult_estimate(ring: SurfaceRing, n: int) -> int:
@@ -189,15 +205,12 @@ def _mult_worker_init(doc: str) -> None:
     _WORKER_RING = load_ring(doc)
 
 
-def _mult_worker(task) -> list[dict]:
+def _mult_worker(task) -> list[dict | None]:
     n, pairs = task
-    ring = _WORKER_RING
-    out = []
-    for sigma_images, tau_images in pairs:
-        witness = _mult_pair_check(ring, n, Perm(sigma_images), Perm(tau_images))
-        if witness is not None:
-            out.append(witness)
-    return out
+    return [
+        _mult_pair_check(_WORKER_RING, n, Perm(s_images), Perm(t_images))
+        for s_images, t_images in pairs
+    ]
 
 
 def check_multiplicativity(
@@ -215,66 +228,38 @@ def check_multiplicativity(
     pairs (which must still find zero violations to pass).
     """
     est = _mult_estimate(ring, n) * _MULT_STEP_COST
-    witnesses: list[dict] = []
-    if est <= limit:
-        mode = "exhaustive"
-        perms = list(enumerate_sn(n))
-        pair_list = [(s.images, t.images) for s in perms for t in perms]
-        if jobs > 1:
-            chunks = [pair_list[i::jobs] for i in range(jobs)]
-            with Pool(jobs, initializer=_mult_worker_init, initargs=(save_ring(ring),)) as pool:
-                for part in pool.map(_mult_worker, [(n, chunk) for chunk in chunks]):
-                    witnesses.extend(part)
-        else:
-            for s_images, t_images in pair_list:
-                witness = _mult_pair_check(ring, n, Perm(s_images), Perm(t_images))
-                if witness is not None:
-                    witnesses.append(witness)
-        checked = len(pair_list)
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        perms = list(enumerate_sn(n))
-        weights = [ring.size ** len(_perm_orbit_blocks(p.images)) for p in perms]
-        checked = sample_size
-        for _ in range(sample_size):
-            sigma, tau = rng.choices(perms, weights=weights, k=2)
-            fx = tuple(
-                rng.randrange(ring.size)
-                for _ in range(len(_perm_orbit_blocks(sigma.images)))
-            )
-            fy = tuple(
-                rng.randrange(ring.size)
-                for _ in range(len(_perm_orbit_blocks(tau.images)))
-            )
-            x = WreathElement(n, sigma, fx)
-            y = WreathElement(n, tau, fy)
-            actual = perversity_class(ring, cup(ring, x, y))
-            bound = perversity(ring, x) + perversity(ring, y)
-            if actual > bound:
-                witnesses.append(
-                    {
-                        "x": render_element(ring, x),
-                        "y": render_element(ring, y),
-                        "perversity_x": perversity(ring, x),
-                        "perversity_y": perversity(ring, y),
-                        "bound": bound,
-                        "actual": int(actual),
-                        "excess": int(actual) - bound,
-                    }
-                )
-    witnesses.sort(key=lambda w: (-w["excess"], w["x"], w["y"]))
+    perms = list(enumerate_sn(n))
     info = {
         "ring": ring.name,
         "n": n,
-        "mode": mode,
+        "mode": "exhaustive" if est <= limit else "sampled",
         "seed": seed,
         "estimate": est,
         "limit": limit,
-        "checked": checked,
         "jobs": jobs,
     }
-    return CheckReport("multiplicativity", not witnesses, witnesses, info)
+    if est > limit:
+        weights = [ring.size ** len(_perm_orbit_blocks(p.images)) for p in perms]
+
+        def element(rng: random.Random, p: Perm) -> WreathElement:
+            k = len(_perm_orbit_blocks(p.images))
+            return WreathElement(n, p, tuple(rng.randrange(ring.size) for _ in range(k)))
+
+        def draw(rng: random.Random) -> dict | None:
+            sigma, tau = rng.choices(perms, weights=weights, k=2)
+            return _mult_witness(ring, element(rng, sigma), element(rng, tau))
+
+        info["checked"] = sample_size
+        return run_suite("multiplicativity", info, (), draw, seed, sample_size)
+    pairs = [(s.images, t.images) for s in perms for t in perms]
+    info["checked"] = len(pairs)
+    if jobs > 1:
+        chunks = [(n, pairs[i::jobs]) for i in range(jobs)]
+        with Pool(jobs, initializer=_mult_worker_init, initargs=(save_ring(ring),)) as pool:
+            found = [w for part in pool.map(_mult_worker, chunks) for w in part]
+    else:
+        found = (_mult_pair_check(ring, n, Perm(s), Perm(t)) for s, t in pairs)
+    return run_suite("multiplicativity", info, found)
 
 
 # -- diagonal bound -------------------------------------------------------------

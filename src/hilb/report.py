@@ -1,9 +1,15 @@
-"""Machine-readable pass/fail records for every property suite."""
+"""Machine-readable pass/fail records for every property suite, and the one
+driver that turns a suite's checks into its record."""
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
+
+# Rendered inputs a witness may carry, in sort order after the excess.
+WITNESS_FIELDS = ("x", "y", "z", "tau", "detail")
 
 
 @dataclass
@@ -11,9 +17,9 @@ class CheckReport:
     """Outcome of one verification suite.
 
     A failing report always carries at least one witness.  Witnesses are
-    plain JSON-ready dicts (rendered inputs, integer perversities, bounds),
-    sorted worst-first by the suite that produced them, so reports are
-    deterministic and diffable.
+    plain JSON-ready dicts (rendered inputs, integer perversities, bounds).
+    Suites that go through `run_suite` list them deduplicated and sorted
+    worst-first by `witness_key`, so reports are deterministic and diffable.
     """
 
     suite: str
@@ -46,3 +52,33 @@ class CheckReport:
             parts = ", ".join(f"{k}={w[k]}" for k in sorted(w))
             lines.append(f"  witness: {parts}")
         return "\n".join(lines)
+
+
+def witness_key(w: dict) -> tuple:
+    """Worst excess first, then the rendered inputs; a missing field reads ""."""
+    return (-w["excess"],) + tuple(w.get(k, "") for k in WITNESS_FIELDS)
+
+
+def run_suite(
+    suite: str,
+    info: dict,
+    found: Iterable[dict | None],
+    sample: Callable[[random.Random], dict | None] | None = None,
+    seed: int = 0,
+    sample_size: int = 0,
+) -> CheckReport:
+    """Collect the witnesses of one suite run into its report.
+
+    `found` yields a witness dict, or None, for each input the exhaustive
+    pass checked.  When `sample` is given it is called `sample_size` times
+    with one generator seeded by `seed`, and answers the same way for one
+    random input.  Repeated witnesses are kept once.
+    """
+    witnesses = [w for w in found if w is not None]
+    if sample is not None:
+        rng = random.Random(seed)
+        draws = (sample(rng) for _ in range(sample_size))
+        witnesses.extend(w for w in draws if w is not None)
+    unique = {tuple(sorted(w.items())): w for w in witnesses}
+    ordered = sorted(unique.values(), key=witness_key)
+    return CheckReport(suite, not ordered, ordered, info)

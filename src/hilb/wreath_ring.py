@@ -24,11 +24,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from itertools import product as iproduct
 from math import factorial
 
 from .errors import ResourceError, UsageError
-from .report import CheckReport
+from .report import CheckReport, run_suite
 from .surface_ring import (
     SurfaceRing,
     Tensor,
@@ -526,6 +527,22 @@ def _triple_survivors(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> i
     return total
 
 
+def _associates(ring: SurfaceRing, x, y, z, xy: WreathClass | None = None) -> bool:
+    """(x.y).z = x.(y.z); `xy` may carry the memoized x.y."""
+    if xy is None:
+        xy = cup(ring, x, y)
+    return cup_class(ring, xy, z) == cup_class(ring, x, cup(ring, y, z))
+
+
+def _triple_witness(ring: SurfaceRing, x, y, z) -> dict:
+    return {
+        "x": render_element(ring, x),
+        "y": render_element(ring, y),
+        "z": render_element(ring, z),
+        "excess": 1,
+    }
+
+
 def _associativity_triples(
     ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
 ) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
@@ -557,9 +574,7 @@ def _associativity_triples(
                 if dx + dy + dz > cap:
                     break
                 z = WreathElement(m, rho, fz)
-                lhs = cup_class(ring, xy, z)
-                rhs = cup_class(ring, x, cup(ring, y, z))
-                if lhs != rhs:
+                if not _associates(ring, x, y, z, xy):
                     bad.append((x, y, z))
     cache[key] = bad
     return bad
@@ -604,101 +619,63 @@ def check_associativity(
     orbit-local pass.
     """
     perms = list(enumerate_sn(n))
-    witnesses: list[dict] = []
-    checked = 0
-    for sigma in perms:
-        for tau in perms:
-            for rho in perms:
-                joint = orbits(n, [sigma, tau, rho])
-                for block in joint.blocks:
-                    bad = _associativity_triples(
-                        ring,
-                        restrict_perm(sigma, block),
-                        restrict_perm(tau, block),
-                        restrict_perm(rho, block),
-                    )
-                    checked += 1
-                    for lx, ly, lz in bad:
-                        gx = lift_element(ring, n, sigma, (block,), (lx.factors,))
-                        gy = lift_element(ring, n, tau, (block,), (ly.factors,))
-                        gz = lift_element(ring, n, rho, (block,), (lz.factors,))
-                        witnesses.append(
-                            {
-                                "x": render_element(ring, gx),
-                                "y": render_element(ring, gy),
-                                "z": render_element(ring, gz),
-                                "excess": 1,
-                            }
-                        )
-    mode = "orbit-local"
-    has_odd = any(d % 2 for d in ring.degrees)
-    sampled = 0
-    if has_odd:
-        # the orbit-local pass cannot see cross-orbit Koszul assembly, so odd
-        # rings get a genuinely global pass: exhaustive when the pruned
-        # enumeration fits the limit, a seeded sample otherwise
-        est = sum(
-            _triple_survivors(ring, s, t, r)
-            for s in perms
-            for t in perms
-            for r in perms
-        )
-        if est * _CHECK_STEP_COST <= limit:
-            mode = "orbit-local+global"
-            for sigma in perms:
-                for tau in perms:
-                    for rho in perms:
-                        for x, y, z in _associativity_triples(ring, sigma, tau, rho):
-                            witnesses.append(
-                                {
-                                    "x": render_element(ring, x),
-                                    "y": render_element(ring, y),
-                                    "z": render_element(ring, z),
-                                    "excess": 1,
-                                }
-                            )
-        else:
-            mode = "orbit-local+sampled"
-            rng = random.Random(seed)
-            elements = list(enumerate_wreath_basis(ring, n))
-            for _ in range(sample_size):
-                x, y, z = (rng.choice(elements) for _ in range(3))
-                lhs = cup_class(ring, cup(ring, x, y), z)
-                rhs = cup_class(ring, x, cup(ring, y, z))
-                sampled += 1
-                if lhs != rhs:
-                    witnesses.append(
-                        {
-                            "x": render_element(ring, x),
-                            "y": render_element(ring, y),
-                            "z": render_element(ring, z),
-                            "excess": 1,
-                        }
-                    )
+    triples = [(s, t, r) for s in perms for t in perms for r in perms]
+    found: list[dict] = []
+    local_suites = 0
+    for perm_triple in triples:
+        for block in orbits(n, list(perm_triple)).blocks:
+            local_suites += 1
+            local = (restrict_perm(p, block) for p in perm_triple)
+            for bad in _associativity_triples(ring, *local):
+                lifted = (
+                    lift_element(ring, n, p, (block,), (e.factors,))
+                    for p, e in zip(perm_triple, bad)
+                )
+                found.append(_triple_witness(ring, *lifted))
     info = {
         "ring": ring.name,
         "n": n,
-        "mode": mode,
+        "mode": "orbit-local",
         "seed": seed,
-        "local_suites": checked,
+        "local_suites": local_suites,
     }
-    if sampled:
-        info["sampled_triples"] = sampled
-    unique = {(w["x"], w["y"], w["z"]): w for w in witnesses}
-    witnesses = [unique[k] for k in sorted(unique)]
-    return CheckReport("associativity", not witnesses, witnesses, info)
+    if not any(d % 2 for d in ring.degrees):
+        return run_suite("associativity", info, found)
+    # the orbit-local pass cannot see cross-orbit Koszul assembly, so odd
+    # rings get a genuinely global pass: exhaustive when the pruned
+    # enumeration fits the limit, a seeded sample otherwise
+    est = sum(_triple_survivors(ring, *perm_triple) for perm_triple in triples)
+    if est * _CHECK_STEP_COST <= limit:
+        info["mode"] = "orbit-local+global"
+        found += [
+            _triple_witness(ring, *bad)
+            for perm_triple in triples
+            for bad in _associativity_triples(ring, *perm_triple)
+        ]
+        return run_suite("associativity", info, found)
+    info["mode"] = "orbit-local+sampled"
+    if sample_size:
+        info["sampled_triples"] = sample_size
+    elements = list(enumerate_wreath_basis(ring, n))
+
+    def draw(rng: random.Random) -> dict | None:
+        x, y, z = (rng.choice(elements) for _ in range(3))
+        return None if _associates(ring, x, y, z) else _triple_witness(ring, x, y, z)
+
+    return run_suite("associativity", info, found, draw, seed, sample_size)
 
 
 def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
     one = unit_element(ring, n)
-    witnesses = []
-    for x in enumerate_wreath_basis(ring, n):
+
+    def unital(x: WreathElement) -> dict | None:
         expected = WreathClass.of(x)
-        if cup(ring, one, x) != expected or cup(ring, x, one) != expected:
-            witnesses.append({"x": render_element(ring, x), "excess": 1})
-    return CheckReport(
-        "unit-laws", not witnesses, witnesses, {"ring": ring.name, "n": n}
-    )
+        if cup(ring, one, x) == expected and cup(ring, x, one) == expected:
+            return None
+        return {"x": render_element(ring, x), "excess": 1}
+
+    found = (unital(x) for x in enumerate_wreath_basis(ring, n))
+    return run_suite("unit-laws", {"ring": ring.name, "n": n}, found)
 
 
 def check_equivariance(
@@ -719,32 +696,37 @@ def check_equivariance(
     """
     perms = list(enumerate_sn(n))
     elements = list(enumerate_wreath_basis(ring, n))
-    witnesses: list[dict] = []
 
-    # group-action property, always exhaustive (cheap)
-    for x in elements:
-        for t1 in perms:
-            s1, m1 = sn_act(ring, t1, x)
-            for t2 in perms:
-                s2, m2 = sn_act(ring, t2, m1)
-                s3, m3 = sn_act(ring, t2.compose(t1), x)
-                if (s1 * s2, m2) != (s3, m3):
-                    witnesses.append(
-                        {
-                            "x": render_element(ring, x),
-                            "tau": (t2.compose(t1)).cycle_string(),
-                            "detail": "action-composition",
-                            "excess": 1,
-                        }
-                    )
-    generators = [
-        Perm.from_cycles([(i, i + 1)], n) for i in range(1, n)
-    ] or [Perm.identity(n)]
+    def composes():
+        """Acting by t1 and then t2 equals acting by t2 t1, for every x."""
+        for x in elements:
+            for t1 in perms:
+                s1, m1 = sn_act(ring, t1, x)
+                for t2 in perms:
+                    s2, m2 = sn_act(ring, t2, m1)
+                    t21 = t2.compose(t1)
+                    holds = (s1 * s2, m2) == sn_act(ring, t21, x)
+                    yield None if holds else {
+                        "x": render_element(ring, x),
+                        "tau": t21.cycle_string(),
+                        "detail": "action-composition",
+                        "excess": 1,
+                    }
 
-    pair_cost = len(elements) ** 2 * (len(generators) + 1) * _CHECK_STEP_COST
-    if pair_cost <= limit:
-        mode = "exhaustive-generators"
-        sampled = 0
+    def commutes(x, y, tau: Perm, xy: WreathClass | None = None) -> dict | None:
+        lhs = act_class(ring, tau, cup(ring, x, y) if xy is None else xy)
+        sx, mx = sn_act(ring, tau, x)
+        sy, my = sn_act(ring, tau, y)
+        if lhs == cup(ring, mx, my).scale(sx * sy):
+            return None
+        return {
+            "x": render_element(ring, x),
+            "y": render_element(ring, y),
+            "tau": tau.cycle_string(),
+            "excess": 1,
+        }
+
+    def generator_pairs():
         for x in elements:
             dx = element_degree(ring, x)
             for y in elements:
@@ -753,45 +735,23 @@ def check_equivariance(
                     continue  # both sides vanish: degree additivity
                 xy = cup(ring, x, y)
                 for tau in generators:
-                    lhs = act_class(ring, tau, xy)
-                    sx, mx = sn_act(ring, tau, x)
-                    sy, my = sn_act(ring, tau, y)
-                    rhs = cup(ring, mx, my).scale(sx * sy)
-                    if lhs != rhs:
-                        witnesses.append(
-                            {
-                                "x": render_element(ring, x),
-                                "y": render_element(ring, y),
-                                "tau": tau.cycle_string(),
-                                "excess": 1,
-                            }
-                        )
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        sampled = sample_size
-        for _ in range(sample_size):
-            x = rng.choice(elements)
-            y = rng.choice(elements)
-            tau = rng.choice(perms)
-            lhs = act_class(ring, tau, cup(ring, x, y))
-            sx, mx = sn_act(ring, tau, x)
-            sy, my = sn_act(ring, tau, y)
-            rhs = cup(ring, mx, my).scale(sx * sy)
-            if lhs != rhs:
-                witnesses.append(
-                    {
-                        "x": render_element(ring, x),
-                        "y": render_element(ring, y),
-                        "tau": tau.cycle_string(),
-                        "excess": 1,
-                    }
-                )
-    info = {"ring": ring.name, "n": n, "mode": mode, "seed": seed}
-    if mode == "sampled":
-        info["sampled_triples"] = sampled
-    witnesses.sort(key=lambda w: sorted(w.items()).__repr__())
-    return CheckReport("equivariance", not witnesses, witnesses, info)
+                    yield commutes(x, y, tau, xy)
+
+    # the group-action property is always checked exhaustively (cheap)
+    found = composes()
+    generators = [
+        Perm.from_cycles([(i, i + 1)], n) for i in range(1, n)
+    ] or [Perm.identity(n)]
+    info = {"ring": ring.name, "n": n, "mode": "exhaustive-generators", "seed": seed}
+    if len(elements) ** 2 * (len(generators) + 1) * _CHECK_STEP_COST <= limit:
+        return run_suite("equivariance", info, chain(found, generator_pairs()))
+    info.update(mode="sampled", sampled_triples=sample_size)
+
+    def draw(rng: random.Random) -> dict | None:
+        x, y, tau = rng.choice(elements), rng.choice(elements), rng.choice(perms)
+        return commutes(x, y, tau)
+
+    return run_suite("equivariance", info, found, draw, seed, sample_size)
 
 
 def check_graded_commutativity(
@@ -809,42 +769,25 @@ def check_graded_commutativity(
     """
     inv = invariant_basis(ring, n)
     total_terms = sum(len(cls.terms) for cls in inv)
-    witnesses: list[dict] = []
-    exhaustive = total_terms**2 * _CHECK_STEP_COST <= limit
-    if exhaustive:
-        mode = "exhaustive"
-        pairs = ((a, b) for a in inv for b in inv)
-        count = len(inv) ** 2
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        pairs = (
-            (rng.choice(inv), rng.choice(inv)) for _ in range(sample_size)
-        )
-        count = sample_size
-    for a, b in pairs:
+
+    def commutes(a: WreathClass, b: WreathClass) -> dict | None:
         da = class_degree(ring, a)
         db = class_degree(ring, b)
         if da + db > 4 * n:
-            continue  # above the top degree of A{S_n}: both products vanish
-        lhs = cup_class(ring, a, b)
+            return None  # above the top degree of A{S_n}: both products vanish
         sign = -1 if (da % 2 and db % 2) else 1
-        rhs = cup_class(ring, b, a).scale(sign)
-        if lhs != rhs:
-            witnesses.append(
-                {
-                    "x": render_class(ring, a),
-                    "y": render_class(ring, b),
-                    "excess": 1,
-                }
-            )
-    info = {
-        "ring": ring.name,
-        "n": n,
-        "mode": mode,
-        "seed": seed,
-        "invariant_basis_size": len(inv),
-        "pairs_checked": count,
-    }
-    witnesses.sort(key=lambda w: (w["x"], w["y"]))
-    return CheckReport("graded-commutativity", not witnesses, witnesses, info)
+        if cup_class(ring, a, b) == cup_class(ring, b, a).scale(sign):
+            return None
+        return {"x": render_class(ring, a), "y": render_class(ring, b), "excess": 1}
+
+    info = {"ring": ring.name, "n": n, "seed": seed, "invariant_basis_size": len(inv)}
+    if total_terms**2 * _CHECK_STEP_COST <= limit:
+        info.update(mode="exhaustive", pairs_checked=len(inv) ** 2)
+        found = (commutes(a, b) for a in inv for b in inv)
+        return run_suite("graded-commutativity", info, found)
+    info.update(mode="sampled", pairs_checked=sample_size)
+
+    def draw(rng: random.Random) -> dict | None:
+        return commutes(rng.choice(inv), rng.choice(inv))
+
+    return run_suite("graded-commutativity", info, (), draw, seed, sample_size)

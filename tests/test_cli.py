@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hilb.cli import main
 from hilb.surface_ring import SurfaceRing, preset, save_ring
 
@@ -126,6 +128,32 @@ def test_verify_diagonal_json(capsys):
     payload = json.loads(out)
     assert payload["status"] == "pass"
     assert payload["suite"] == "diagonal-bound"
+
+
+def test_verify_diagonal_echoes_default_seed_and_n(capsys):
+    code, out, _ = run(
+        capsys, "verify", "diagonal", "--preset", "k3", "-n", "4", "--format", "json"
+    )
+    assert code == 0
+    info = json.loads(out)["info"]
+    assert info == {"n": 4, "n_max": 4, "ring": "k3", "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "diagonal", "--preset", "a0", "--seed", "1"),
+        ("verify", "diagonal", "--preset", "a0", "--limit", "10"),
+        ("verify", "associativity", "--preset", "d4", "-n", "2", "--jobs", "2"),
+        ("verify", "equivariance", "--preset", "d4", "-n", "2", "--jobs", "2"),
+        ("verify", "monodromy", "--seed", "1"),
+        ("verify", "monodromy", "--preset", "d4"),
+    ],
+)
+def test_verify_rejects_flags_the_suite_never_reads(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_verify_requires_ring_source(capsys):

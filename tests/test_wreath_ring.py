@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from hilb.errors import UsageError
-from hilb.surface_ring import preset
+from hilb.report import witness_key
+from hilb.surface_ring import SurfaceRing, preset
 from hilb.symmetric_groups import Perm, parse_cycles
 from hilb.wreath_ring import (
     WreathClass,
     _mul_sequence,
     basis_count,
+    check_associativity,
+    check_equivariance,
+    check_graded_commutativity,
     check_unit_laws,
     cup,
     cup_class,
@@ -219,3 +223,63 @@ def test_render_element():
     ring = preset("d4")
     x = make_element(ring, 3, parse_cycles("(1 2)", 3), (1, 5))
     assert render_element(ring, x) == "[E1@{1,2} ⊗ S@{3}] * (1 2)"
+
+
+# -- failing reports ------------------------------------------------------------
+
+
+def _d4_with(left: str, right: str, product: dict[str, int]) -> SurfaceRing:
+    """d4 with the one table entry left.right redefined."""
+    ring = preset("d4")
+    mul = {
+        (i, j): dict(ring.mul_basis(i, j))
+        for i in range(ring.size)
+        for j in range(ring.size)
+    }
+    mul[(ring.index(left), ring.index(right))] = {
+        ring.index(name): c for name, c in product.items()
+    }
+    return SurfaceRing(
+        name="corrupted",
+        mode=ring.mode,
+        names=ring.names,
+        degrees=ring.degrees,
+        perversities=ring.perversities,
+        unit=ring.unit,
+        mul=mul,
+        diag2=ring.diag2,
+        euler=ring.euler,
+    )
+
+
+def _assert_failing_report(check, entry, **kwargs):
+    """The report fails, lists distinct witnesses in driver order, and a
+    fresh run on a freshly built ring reproduces it exactly."""
+    report = check(_d4_with(*entry), 2, **kwargs)
+    assert not report.passed
+    keys = [witness_key(w) for w in report.witnesses]
+    assert keys == sorted(keys)
+    distinct = {tuple(sorted(w.items())) for w in report.witnesses}
+    assert len(distinct) == len(report.witnesses)
+    assert check(_d4_with(*entry), 2, **kwargs).to_json() == report.to_json()
+    return report
+
+
+def test_associativity_catches_redefined_square():
+    report = _assert_failing_report(check_associativity, ("E1", "E1", {"S": 1}))
+    assert report.info["mode"] == "orbit-local"
+
+
+def test_unit_laws_catch_scaled_unit():
+    report = _assert_failing_report(check_unit_laws, ("1", "E1", {"E1": 2}))
+    assert len(report.witnesses) == 12
+
+
+@pytest.mark.parametrize("check", [check_equivariance, check_graded_commutativity])
+def test_asymmetric_product_fails_exhaustive_and_sampled(check):
+    # E1.E2 := S with E2.E1 left at 0
+    entry = ("E1", "E2", {"S": 1})
+    full = _assert_failing_report(check, entry)
+    assert full.info["mode"].startswith("exhaustive")
+    sampled = _assert_failing_report(check, entry, limit=10, seed=1, sample_size=1000)
+    assert sampled.info["mode"] == "sampled"
