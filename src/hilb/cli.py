@@ -217,8 +217,7 @@ def _cmd_verify(args) -> int:
     ring = _resolve_ring(args)
     n = args.n if args.n is not None else 2
     report = run(ring, n, args)
-    # every ring suite echoes n and a seed (0 for suites that never sample)
-    report.info.setdefault("seed", getattr(args, "seed", 0))
+    # every ring suite echoes n; the suites that take --seed echo it themselves
     report.info.setdefault("n", n)
     return _emit_report(report, args.format)
 

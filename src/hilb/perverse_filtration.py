@@ -11,34 +11,33 @@ class is the maximum over its support.  The multiplicativity checker verifies
 p(x.y) <= p(x) + p(y) over every pair of basis elements; it factorizes over
 the joint orbits of the two permutations (both the product and the perversity
 bookkeeping decompose orbitwise), which turns the factorially large pair
-space into a short list of transitive local subproblems without giving up
-exhaustiveness.
+space into transitive local subproblems without giving up exhaustiveness.
+A local subproblem depends only on the orbit-count signature (m, a, b, m_res)
+of its joint orbit, which keys its memo, and its search runs over groups of
+factor tuples with equal merged product and perversity sum.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
 from multiprocessing import Pool
 
 from .errors import UsageError
 from .report import CheckReport, run_suite
-from .surface_ring import SurfaceRing, diagonal_push, load_ring, save_ring
-from .symmetric_groups import Perm, enumerate_sn, graph_defect, orbits
+from .surface_ring import SurfaceRing, Vec, diagonal_push, load_ring, save_ring
+from .symmetric_groups import Perm, enumerate_sn, orbits
 from .wreath_ring import (
     DEFAULT_LIMIT,
     _MULT_STEP_COST,
     WreathClass,
     WreathElement,
-    _mul_sequence,
     _perm_orbit_blocks,
     cup,
     euler_vanishes,
     lift_element,
     local_product,
     render_element,
-    restrict_perm,
 )
 
 
@@ -84,52 +83,75 @@ def perversity_class(ring: SurfaceRing, cls: WreathClass) -> PerversityValue:
 # -- multiplicativity ----------------------------------------------------------
 
 
-def _local_mult_stats(ring: SurfaceRing, sigma: Perm, tau: Perm):
+def _factor_groups(ring: SurfaceRing, k: int) -> list[tuple[tuple[int, ...], Vec, int]]:
+    """Factor tuples of length k grouped by merged product and perversity sum.
+
+    Returns (representative, merged product, perversity sum) per group whose
+    merged product (the left fold from the unit, as in _mul_sequence) is
+    nonzero.  The representative is the lexicographically first tuple of its
+    group and the list is in the order of the representatives.  Level k is
+    built from level k - 1 with one more factor, since the lexicographically
+    first tuple of a group extends the representative of its prefix's group.
+    """
+    cache = ring._caches.setdefault("mult_groups", {})
+    hit = cache.get(k)
+    if hit is not None:
+        return hit
+    if k == 0:
+        groups = [((), {ring.unit: 1}, 0)]
+    else:
+        groups = []
+        seen = set()
+        perv = ring.perversities
+        for rep, vec, psum in _factor_groups(ring, k - 1):
+            for f in range(ring.size):
+                merged = ring.mul_class(vec, {f: 1})
+                key = (frozenset(merged.items()), psum + perv[f])
+                if merged and key not in seen:
+                    seen.add(key)
+                    groups.append((rep + (f,), merged, key[1]))
+    cache[k] = groups
+    return groups
+
+
+def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     """Worst perversity excess on one transitive joint orbit.
+
+    The joint orbit has m points, and sigma, tau and sigma tau have a, b and
+    m_res orbits on it.  The local product reads the two permutations only
+    through these counts (the graph defect is 2g = m + 2 - a - b - m_res), so
+    they key the memo.  The search runs over pairs of factor groups
+    (_factor_groups): the excess depends only on the two merged products and
+    perversity sums, and the lexicographically first maximizing pair of
+    factor tuples is a pair of representatives.
 
     Returns (best_excess, argmax factor tuples) over all local factor
     assignments; both are None when every local product vanishes, in which
     case no global pair through this orbit can violate.
     """
     cache = ring._caches.setdefault("mult_local", {})
-    key = (sigma.images, tau.images)
+    key = (m, a, b, m_res)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    m = sigma.n
-    g = graph_defect(sigma, tau)[tuple(range(1, m + 1))]
+    g = (m + 2 - a - b - m_res) // 2
     best = None
     arg = None
-    if euler_vanishes(g):
-        cache[key] = (best, arg)
-        return best, arg
-    s_blocks = _perm_orbit_blocks(sigma.images)
-    t_blocks = _perm_orbit_blocks(tau.images)
-    m_res = len(_perm_orbit_blocks(sigma.compose(tau).images))
-    shift_x = m - len(s_blocks)
-    shift_y = m - len(t_blocks)
-    shift_res = m - m_res
-    perv = ring.perversities
-    for fx in iproduct(range(ring.size), repeat=len(s_blocks)):
-        mx = _mul_sequence(ring, fx)
-        if not mx:
-            continue
-        px = sum(perv[f] for f in fx) + shift_x
-        for fy in iproduct(range(ring.size), repeat=len(t_blocks)):
-            my = _mul_sequence(ring, fy)
-            if not my:
-                continue
-            split = local_product(ring, mx, my, g, m_res)
-            if not split:
-                continue
-            py = sum(perv[f] for f in fy) + shift_y
-            top = max(sum(perv[f] for f in k2) for k2 in split) + shift_res
-            excess = top - px - py
-            if best is None or excess > best:
-                best = excess
-                arg = (fx, fy)
-    result = (best, arg)
-    cache[key] = result
+    if not euler_vanishes(g):
+        perv = ring.perversities
+        shift = a + b - m - m_res  # the three cycle-type shifts
+        ys = _factor_groups(ring, b)
+        for fx, mx, px in _factor_groups(ring, a):
+            for fy, my, py in ys:
+                split = local_product(ring, mx, my, g, m_res)
+                if not split:
+                    continue
+                top = max(sum(perv[f] for f in k2) for k2 in split)
+                excess = top - px - py + shift
+                if best is None or excess > best:
+                    best = excess
+                    arg = (fx, fy)
+    result = cache[key] = (best, arg)
     return result
 
 
@@ -163,14 +185,18 @@ def _mult_witness(
 
 def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict | None:
     """Worst violation witness among pairs with the given permutations, or None."""
-    joint = orbits(n, [sigma, tau])
+    joint = orbits(n, [sigma, tau]).blocks
+    where = {v: k for k, block in enumerate(joint) for v in block}
+    # per joint orbit: its size and the orbit counts of sigma, tau, sigma tau
+    signatures = [[len(block), 0, 0, 0] for block in joint]
+    for col, perm in enumerate((sigma, tau, sigma.compose(tau)), start=1):
+        for b in _perm_orbit_blocks(perm.images):
+            signatures[where[b[0]]][col] += 1
     total = 0
     args_x: list[tuple[int, ...]] = []
     args_y: list[tuple[int, ...]] = []
-    for block in joint.blocks:
-        best, arg = _local_mult_stats(
-            ring, restrict_perm(sigma, block), restrict_perm(tau, block)
-        )
+    for signature in signatures:
+        best, arg = _local_mult_stats(ring, *signature)
         if best is None:
             return None  # every product through this orbit vanishes
         total += best
@@ -178,8 +204,8 @@ def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict 
         args_y.append(arg[1])
     if total <= 0:
         return None
-    x = lift_element(ring, n, sigma, joint.blocks, args_x)
-    y = lift_element(ring, n, tau, joint.blocks, args_y)
+    x = lift_element(ring, n, sigma, joint, args_x)
+    y = lift_element(ring, n, tau, joint, args_y)
     return _mult_witness(ring, x, y, excess=total)
 
 

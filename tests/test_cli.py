@@ -130,13 +130,13 @@ def test_verify_diagonal_json(capsys):
     assert payload["suite"] == "diagonal-bound"
 
 
-def test_verify_diagonal_echoes_default_seed_and_n(capsys):
+def test_verify_diagonal_echoes_n_without_seed(capsys):
     code, out, _ = run(
         capsys, "verify", "diagonal", "--preset", "k3", "-n", "4", "--format", "json"
     )
     assert code == 0
     info = json.loads(out)["info"]
-    assert info == {"n": 4, "n_max": 4, "ring": "k3", "seed": 0}
+    assert info == {"n": 4, "n_max": 4, "ring": "k3"}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Abstract perversity and the filtration checkers."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -19,12 +20,14 @@ from hilb.perverse_filtration import (
     perversity_class,
     pw_transport,
 )
-from hilb.surface_ring import SurfaceRing, preset
-from hilb.symmetric_groups import Perm, enumerate_sn, orbits, parse_cycles
+from hilb.surface_ring import SurfaceRing, load_ring, preset, save_ring
+from hilb.symmetric_groups import Perm, enumerate_sn, graph_defect, orbits, parse_cycles
 from hilb.wreath_ring import (
     WreathClass,
+    _mul_sequence,
     cup,
     enumerate_wreath_basis,
+    local_product,
     make_element,
     restrict_perm,
     sn_act,
@@ -89,14 +92,24 @@ def test_multiplicativity_small_presets():
         assert report.info["mode"] == "exhaustive"
 
 
+def _signature(sigma: Perm, tau: Perm, block) -> tuple[int, int, int, int]:
+    """Size of a joint orbit and the orbit counts of sigma, tau, sigma tau on it."""
+    m = len(block)
+    s, t = restrict_perm(sigma, block), restrict_perm(tau, block)
+    return (m, *(len(orbits(m, [p])) for p in (s, t, s.compose(t))))
+
+
 @pytest.mark.parametrize(
     "name,n",
     [(name, 2) for name in ("a0", "d4", "e6", "e7", "e8", "abelian")]
-    + [("a0", 3), ("d4", 3)],
+    + [("a0", 3), ("d4", 3), ("k3", 2), ("a0", 4)],
 )
 def test_joint_orbit_factorization_matches_brute_force(name, n):
     # the worst excess over all basis pairs on (sigma, tau) is the sum of the
-    # per-joint-orbit worst excesses, and a dead orbit kills every product
+    # per-joint-orbit worst excesses, and a dead orbit kills every product;
+    # the memo reads each joint orbit only through its orbit-count signature
+    # (k3 is the first ring here with a nonzero Euler class, a0 at n = 4 the
+    # first case with 4-point joint orbits)
     ring = preset(name)
     by_sigma: dict[Perm, list] = {}
     for x in enumerate_wreath_basis(ring, n):
@@ -112,7 +125,7 @@ def test_joint_orbit_factorization_matches_brute_force(name, n):
                         excess = perversity_class(ring, product) - px - perversity(ring, y)
                         brute = excess if brute is None else max(brute, excess)
             bests = [
-                _local_mult_stats(ring, restrict_perm(sigma, b), restrict_perm(tau, b))[0]
+                _local_mult_stats(ring, *_signature(sigma, tau, b))[0]
                 for b in orbits(n, [sigma, tau]).blocks
             ]
             context = (sigma.cycle_string(), tau.cycle_string())
@@ -120,6 +133,80 @@ def test_joint_orbit_factorization_matches_brute_force(name, n):
                 assert brute is None, context
             else:
                 assert brute == sum(bests), context
+
+
+def _tuple_search(ring: SurfaceRing, sigma: Perm, tau: Perm):
+    """The local search over every pair of factor tuples of a transitive
+    (sigma, tau), in lexicographic order, keeping the first worst pair."""
+    block = tuple(range(1, sigma.n + 1))
+    g = graph_defect(sigma, tau)[block]
+    m, a, b, m_res = _signature(sigma, tau, block)
+    perv = ring.perversities
+    best = arg = None
+    for fx in iproduct(range(ring.size), repeat=a):
+        for fy in iproduct(range(ring.size), repeat=b):
+            mx, my = _mul_sequence(ring, fx), _mul_sequence(ring, fy)
+            split = local_product(ring, mx, my, g, m_res) if mx and my else {}
+            if not split:
+                continue
+            top = max(sum(perv[f] for f in k) for k in split) + m - m_res
+            excess = top - sum(perv[f] for f in fx) - sum(perv[f] for f in fy)
+            excess -= 2 * m - a - b
+            if best is None or excess > best:
+                best, arg = excess, (fx, fy)
+    return best, arg
+
+
+def _small_open_ring(perversities, products) -> SurfaceRing:
+    """An open ring on the basis 1, b1, b2, ... with the given perversities,
+    the unit products and `products`, and Delta_2 = 0."""
+    size = len(perversities)
+    mul = {(0, k): {k: 1} for k in range(size)} | {(k, 0): {k: 1} for k in range(size)}
+    return SurfaceRing(
+        name="small",
+        mode="open",
+        names=("1",) + tuple(f"b{k}" for k in range(1, size)),
+        degrees=(0,) + (2,) * (size - 1),
+        perversities=perversities,
+        unit=0,
+        mul=mul | products,
+        diag2={},
+        euler={},
+    )
+
+
+# factor groups need exact coefficients: b1.b1 = b3 - b4 and b2.b2 = b3 + b4
+# differ in a sign that decides whether the product with b5 vanishes
+_SIGNED = (
+    (0, 0, 0, 1, 1, 0, 2),
+    {(1, 1): {3: 1, 4: -1}, (2, 2): {3: 1, 4: 1}, (3, 5): {6: 1}, (4, 5): {6: 1}},
+)
+# factor groups need perversity sums: 1.b3 and b1.b2 are both b3, at 2 and 0
+_UNEQUAL = ((0, 0, 0, 2), {(1, 2): {3: 1}})
+
+
+@pytest.mark.parametrize(
+    "name", ["a0", "d4", "e6", "e7", "e8", "k3", "abelian", "corrupted", "signed", "unequal"]
+)
+def test_signature_memo_matches_tuple_search(name):
+    # every transitive (sigma, tau) on at most 3 points gets from the memo,
+    # keyed by its signature and searching factor groups, the worst excess
+    # and the worst pair that the search over all factor tuples finds
+    rings = {
+        "corrupted": _corrupted_d4,
+        "signed": lambda: _small_open_ring(*_SIGNED),
+        "unequal": lambda: _small_open_ring(*_UNEQUAL),
+    }
+    ring = rings[name]() if name in rings else load_ring(save_ring(preset(name)))
+    for m in (1, 2, 3):
+        perms = list(enumerate_sn(m))
+        block = tuple(range(1, m + 1))
+        for sigma in perms:
+            for tau in perms:
+                if len(orbits(m, [sigma, tau])) == 1:
+                    expected = _tuple_search(ring, sigma, tau)
+                    got = _local_mult_stats(ring, *_signature(sigma, tau, block))
+                    assert got == expected, (sigma.cycle_string(), tau.cycle_string())
 
 
 def _corrupted_d4() -> SurfaceRing:
@@ -161,6 +248,28 @@ def test_multiplicativity_jobs_match_serial():
     parallel = check_multiplicativity(ring, 2, jobs=2)
     assert serial.passed == parallel.passed
     assert serial.witnesses == parallel.witnesses
+
+
+# distinct orbit-count signatures (m, a, b, m_res) of transitive joint orbits
+# on at most n points
+_SIGNATURES = {4: 24, 5: 46}
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, 4) for name in ("a0", "d4", "e6", "e7", "e8", "k3", "abelian")]
+    + [("d4", 5)],
+)
+def test_multiplicativity_exhaustive_reach(name, n):
+    # a fresh copy, so the memo sizes are this run's alone
+    ring = load_ring(save_ring(preset(name)))
+    report = check_multiplicativity(ring, n, limit=10**13)
+    assert report.passed, report.render_text()
+    assert report.info["mode"] == "exhaustive"
+    # the memos stay bounded: one local search per signature, and the grouped
+    # search never fills the per-tuple product memo
+    assert len(ring._caches["mult_local"]) <= _SIGNATURES[n]
+    assert not ring._caches.get("mul_seq")
 
 
 def test_multiplicativity_sampled_mode_below_limit():
