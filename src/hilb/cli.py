@@ -67,17 +67,14 @@ def _add_ring_source(parser: argparse.ArgumentParser) -> None:
 def _add_common(
     parser: argparse.ArgumentParser,
     limit: bool = False,
-    jobs: bool = False,
     seed: bool = False,
 ) -> None:
-    """--format always; --limit, --jobs and --seed on request."""
+    """--format always; --limit and --seed on request."""
     parser.add_argument("--format", choices=("text", "json"), default="text")
     if limit:
         parser.add_argument(
             "--limit", type=int, default=DEFAULT_LIMIT, help="resource limit override"
         )
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
@@ -192,10 +189,8 @@ def _cmd_mul(args) -> int:
 # "ring" stands for the ring source and -n
 VERIFY_SUITES = {
     "multiplicativity": (
-        ("ring", "limit", "jobs", "seed"),
-        lambda ring, n, a: check_multiplicativity(
-            ring, n, limit=a.limit, seed=a.seed, jobs=a.jobs
-        ),
+        ("ring", "limit", "seed"),
+        lambda ring, n, a: check_multiplicativity(ring, n, limit=a.limit, seed=a.seed),
     ),
     "diagonal": (("ring",), lambda ring, n, a: check_diagonal_bound(ring, n_max=max(n, 2))),
     "associativity": (
@@ -291,12 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "ring" in flags:
             _add_ring_source(suite_parser)
             suite_parser.add_argument("-n", type=int, default=None)
-        _add_common(
-            suite_parser,
-            limit="limit" in flags,
-            jobs="jobs" in flags,
-            seed="seed" in flags,
-        )
+        _add_common(suite_parser, limit="limit" in flags, seed="seed" in flags)
         suite_parser.set_defaults(func=_cmd_verify)
 
     series = sub.add_parser("series", help="generating-series commands")

@@ -21,18 +21,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .errors import UsageError
 from .report import CheckReport, run_suite
-from .surface_ring import SurfaceRing, Vec, diagonal_push, load_ring, save_ring
-from .symmetric_groups import Perm, enumerate_sn, orbits
+from .surface_ring import SurfaceRing, Vec, diagonal_push
+from .symmetric_groups import (
+    Perm,
+    _perm_orbit_blocks,
+    enumerate_sn,
+    joint_signatures,
+    signature_defect,
+)
 from .wreath_ring import (
     DEFAULT_LIMIT,
     _MULT_STEP_COST,
     WreathClass,
     WreathElement,
-    _perm_orbit_blocks,
     cup,
     euler_vanishes,
     lift_element,
@@ -119,11 +123,12 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
 
     The joint orbit has m points, and sigma, tau and sigma tau have a, b and
     m_res orbits on it.  The local product reads the two permutations only
-    through these counts (the graph defect is 2g = m + 2 - a - b - m_res), so
-    they key the memo.  The search runs over pairs of factor groups
-    (_factor_groups): the excess depends only on the two merged products and
-    perversity sums, and the lexicographically first maximizing pair of
-    factor tuples is a pair of representatives.
+    through these counts (the graph defect is 2g = m + 2 - a - b - m_res,
+    checked by signature_defect once per key), so they key the memo.  The
+    search runs over pairs of factor groups (_factor_groups): the excess
+    depends only on the two merged products and perversity sums, and the
+    lexicographically first maximizing pair of factor tuples is a pair of
+    representatives.
 
     Returns (best_excess, argmax factor tuples) over all local factor
     assignments; both are None when every local product vanishes, in which
@@ -134,7 +139,7 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    g = (m + 2 - a - b - m_res) // 2
+    g = signature_defect(m, a, b, m_res)
     best = None
     arg = None
     if not euler_vanishes(g):
@@ -185,13 +190,7 @@ def _mult_witness(
 
 def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict | None:
     """Worst violation witness among pairs with the given permutations, or None."""
-    joint = orbits(n, [sigma, tau]).blocks
-    where = {v: k for k, block in enumerate(joint) for v in block}
-    # per joint orbit: its size and the orbit counts of sigma, tau, sigma tau
-    signatures = [[len(block), 0, 0, 0] for block in joint]
-    for col, perm in enumerate((sigma, tau, sigma.compose(tau)), start=1):
-        for b in _perm_orbit_blocks(perm.images):
-            signatures[where[b[0]]][col] += 1
+    joint, signatures = joint_signatures(sigma, tau)
     total = 0
     args_x: list[tuple[int, ...]] = []
     args_y: list[tuple[int, ...]] = []
@@ -210,33 +209,14 @@ def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict 
 
 
 def _mult_estimate(ring: SurfaceRing, n: int) -> int:
-    est = 0
+    """Sum of size**(a + b) over every (sigma, tau) and each of its joint orbits."""
     perms = list(enumerate_sn(n))
-    for sigma in perms:
-        s_blocks = _perm_orbit_blocks(sigma.images)
-        for tau in perms:
-            t_blocks = _perm_orbit_blocks(tau.images)
-            for block in orbits(n, [sigma, tau]).blocks:
-                a = sum(1 for b in s_blocks if b[0] in block)
-                b2 = sum(1 for b in t_blocks if b[0] in block)
-                est += ring.size ** (a + b2)
-    return est
-
-
-_WORKER_RING: SurfaceRing | None = None
-
-
-def _mult_worker_init(doc: str) -> None:
-    global _WORKER_RING
-    _WORKER_RING = load_ring(doc)
-
-
-def _mult_worker(task) -> list[dict | None]:
-    n, pairs = task
-    return [
-        _mult_pair_check(_WORKER_RING, n, Perm(s_images), Perm(t_images))
-        for s_images, t_images in pairs
-    ]
+    return sum(
+        ring.size ** (a + b)
+        for sigma in perms
+        for tau in perms
+        for _, a, b, _ in joint_signatures(sigma, tau)[1]
+    )
 
 
 def check_multiplicativity(
@@ -245,7 +225,6 @@ def check_multiplicativity(
     limit: int = DEFAULT_LIMIT,
     seed: int = 0,
     sample_size: int = 1_000_000,
-    jobs: int = 1,
 ) -> CheckReport:
     """perversity(x.y) <= perversity(x) + perversity(y) over all basis pairs.
 
@@ -262,7 +241,6 @@ def check_multiplicativity(
         "seed": seed,
         "estimate": est,
         "limit": limit,
-        "jobs": jobs,
     }
     if est > limit:
         weights = [ring.size ** len(_perm_orbit_blocks(p.images)) for p in perms]
@@ -277,14 +255,8 @@ def check_multiplicativity(
 
         info["checked"] = sample_size
         return run_suite("multiplicativity", info, (), draw, seed, sample_size)
-    pairs = [(s.images, t.images) for s in perms for t in perms]
-    info["checked"] = len(pairs)
-    if jobs > 1:
-        chunks = [(n, pairs[i::jobs]) for i in range(jobs)]
-        with Pool(jobs, initializer=_mult_worker_init, initargs=(save_ring(ring),)) as pool:
-            found = [w for part in pool.map(_mult_worker, chunks) for w in part]
-    else:
-        found = (_mult_pair_check(ring, n, Perm(s), Perm(t)) for s, t in pairs)
+    info["checked"] = len(perms) ** 2
+    found = (_mult_pair_check(ring, n, s, t) for s in perms for t in perms)
     return run_suite("multiplicativity", info, found)
 
 

@@ -849,14 +849,18 @@ def _is_pm_square(c: Fraction) -> tuple[bool, Fraction, int]:
     return (True, Fraction(rn, rd), sign)
 
 
-def _vec_sub(u: Vec, v: Vec, c: Fraction) -> Vec:
+def _add_scaled(u: Vec, terms) -> Vec:
+    """u + sum of c * v over the pairs (c, v) in terms, zero entries dropped."""
     out = dict(u)
-    for i, x in v.items():
-        acc = out.get(i, Fraction(0)) - c * x
-        if acc:
-            out[i] = acc
-        else:
-            out.pop(i, None)
+    for c, v in terms:
+        if not c:
+            continue
+        for i, x in v.items():
+            acc = out.get(i, Fraction(0)) + c * x
+            if acc:
+                out[i] = acc
+            else:
+                out.pop(i, None)
     return out
 
 
@@ -894,7 +898,7 @@ def diagonalize_pm1(
                 unit = {k: x / r for k, x in v.items()}
                 done.append(unit)
                 signs.append(sign)
-                work = [_vec_sub(w, v, g(w, v) / c) for w in work]
+                work = [_add_scaled(w, [(-g(w, v) / c, v)]) for w in work]
                 progress = True
             else:
                 i += 1
@@ -914,19 +918,13 @@ def diagonalize_pm1(
             e = work[i]
             f = work[j]
             c = g(e, f)
-            f = _vec_sub(f, e, g(f, f) / (2 * c))
+            f = _add_scaled(f, [(-g(f, f) / (2 * c), e)])
             f = {k: x / c for k, x in f.items()}
             half = Fraction(1, 2)
-            x_vec = {k: f.get(k, Fraction(0)) * half + e.get(k, Fraction(0)) for k in set(e) | set(f)}
-            y_vec = {k: e.get(k, Fraction(0)) - f.get(k, Fraction(0)) * half for k in set(e) | set(f)}
-            x_vec = {k: v for k, v in x_vec.items() if v}
-            y_vec = {k: v for k, v in y_vec.items() if v}
-            done.extend([x_vec, y_vec])
+            done.extend([_add_scaled(e, [(half, f)]), _add_scaled(e, [(-half, f)])])
             signs.extend([1, -1])
             rest = [w for idx, w in enumerate(work) if idx not in (i, j)]
-            work = [
-                _vec_sub(_vec_sub(w, e, g(w, f)), f, g(w, e)) for w in rest
-            ]
+            work = [_add_scaled(w, [(-g(w, f), e), (-g(w, e), f)]) for w in rest]
             progress = True
             i = 0
 
@@ -955,18 +953,8 @@ def diagonalize_pm1(
             for block_sign in (1, -1):
                 if sub == [[block_sign * c for c in row] for row in cartan]:
                     for col in range(8):
-                        vec: Vec = {}
-                        for row in range(8):
-                            coeff = t8[row][col]
-                            if coeff:
-                                base = work[component[row]]
-                                for k, x in base.items():
-                                    acc = vec.get(k, Fraction(0)) + coeff * x
-                                    if acc:
-                                        vec[k] = acc
-                                    else:
-                                        vec.pop(k, None)
-                        done.append(vec)
+                        rows = [(t8[row][col], work[component[row]]) for row in range(8)]
+                        done.append(_add_scaled({}, rows))
                         signs.append(block_sign)
                     break
             else:
@@ -1031,10 +1019,7 @@ def filtered_basis(ring: SurfaceRing) -> FilteredBasis:
             raise DataError(
                 f"graded pairing degenerate on blocks (p={p}, d={d}) x (p={q}, d={e})"
             )
-        vecs = [
-            _combine(raw, [pinv[i][l] for l in range(len(raw))])
-            for i in range(len(raw))
-        ]
+        vecs = [_add_scaled({}, zip(pinv[i], raw)) for i in range(len(raw))]
         # kill pairings against other same-degree-e blocks with j > q
         for j in range(q + 1, 3):
             if (j, e) not in out or (j, e) == (p, d):
@@ -1051,7 +1036,7 @@ def filtered_basis(ring: SurfaceRing) -> FilteredBasis:
                 )
             coeffs = linalg.matmul(rmat, kinv)
             vecs = [
-                _vec_sub_many(v, killer, coeffs[i])
+                _add_scaled(v, [(-c, k) for c, k in zip(coeffs[i], killer)])
                 for i, v in enumerate(vecs)
             ]
         # self-orthogonality inside degree 2 for the top block (p=2, d=2)
@@ -1059,7 +1044,7 @@ def filtered_basis(ring: SurfaceRing) -> FilteredBasis:
             smat = _gram(ring, vecs, vecs)
             half = Fraction(1, 2)
             vecs = [
-                _vec_sub_many(v, partner, [half * smat[i][l] for l in range(len(partner))])
+                _add_scaled(v, [(-half * c, w) for c, w in zip(smat[i], partner)])
                 for i, v in enumerate(vecs)
             ]
         out[(p, d)] = vecs
@@ -1079,34 +1064,6 @@ def filtered_basis(ring: SurfaceRing) -> FilteredBasis:
     )
     _verify_filtered_basis(ring, basis)
     return basis
-
-
-def _combine(vectors: list[Vec], coeffs: list[Fraction]) -> Vec:
-    out: Vec = {}
-    for c, v in zip(coeffs, vectors):
-        if not c:
-            continue
-        for i, x in v.items():
-            acc = out.get(i, Fraction(0)) + c * x
-            if acc:
-                out[i] = acc
-            else:
-                out.pop(i, None)
-    return out
-
-
-def _vec_sub_many(v: Vec, basis_vecs: list[Vec], coeffs: list[Fraction]) -> Vec:
-    out = dict(v)
-    for c, b in zip(coeffs, basis_vecs):
-        if not c:
-            continue
-        for i, x in b.items():
-            acc = out.get(i, Fraction(0)) - c * x
-            if acc:
-                out[i] = acc
-            else:
-                out.pop(i, None)
-    return out
 
 
 def _verify_filtered_basis(ring: SurfaceRing, basis: FilteredBasis) -> None:

@@ -185,24 +185,6 @@ class OrbitPartition:
         return True
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def orbits(n: int, generators, carrier=None) -> OrbitPartition:
     """Orbit partition of the group generated by `generators` on the carrier.
 
@@ -214,23 +196,32 @@ def orbits(n: int, generators, carrier=None) -> OrbitPartition:
     carrier = sorted(set(carrier))
     if any(not 1 <= x <= n for x in carrier):
         raise UsageError(f"carrier must be a subset of [{n}]")
+    generators = list(generators)
+    if any(g.n != n for g in generators):
+        raise UsageError("generators must act on the same [n]")
     carrier_set = set(carrier)
-    uf = _UnionFind(carrier)
-    for g in generators:
-        if g.n != n:
-            raise UsageError("generators must act on the same [n]")
-        for x in carrier:
-            y = g(x)
-            if y not in carrier_set:
-                raise UsageError(
-                    f"generator {g.cycle_string()} does not preserve the carrier"
-                )
-            uf.union(x, y)
-    groups: dict[int, list[int]] = {}
-    for x in carrier:
-        groups.setdefault(uf.find(x), []).append(x)
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    return OrbitPartition(blocks)
+    seen: set[int] = set()
+    blocks = []
+    for start in carrier:
+        if start in seen:
+            continue
+        # the points reached from start by the generators; on a finite set a
+        # set closed under permutations is closed under their inverses too
+        seen.add(start)
+        block = [start]
+        for x in block:  # block grows while it is scanned
+            for g in generators:
+                y = g.images[x - 1]
+                if y not in seen:
+                    if y not in carrier_set:
+                        raise UsageError(
+                            f"generator {g.cycle_string()} does not preserve the carrier"
+                        )
+                    seen.add(y)
+                    block.append(y)
+        blocks.append(tuple(sorted(block)))
+    # each block starts at its minimum, so the blocks come ordered by it
+    return OrbitPartition(tuple(blocks))
 
 
 def cycle_type(sigma: Perm) -> Partition:
@@ -242,18 +233,43 @@ def cycle_type(sigma: Perm) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _orbit_count(images: tuple[int, ...], carrier: tuple[int, ...]) -> int:
-    seen: set[int] = set()
-    count = 0
-    for start in carrier:
-        if start in seen:
-            continue
-        count += 1
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = images[x - 1]
-    return count
+def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The canonical orbit blocks of one permutation, cached by its images."""
+    return orbits(len(images), [Perm(images)]).blocks
+
+
+def joint_signatures(
+    sigma: Perm, tau: Perm
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int, int]]]:
+    """The joint orbits of <sigma, tau> and the signature of each.
+
+    Returns (blocks, signatures): the canonical orbit blocks of the group
+    generated by sigma and tau, and per block the tuple (m, a, b, m_res) of
+    its size and the numbers of orbits of sigma, tau and sigma tau on it.
+    """
+    blocks = orbits(sigma.n, [sigma, tau]).blocks
+    where = {v: k for k, block in enumerate(blocks) for v in block}
+    counts = [[len(block), 0, 0, 0] for block in blocks]
+    st_images = tuple(sigma.images[j - 1] for j in tau.images)
+    for col, images in enumerate((sigma.images, tau.images, st_images), start=1):
+        for b in _perm_orbit_blocks(images):
+            counts[where[b[0]]][col] += 1
+    return blocks, [tuple(c) for c in counts]
+
+
+def signature_defect(m: int, a: int, b: int, m_res: int) -> int:
+    """The graph defect g = (m + 2 - a - b - m_res) / 2 of one joint orbit.
+
+    m is the orbit's size and a, b, m_res count the orbits of sigma, tau and
+    sigma tau on it.  The value is a nonnegative integer; a half-integer or
+    negative value would contradict the underlying combinatorics and aborts.
+    """
+    twice = m + 2 - a - b - m_res
+    if twice < 0 or twice % 2 != 0:
+        raise InternalInvariantError(
+            f"graph defect {twice}/2 on a joint orbit with signature {(m, a, b, m_res)}"
+        )
+    return twice // 2
 
 
 def graph_defect(sigma: Perm, tau: Perm) -> dict[tuple[int, ...], int]:
@@ -261,30 +277,14 @@ def graph_defect(sigma: Perm, tau: Perm) -> dict[tuple[int, ...], int]:
 
     For each orbit E of the group generated by sigma and tau,
 
-        g(E) = (|E| + 2 - |<sigma>\\E| - |<tau>\\E| - |<sigma tau>\\E|) / 2,
+        g(E) = (|E| + 2 - |<sigma>\\E| - |<tau>\\E| - |<sigma tau>\\E|) / 2
 
-    which is a nonnegative integer; a half-integer or negative value would
-    contradict the underlying combinatorics and aborts.
+    (signature_defect of the orbit's signature).
     """
     if sigma.n != tau.n:
         raise UsageError("graph defect needs permutations of the same [n]")
-    st = sigma.compose(tau)
-    out: dict[tuple[int, ...], int] = {}
-    for block in orbits(sigma.n, [sigma, tau]).blocks:
-        twice = (
-            len(block)
-            + 2
-            - _orbit_count(sigma.images, block)
-            - _orbit_count(tau.images, block)
-            - _orbit_count(st.images, block)
-        )
-        if twice < 0 or twice % 2 != 0:
-            raise InternalInvariantError(
-                f"graph defect {twice}/2 on orbit {block} for "
-                f"{sigma.cycle_string()}, {tau.cycle_string()}"
-            )
-        out[block] = twice // 2
-    return out
+    blocks, signatures = joint_signatures(sigma, tau)
+    return {block: signature_defect(*sig) for block, sig in zip(blocks, signatures)}
 
 
 def enumerate_sn(n: int, limit: int = 8):

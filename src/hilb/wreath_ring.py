@@ -37,7 +37,14 @@ from .surface_ring import (
     diagonal_push,
     koszul_reorder_sign,
 )
-from .symmetric_groups import OrbitPartition, Perm, enumerate_sn, graph_defect, orbits
+from .symmetric_groups import (
+    OrbitPartition,
+    Perm,
+    _perm_orbit_blocks,
+    enumerate_sn,
+    graph_defect,
+    orbits,
+)
 
 DEFAULT_LIMIT = 10**8
 
@@ -113,12 +120,6 @@ class WreathClass:
 # -- orbit bookkeeping -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(images)
-    return orbits(n, [Perm(images)]).blocks
-
-
 def sigma_orbits(sigma: Perm) -> OrbitPartition:
     return OrbitPartition(_perm_orbit_blocks(sigma.images))
 
@@ -150,9 +151,9 @@ def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> WreathEleme
     return WreathElement(n=n, sigma=sigma, factors=factors)
 
 
-def enumerate_wreath_basis(ring: SurfaceRing, n: int, limit: int = 8):
+def enumerate_wreath_basis(ring: SurfaceRing, n: int):
     """All basis elements a.sigma, sigma lexicographic, factor tuples lexicographic."""
-    for sigma in enumerate_sn(n, limit=limit):
+    for sigma in enumerate_sn(n):
         k = len(_perm_orbit_blocks(sigma.images))
         for factors in iproduct(range(ring.size), repeat=k):
             yield WreathElement(n=n, sigma=sigma, factors=factors)
@@ -242,9 +243,7 @@ def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
 
 @lru_cache(maxsize=None)
 def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
-    n = len(sigma_images)
     sigma, tau = Perm(sigma_images), Perm(tau_images)
-    joint = orbits(n, [sigma, tau])
     gdef = graph_defect(sigma, tau)
     st = sigma.compose(tau)
     st_blocks = _perm_orbit_blocks(st.images)
@@ -254,11 +253,10 @@ def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
     def ranks_in(joint_block, blocks):
         return tuple(m for m, b in enumerate(blocks) if b[0] in joint_block)
 
-    x_groups = tuple(ranks_in(jb, s_blocks) for jb in joint.blocks)
-    y_groups = tuple(ranks_in(jb, t_blocks) for jb in joint.blocks)
-    dst_groups = tuple(ranks_in(jb, st_blocks) for jb in joint.blocks)
-    g_values = tuple(gdef[jb] for jb in joint.blocks)
-    return st, joint, x_groups, y_groups, dst_groups, g_values
+    x_groups = tuple(ranks_in(jb, s_blocks) for jb in gdef)
+    y_groups = tuple(ranks_in(jb, t_blocks) for jb in gdef)
+    dst_groups = tuple(ranks_in(jb, st_blocks) for jb in gdef)
+    return st, x_groups, y_groups, dst_groups, tuple(gdef.values())
 
 
 def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
@@ -317,7 +315,7 @@ def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
 def _cup_terms(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
     """The product joint orbit by joint orbit, assembled with Koszul signs."""
     n = x.n
-    st, joint, x_groups, y_groups, dst_groups, g_values = _cup_plan(
+    st, x_groups, y_groups, dst_groups, g_values = _cup_plan(
         x.sigma.images, y.sigma.images
     )
     out = WreathClass(n)
@@ -349,8 +347,8 @@ def _cup_terms(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathC
             sign *= koszul_reorder_sign([degs[f] for f in factors], new_pos)
         par_x = [sum(degs[x.factors[m]] for m in grp) % 2 for grp in x_groups]
         par_y = [sum(degs[y.factors[m]] for m in grp) % 2 for grp in y_groups]
-        for i in range(len(joint.blocks)):
-            for j in range(i + 1, len(joint.blocks)):
+        for i in range(len(g_values)):
+            for j in range(i + 1, len(g_values)):
                 if par_y[i] and par_x[j]:
                     sign = -sign
 
@@ -399,15 +397,15 @@ def unit_element(ring: SurfaceRing, n: int) -> WreathElement:
 # -- orbit representatives of the invariant model ------------------------------
 
 
-def iter_orbit_reps(ring: SurfaceRing, n: int, limit: int = 8):
+def iter_orbit_reps(ring: SurfaceRing, n: int):
     """Yield (representative, survives) per S_n-orbit of basis elements.
 
     The representative is the lexicographically minimal element of its orbit.
     `survives` is False when some stabilizer element acts by -1 on the factor
     tensor, in which case the orbit sums to zero in the invariant model.
     """
-    taus = list(enumerate_sn(n, limit=limit))
-    for x in enumerate_wreath_basis(ring, n, limit=limit):
+    taus = list(enumerate_sn(n))
+    for x in enumerate_wreath_basis(ring, n):
         minimal = True
         survives = True
         for tau in taus:
@@ -421,10 +419,10 @@ def iter_orbit_reps(ring: SurfaceRing, n: int, limit: int = 8):
             yield x, survives
 
 
-def invariant_basis(ring: SurfaceRing, n: int, limit: int = 8) -> list[WreathClass]:
+def invariant_basis(ring: SurfaceRing, n: int) -> list[WreathClass]:
     """Projections of surviving orbit representatives: a basis of the invariants."""
     out = []
-    for rep, survives in iter_orbit_reps(ring, n, limit=limit):
+    for rep, survives in iter_orbit_reps(ring, n):
         if survives:
             out.append(invariant_project(ring, WreathClass.of(rep)))
     return out

@@ -146,6 +146,7 @@ def test_verify_diagonal_echoes_n_without_seed(capsys):
         ("verify", "diagonal", "--preset", "a0", "--limit", "10"),
         ("verify", "associativity", "--preset", "d4", "-n", "2", "--jobs", "2"),
         ("verify", "equivariance", "--preset", "d4", "-n", "2", "--jobs", "2"),
+        ("verify", "multiplicativity", "--preset", "d4", "-n", "2", "--jobs", "2"),
         ("verify", "monodromy", "--seed", "1"),
         ("verify", "monodromy", "--preset", "d4"),
     ],

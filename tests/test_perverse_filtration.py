@@ -21,7 +21,14 @@ from hilb.perverse_filtration import (
     pw_transport,
 )
 from hilb.surface_ring import SurfaceRing, load_ring, preset, save_ring
-from hilb.symmetric_groups import Perm, enumerate_sn, graph_defect, orbits, parse_cycles
+from hilb.symmetric_groups import (
+    Perm,
+    enumerate_sn,
+    graph_defect,
+    joint_signatures,
+    orbits,
+    parse_cycles,
+)
 from hilb.wreath_ring import (
     WreathClass,
     _mul_sequence,
@@ -97,6 +104,23 @@ def _signature(sigma: Perm, tau: Perm, block) -> tuple[int, int, int, int]:
     m = len(block)
     s, t = restrict_perm(sigma, block), restrict_perm(tau, block)
     return (m, *(len(orbits(m, [p])) for p in (s, t, s.compose(t))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_joint_signatures_match_restricted_orbit_counts(n):
+    # the one signature helper against orbit counts of the restrictions to
+    # each joint orbit, and the graph defect against the signature formula
+    perms = list(enumerate_sn(n))
+    for sigma in perms:
+        for tau in perms:
+            blocks, signatures = joint_signatures(sigma, tau)
+            defects = graph_defect(sigma, tau)
+            context = (sigma.cycle_string(), tau.cycle_string())
+            assert blocks == orbits(n, [sigma, tau]).blocks == tuple(defects), context
+            for block, signature in zip(blocks, signatures):
+                m, a, b, m_res = _signature(sigma, tau, block)
+                assert signature == (m, a, b, m_res), context
+                assert 2 * defects[block] == m + 2 - a - b - m_res, context
 
 
 @pytest.mark.parametrize(
@@ -242,12 +266,21 @@ def test_multiplicativity_catches_corrupted_diagonal():
     assert worst["excess"] == 2
 
 
-def test_multiplicativity_jobs_match_serial():
-    ring = preset("d4")
-    serial = check_multiplicativity(ring, 2, jobs=1)
-    parallel = check_multiplicativity(ring, 2, jobs=2)
-    assert serial.passed == parallel.passed
-    assert serial.witnesses == parallel.witnesses
+@pytest.mark.parametrize(
+    "name,n,estimate,mode",
+    [
+        ("d4", 2, 2700, "exhaustive"),
+        ("d4", 5, 412020720, "sampled"),
+        ("k3", 4, 3715695360, "sampled"),
+        ("abelian", 4, 515476480, "sampled"),
+    ],
+)
+def test_multiplicativity_estimate_and_mode_at_default_limit(name, n, estimate, mode):
+    # the cost model at the default limit: factor-tuple pairs of the local
+    # searches times the step cost, and the mode it picks
+    report = check_multiplicativity(preset(name), n, sample_size=20)
+    assert report.passed, report.render_text()
+    assert (report.info["estimate"], report.info["mode"]) == (estimate, mode)
 
 
 # distinct orbit-count signatures (m, a, b, m_res) of transitive joint orbits
