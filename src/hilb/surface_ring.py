@@ -276,6 +276,32 @@ def validate(ring: SurfaceRing) -> CheckReport:
         w("mode", detail="compact ring must carry a pairing and no diag2 table")
     if not ring.is_compact and (has_pairing or not has_diag2):
         w("mode", detail="open ring must carry a diag2 table and no pairing")
+    nondegenerate = has_pairing and linalg.det(ring.pairing) != 0
+
+    # Delta_2 must be Koszul-symmetric and coassociative, so that the iterated
+    # pushforward Delta_m is symmetric in its m slots (the cup product's
+    # S_n-equivariance rests on this); skipped where Delta_2 is undefined,
+    # which the mode and pairing axioms already report
+    if nondegenerate if ring.is_compact else has_diag2:
+        degs = ring.degrees
+        for g in range(k):
+            push = _diag_push_basis(ring, 2, g)
+            swapped = {
+                (b, a): -c if degs[a] % 2 and degs[b] % 2 else c
+                for (a, b), c in push.items()
+            }
+            if swapped != push:
+                w("diagonal-symmetry", element=names[g])
+            right: Tensor = {}
+            for (a, b), c in push.items():
+                for (b1, b2), c2 in _diag_push_basis(ring, 2, b).items():
+                    acc = right.get((a, b1, b2), 0) + c * c2
+                    if acc:
+                        right[(a, b1, b2)] = acc
+                    else:
+                        right.pop((a, b1, b2))
+            if _diag_push_basis(ring, 3, g) != right:
+                w("diagonal-coassociativity", element=names[g])
 
     if ring.is_compact and has_pairing:
         tops = [i for i, d in enumerate(ring.degrees) if d == 4]
@@ -296,7 +322,7 @@ def validate(ring: SurfaceRing) -> CheckReport:
                         )
                     if ring.pairing[i][j] != 0 and ring.degrees[i] + ring.degrees[j] != 4:
                         w("pairing-degree", left=names[i], right=names[j])
-        if linalg.det(ring.pairing) == 0:
+        if not nondegenerate:
             w("pairing-nondegenerate", determinant=0)
 
     for i, c in ring.euler.items():

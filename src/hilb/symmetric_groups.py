@@ -238,6 +238,32 @@ def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return orbits(len(images), [Perm(images)]).blocks
 
 
+@lru_cache(maxsize=None)
+def least_conjugate(
+    images: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The lexicographically least simultaneous conjugate of permutations.
+
+    `images` holds the image sequences of permutations of one [m].  Returns
+    (least, t): the least tuple (t p1 t^-1, t p2 t^-1, ...) over t in S_m,
+    and the first t (lexicographic in its images) that reaches it.
+    """
+    m = len(images[0])
+    best = None
+    for t in permutations(range(1, m + 1)):
+        # t p t^-1 sends t(i) to t(p(i))
+        conjugate = []
+        for p in images:
+            out = [0] * m
+            for i, j in enumerate(p):
+                out[t[i] - 1] = t[j - 1]
+            conjugate.append(tuple(out))
+        conjugate = tuple(conjugate)
+        if best is None or conjugate < best[0]:
+            best = (conjugate, t)
+    return best
+
+
 def joint_signatures(
     sigma: Perm, tau: Perm
 ) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int, int]]]:

@@ -36,6 +36,7 @@ from .surface_ring import (
     Vec,
     diagonal_push,
     koszul_reorder_sign,
+    validate,
 )
 from .symmetric_groups import (
     OrbitPartition,
@@ -43,6 +44,7 @@ from .symmetric_groups import (
     _perm_orbit_blocks,
     enumerate_sn,
     graph_defect,
+    least_conjugate,
     orbits,
 )
 
@@ -541,16 +543,62 @@ def _triple_witness(ring: SurfaceRing, x, y, z) -> dict:
     }
 
 
+# validate's axioms that together make the cup product S_n-equivariant
+_EQUIVARIANCE_AXIOMS = frozenset(
+    {
+        "graded-commutativity",
+        "associativity",
+        "diagonal-symmetry",
+        "diagonal-coassociativity",
+    }
+)
+
+
+def cup_equivariant(ring: SurfaceRing) -> bool:
+    """Whether the ring has what makes its cup product S_n-equivariant.
+
+    Relabelling the points reorders the merged factors of a joint orbit and
+    the slots of the diagonal pushforward; graded commutativity and
+    associativity of the surface product absorb the first, a Koszul-symmetric
+    coassociative Delta_2 the second.  Read once per ring from `validate`.
+    """
+    cache = ring._caches.setdefault("cup_equivariant", {})
+    if "holds" not in cache:
+        axioms = {w["axiom"] for w in validate(ring).witnesses}
+        cache["holds"] = not axioms & _EQUIVARIANCE_AXIOMS
+    return cache["holds"]
+
+
 def _associativity_triples(
     ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
 ) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
-    """Violating triples on one permutation triple, enumeration pruned by the
-    degree capacity of the target component (below which both sides vanish)."""
+    """Violating triples on one permutation triple.
+
+    The memo is keyed by the least simultaneous conjugate t(sigma, tau, rho)t^-1
+    when the cup product is equivariant (`cup_equivariant`), and by the raw
+    triple (t = id) otherwise; the representative's violating triples are
+    moved back along t^-1.
+    """
+    raw = (sigma.images, tau.images, rho.images)
+    key, t = least_conjugate(raw) if cup_equivariant(ring) else (raw, None)
     cache = ring._caches.setdefault("assoc_local", {})
-    key = (sigma.images, tau.images, rho.images)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    bad = cache.get(key)
+    if bad is None:
+        bad = cache[key] = _violating_triples(ring, *(Perm(p) for p in key))
+    if not bad or key == raw:
+        return bad
+    # equivariance moves violating triples to violating triples (both sides
+    # of the identity pick up the same sign), so the set moves as a set
+    back = Perm(t).inverse()
+    return [tuple(sn_act(ring, back, e)[1] for e in triple) for triple in bad]
+
+
+def _violating_triples(
+    ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
+) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
+    """Every basis triple over (sigma, tau, rho) that fails associativity,
+    enumeration pruned by the degree capacity of the target component (below
+    which both sides vanish)."""
     m = sigma.n
     cap = max_degree(m, sigma.compose(tau).compose(rho))
     xs = _elements_by_degree(ring, sigma)
@@ -574,7 +622,6 @@ def _associativity_triples(
                 z = WreathElement(m, rho, fz)
                 if not _associates(ring, x, y, z, xy):
                     bad.append((x, y, z))
-    cache[key] = bad
     return bad
 
 
@@ -615,6 +662,19 @@ def check_associativity(
     global pruned enumeration whenever it fits the resource limit (it does
     for the a0 preset); otherwise a seeded global sample supplements the
     orbit-local pass.
+
+    Both passes solve one problem per class of permutation triples under
+    simultaneous conjugation: the memo is keyed by the least conjugate
+    t(sigma, tau, rho)t^-1, and its violating triples are moved back along
+    t^-1 with `sn_act`.  That is exact when the cup product is
+    S_n-equivariant: then t.((xy)z) and t.(x(yz)) carry the same sign against
+    ((t x)(t y))(t z) and (t x)((t y)(t z)), so the violating set moves as a
+    set.  Equivariance follows from graded
+    commutativity and associativity of the surface product and a
+    Koszul-symmetric, coassociative Delta_2 (`cup_equivariant` reads them from
+    `validate`).  A ring that lacks one of them may have a non-equivariant
+    cup product, whose violating sets differ between conjugate triples, so it
+    keys the memo by the raw triple instead.
     """
     perms = list(enumerate_sn(n))
     triples = [(s, t, r) for s in perms for t in perms for r in perms]

@@ -127,6 +127,34 @@ def test_hard_lefschetz_palindromy_compact(name):
         assert flipped == poly, (name, n)
 
 
+def _relative_hard_lefschetz_breaks(dims, s_bound: int) -> list[int]:
+    """The n <= s_bound at which dims_n(p, d) = dims_n(2n - p, d + 2(n - p))
+    fails on the refined series."""
+    refined = refined_goettsche(dims, s_bound)
+    broken = []
+    for n in range(1, s_bound + 1):
+        poly = refined.coefficient_of_s(n)
+        flipped = {(2 * n - p, d + 2 * (n - p)): c for (p, d), c in poly.items()}
+        if flipped != poly:
+            broken.append(n)
+    return broken
+
+
+@pytest.mark.parametrize("name", ["a0", "d4", "e6", "e7", "e8", "k3", "abelian"])
+def test_relative_hard_lefschetz(name):
+    # de Cataldo-Migliorini: the perverse filtration of S^[n] -> C^(n) is
+    # symmetric about perversity n, shifting degree by twice the distance
+    assert _relative_hard_lefschetz_breaks(ring_dims(preset(name)), 8) == []
+
+
+def test_relative_hard_lefschetz_catches_moved_class():
+    # one d4 class moved from perversity 1 to perversity 0
+    dims = dict(ring_dims(preset("d4")))
+    dims[(1, 2)] -= 1
+    dims[(0, 2)] = dims.get((0, 2), 0) + 1
+    assert _relative_hard_lefschetz_breaks(dims, 3)[0] == 1
+
+
 @pytest.mark.parametrize(
     "name,n_max",
     [("a0", 5), ("d4", 5), ("e6", 4), ("e7", 3), ("e8", 3), ("k3", 3), ("abelian", 3)],

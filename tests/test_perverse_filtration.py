@@ -32,6 +32,7 @@ from hilb.symmetric_groups import (
 from hilb.wreath_ring import (
     WreathClass,
     _mul_sequence,
+    check_associativity,
     cup,
     enumerate_wreath_basis,
     local_product,
@@ -303,6 +304,22 @@ def test_multiplicativity_exhaustive_reach(name, n):
     # search never fills the per-tuple product memo
     assert len(ring._caches["mult_local"]) <= _SIGNATURES[n]
     assert not ring._caches.get("mul_seq")
+
+
+def test_associativity_memo_up_to_conjugation():
+    # one local problem per class of transitive permutation triples under
+    # simultaneous conjugation: 1 + 7 + 41 on 1, 2, 3 points (202 raw triples)
+    ring = load_ring(save_ring(preset("d4")))
+    report = check_associativity(ring, 3)
+    assert report.passed, report.render_text()
+    assert report.info == {
+        "ring": "d4",
+        "n": 3,
+        "mode": "orbit-local",
+        "seed": 0,
+        "local_suites": 239,
+    }
+    assert len(ring._caches["assoc_local"]) <= 49
 
 
 def test_multiplicativity_sampled_mode_below_limit():

@@ -8,6 +8,7 @@ from hilb.symmetric_groups import (
     cycle_type,
     enumerate_sn,
     graph_defect,
+    least_conjugate,
     orbits,
     parse_cycles,
 )
@@ -101,6 +102,33 @@ def test_joint_orbits_coarsen_single_orbits():
                 joint = orbits(n, [s, t])
                 assert orbits(n, [s]).refines(joint)
                 assert orbits(n, [t]).refines(joint)
+
+
+def test_least_conjugate_is_a_class_invariant():
+    # at m = 3 the 216 permutation triples fall into the classes of S_3
+    # acting by simultaneous conjugation; each class has one least member
+    perms = list(enumerate_sn(3))
+    triples = [(s, t, r) for s in perms for t in perms for r in perms]
+    keys = set()
+    for triple in triples:
+        images = tuple(p.images for p in triple)
+        least, t = least_conjugate(images)
+        t = Perm(t)
+        moved = tuple(t.compose(p).compose(t.inverse()).images for p in triple)
+        assert moved == least
+        conjugates = {
+            tuple(u.compose(p).compose(u.inverse()).images for p in triple)
+            for u in perms
+        }
+        assert least == min(conjugates)
+        assert all(least_conjugate(c)[0] == least for c in conjugates)
+        keys.add(least)
+    # Burnside: the average number of triples a conjugator fixes
+    fixed = sum(
+        len([1 for tr in triples if all(u.compose(p) == p.compose(u) for p in tr)])
+        for u in perms
+    )
+    assert len(keys) == fixed // len(perms) == 49
 
 
 def test_cycle_type():

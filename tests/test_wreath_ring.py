@@ -1,16 +1,26 @@
 """The wreath product: action, the joint-orbit kernel, cup product, projection."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hilb.errors import UsageError
 from hilb.report import witness_key
-from hilb.surface_ring import SurfaceRing, preset
-from hilb.symmetric_groups import Perm, parse_cycles
+from hilb.surface_ring import PRESET_NAMES, SurfaceRing, preset, validate
+from hilb.symmetric_groups import (
+    Perm,
+    enumerate_sn,
+    least_conjugate,
+    orbits,
+    parse_cycles,
+)
 from hilb.wreath_ring import (
     WreathClass,
+    _associativity_triples,
     _mul_sequence,
+    _violating_triples,
     basis_count,
     check_associativity,
     check_equivariance,
@@ -18,12 +28,14 @@ from hilb.wreath_ring import (
     check_unit_laws,
     cup,
     cup_class,
+    cup_equivariant,
     element_degree,
     enumerate_wreath_basis,
     invariant_project,
     iter_orbit_reps,
     local_product,
     make_element,
+    max_degree,
     render_class,
     render_element,
     sn_act,
@@ -283,3 +295,136 @@ def test_asymmetric_product_fails_exhaustive_and_sampled(check):
     assert full.info["mode"].startswith("exhaustive")
     sampled = _assert_failing_report(check, entry, limit=10, seed=1, sample_size=1000)
     assert sampled.info["mode"] == "sampled"
+
+
+# -- the associativity memo up to simultaneous conjugation ------------------------
+
+_D4_DIAG = {"1": {(f"E{i}", f"E{i}"): -1 for i in range(1, 5)}}
+
+
+def _with_diag2(name: str, table: dict[str, dict[tuple[str, str], int]]) -> SurfaceRing:
+    """An open preset with its diag2 table replaced (entries by basis name)."""
+    ring = preset(name)
+    return SurfaceRing(
+        name="rediagonal",
+        mode="open",
+        names=ring.names,
+        degrees=ring.degrees,
+        perversities=ring.perversities,
+        unit=ring.unit,
+        mul={
+            (i, j): dict(ring.mul_basis(i, j))
+            for i in range(ring.size)
+            for j in range(ring.size)
+        },
+        diag2={
+            ring.index(g): {(ring.index(a), ring.index(b)): c for (a, b), c in t.items()}
+            for g, t in table.items()
+        },
+        euler=ring.euler,
+    )
+
+
+@pytest.mark.parametrize(
+    "table,axiom",
+    [
+        # Delta_2(1) carries E1 (x) E2 but not E2 (x) E1
+        (
+            {"1": {("E1", "E2"): -1, ("E3", "E3"): -1, ("E4", "E4"): -1}},
+            "diagonal-symmetry",
+        ),
+        # symmetric, but Delta_2(E1) = S (x) S makes the two ways of
+        # iterating Delta_2 differ, so Delta_3 is not symmetric in its slots
+        (_D4_DIAG | {"E1": {("S", "S"): 1}}, "diagonal-coassociativity"),
+    ],
+)
+def test_diagonal_axioms_gate_the_conjugation_key(table, axiom):
+    ring = _with_diag2("d4", table)
+    report = validate(ring)
+    assert not report.passed
+    assert {w["axiom"] for w in report.witnesses} == {axiom}
+    assert not cup_equivariant(ring)
+    check_associativity(ring, 3)
+    keys = ring._caches["assoc_local"]
+    # every distinct local triple is its own key: 1 + 7 + 194 on 1, 2, 3 points
+    assert len(keys) == 202
+    assert any(least_conjugate(key)[0] != key for key in keys)
+
+
+def test_conjugation_key_without_coassociativity_would_change_the_report():
+    # the cup product of this ring is not S_3-equivariant, so the violating
+    # sets of conjugate triples differ and the raw key is the only exact one
+    table = _D4_DIAG | {"E1": {("S", "S"): 1}}
+    raw = check_associativity(_with_diag2("d4", table), 3)
+    forced = _with_diag2("d4", table)
+    forced._caches["cup_equivariant"] = {"holds": True}
+    assert check_associativity(forced, 3).to_json() != raw.to_json()
+
+
+def _gated_mutants():
+    # d4 with E1.E1 := S, and a0 with the odd Delta_2(1) = a (x) b - b (x) a:
+    # both keep the equivariance axioms and fail associativity in A{S_3}
+    return {
+        "d4-E1E1": _d4_with("E1", "E1", {"S": 1}),
+        "a0-odd-diagonal": _with_diag2("a0", {"1": {("a", "b"): 1, ("b", "a"): -1}}),
+    }
+
+
+@pytest.mark.parametrize(
+    "name,m",
+    [(name, 2) for name in PRESET_NAMES]
+    + [("a0", 3), ("d4", 3), ("e6", 3), ("d4-E1E1", 3), ("a0-odd-diagonal", 3)],
+)
+def test_conjugation_key_matches_raw_triples(name, m):
+    mutants = _gated_mutants()
+    ring = mutants[name] if name in mutants else preset(name)
+    assert cup_equivariant(ring)
+    violations = 0
+    for k in range(1, m + 1):
+        perms = list(enumerate_sn(k))
+        for triple in product(perms, repeat=3):
+            if len(orbits(k, triple).blocks) != 1:
+                continue
+            raw = _violating_triples(ring, *triple)
+            assert set(_associativity_triples(ring, *triple)) == set(raw), triple
+            violations += len(raw)
+    assert (violations > 0) == (name not in PRESET_NAMES)
+
+
+# sha256 of the JSON reports at the commit before the conjugation key
+_PARENT_REPORTS = {
+    ("E1", "E1", 2): (6, "86ce5af1e2704f906b334fe52d63675f53f4d1e5360020636bf51368658acd78"),
+    ("E1", "E1", 3): (234, "0c25b83343007c9791c89b3b68e569534070c5ae4601625f77a941795bcc02f6"),
+    ("E1", "E2", 2): (10, "8db8a4d23cb93c0c5c3187cc2a5689843534ee0107de24e236aa488410f8575a"),
+    ("E1", "E2", 3): (334, "0e594b0b05561244fcaad5da1c4e42a5fd0be199591c7e7edb98cd60e1e0f740"),
+}
+
+
+@pytest.mark.parametrize("left,right,n", sorted(_PARENT_REPORTS))
+def test_failing_associativity_reports_unchanged(left, right, n):
+    # E1.E1 := S keeps the equivariance axioms (conjugation key), E1.E2 := S
+    # breaks graded commutativity (raw key); both reports stay byte-identical
+    ring = _d4_with(left, right, {"S": 1})
+    assert cup_equivariant(ring) == (left == right)
+    report = check_associativity(ring, n)
+    count, digest = _PARENT_REPORTS[(left, right, n)]
+    assert len(report.witnesses) == count
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["a0", "d4"])
+def test_degree_capacity_cuts_skip_only_zero_products(name):
+    ring = preset(name)
+    n = 2
+    elements = list(enumerate_wreath_basis(ring, n))
+    degree = {x: element_degree(ring, x) for x in elements}
+    for x, y in product(elements, repeat=2):
+        # check_equivariance's generator_pairs cut
+        if degree[x] + degree[y] > max_degree(n, x.sigma.compose(y.sigma)):
+            assert not cup(ring, x, y)
+    for x, y, z in product(elements, repeat=3):
+        # _associativity_triples' cut on the target component
+        cap = max_degree(n, x.sigma.compose(y.sigma).compose(z.sigma))
+        if degree[x] + degree[y] + degree[z] > cap:
+            assert not cup_class(ring, cup(ring, x, y), z)
+            assert not cup_class(ring, x, cup(ring, y, z))
