@@ -6,6 +6,12 @@ are `fractions.Fraction`, exponents are nonnegative machine integers, zero
 coefficients are never stored, and every product discards the terms whose
 s-exponent exceeds the bound.  There is no floating point anywhere.
 
+Products run on plain term dicts through one kernel, `_mul_terms`.  Its
+arithmetic is generic, so a product of factors whose coefficients are all
+integral (every factor of the Goettsche products) runs on Python ints, and
+`Fraction`s are made once per term of the result, when `euler_product`
+wraps it in a `TruncatedSeries`.
+
 Canonical term order is lexicographic in (e_s, e_q, e_t); serialization and
 rendering always follow it, so identical series produce identical bytes.
 """
@@ -14,11 +20,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DivergenceError, UsageError
 
 Exponent = tuple[int, int, int]
+# a coefficient inside the product kernel: int while every operand is integral
+Coeff = int | Fraction
+# (coeff, e_s, e_q, e_t, sign, exponent) of one `geometric_factor`
+Factor = tuple[object, int, int, int, int, int]
 
 _ZERO = Fraction(0)
 
@@ -121,20 +131,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_bound(other)
-        bound = self.s_bound
-        out: dict[Exponent, Fraction] = {}
-        for (s1, q1, t1), c1 in self.terms.items():
-            for (s2, q2, t2), c2 in other.terms.items():
-                e_s = s1 + s2
-                if e_s > bound:
-                    continue
-                exp = (e_s, q1 + q2, t1 + t2)
-                acc = out.get(exp, _ZERO) + c1 * c2
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        return TruncatedSeries(out, bound)
+        return TruncatedSeries(
+            _mul_terms(self.terms, other.terms, self.s_bound), self.s_bound
+        )
 
     def scale(self, coeff) -> "TruncatedSeries":
         coeff = Fraction(coeff)
@@ -177,6 +176,61 @@ def multichoose(n: int, k: int) -> int:
     return comb(n + k - 1, k)
 
 
+def _mul_terms(
+    a: Mapping[Exponent, Coeff], b: Mapping[Exponent, Coeff], s_bound: int
+) -> dict[Exponent, Coeff]:
+    """Schoolbook product of two term dicts, truncated above s-degree `s_bound`.
+
+    The smaller operand is the outer loop.  Coefficients are combined with
+    plain `+` and `*`, so int operands give int results and `Fraction`
+    operands stay exact; zero sums are dropped once, at the end.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[Exponent, Coeff] = {}
+    get = out.get
+    for (s1, q1, t1), c1 in a.items():
+        room = s_bound - s1
+        for (s2, q2, t2), c2 in b.items():
+            if s2 > room:
+                continue
+            exp = (s1 + s2, q1 + q2, t1 + t2)
+            out[exp] = get(exp, 0) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
+
+
+def _factor_terms(
+    coeff, e_s: int, e_q: int, e_t: int, sign: int, exponent: int, s_bound: int
+) -> dict[Exponent, Coeff]:
+    """Terms of (1 + sign*coeff*s^e_s q^e_q t^e_t)^exponent through s^s_bound.
+
+    An int `coeff` gives int terms; any other is read as a `Fraction`.
+    """
+    if sign not in (1, -1):
+        raise UsageError(f"sign must be +1 or -1, got {sign}")
+    if e_s < 1:
+        if exponent < 0:
+            raise DivergenceError(
+                "factor with e_s = 0 and negative exponent has no finite truncation"
+            )
+        raise UsageError("each factor must raise the s-degree (e_s >= 1)")
+    if not isinstance(coeff, int):
+        coeff = Fraction(coeff)
+    u_coeff = sign * coeff
+    terms: dict[Exponent, Coeff] = {(0, 0, 0): 1}
+    for j in range(1, s_bound // e_s + 1):
+        if exponent >= 0:
+            if j > exponent:
+                break
+            binomial = comb(exponent, j)
+        else:
+            binomial = (-1) ** j * multichoose(-exponent, j)
+        c = binomial * u_coeff**j
+        if c:
+            terms[(j * e_s, j * e_q, j * e_t)] = c
+    return terms
+
+
 def geometric_factor(
     coeff,
     e_s: int,
@@ -196,28 +250,22 @@ def geometric_factor(
     which is finite after truncation because each power of u raises the
     s-degree by e_s >= 1.
     """
-    if sign not in (1, -1):
-        raise UsageError(f"sign must be +1 or -1, got {sign}")
-    if e_s < 1:
-        if exponent < 0:
-            raise DivergenceError(
-                "factor with e_s = 0 and negative exponent has no finite truncation"
-            )
-        raise UsageError("each factor must raise the s-degree (e_s >= 1)")
-    coeff = Fraction(coeff)
-    u_coeff = sign * coeff
-    terms: dict[Exponent, Fraction] = {(0, 0, 0): Fraction(1)}
-    j_max = s_bound // e_s
-    for j in range(1, j_max + 1):
-        if exponent >= 0:
-            if j > exponent:
-                break
-            binomial = comb(exponent, j)
-        else:
-            binomial = (-1) ** j * multichoose(-exponent, j)
-        c = binomial * u_coeff**j
-        if c:
-            terms[(j * e_s, j * e_q, j * e_t)] = c
+    return TruncatedSeries(
+        _factor_terms(coeff, e_s, e_q, e_t, sign, exponent, s_bound), s_bound
+    )
+
+
+def euler_product(factors: Iterable[Factor], s_bound: int) -> TruncatedSeries:
+    """The product of `geometric_factor(*factor, s_bound)` over `factors`.
+
+    Each factor is a tuple `(coeff, e_s, e_q, e_t, sign, exponent)`.  The
+    product is folded with `_mul_terms` on plain term dicts, so integral
+    factors multiply as ints, and is wrapped in one `TruncatedSeries` at the
+    end: `Fraction`s are made once per term of the result.
+    """
+    terms: dict[Exponent, Coeff] = {(0, 0, 0): 1}
+    for factor in factors:
+        terms = _mul_terms(terms, _factor_terms(*factor, s_bound), s_bound)
     return TruncatedSeries(terms, s_bound)
 
 
@@ -263,5 +311,7 @@ def from_text(text: str) -> TruncatedSeries:
         exp = (e_s, e_q, e_t)
         if exp in terms:
             raise UsageError(f"duplicate series term {exp}")
+        if denom == 0:
+            raise UsageError(f"zero denominator in series term: {line!r}")
         terms[exp] = Fraction(numer, denom)
     return TruncatedSeries(terms, s_bound)

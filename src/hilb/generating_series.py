@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import UsageError
-from .exact_poly import TruncatedSeries, geometric_factor, multichoose
+from .exact_poly import TruncatedSeries, euler_product, multichoose
 from .surface_ring import SurfaceRing
 from .wreath_ring import (
     DEFAULT_LIMIT,
@@ -67,17 +67,21 @@ class SeriesSpec:
 def closed_form(spec: SeriesSpec) -> TruncatedSeries:
     """Exact truncated expansion of the named generating series."""
     bound = spec.s_bound
-    out = TruncatedSeries.one(bound)
+    factors = []
     for m in range(1, bound + 1):
         if spec.case == "a0":
-            out = out * geometric_factor(1, m, m, 2 * m - 1, +1, +2, bound)
-            out = out * geometric_factor(1, m, m - 1, 2 * m - 2, -1, -1, bound)
-            out = out * geometric_factor(1, m, m + 1, 2 * m, -1, -1, bound)
+            factors += [
+                (1, m, m, 2 * m - 1, +1, +2),
+                (1, m, m - 1, 2 * m - 2, -1, -1),
+                (1, m, m + 1, 2 * m, -1, -1),
+            ]
         else:
-            out = out * geometric_factor(1, m, m - 1, 2 * m - 2, -1, -1, bound)
-            out = out * geometric_factor(1, m, m, 2 * m, -1, -spec.k, bound)
-            out = out * geometric_factor(1, m, m + 1, 2 * m, -1, -1, bound)
-    return out
+            factors += [
+                (1, m, m - 1, 2 * m - 2, -1, -1),
+                (1, m, m, 2 * m, -1, -spec.k),
+                (1, m, m + 1, 2 * m, -1, -1),
+            ]
+    return euler_product(factors, bound)
 
 
 def ring_dims(ring: SurfaceRing) -> BigradedDims:
@@ -94,36 +98,37 @@ def ring_betti(ring: SurfaceRing) -> dict[int, int]:
     return betti
 
 
+def _goettsche_factor(m: int, e_q: int, d: int, count: int):
+    """The factor (1 - (-1)^d s^m q^e_q t^(d+2m-2))^(-(-1)^d count)."""
+    if d % 2 == 0:
+        return (1, m, e_q, d + 2 * m - 2, -1, -count)
+    return (1, m, e_q, d + 2 * m - 2, +1, count)
+
+
 def refined_goettsche(dims: BigradedDims, s_bound: int) -> TruncatedSeries:
     """The refined product series for arbitrary bigraded dimension data."""
-    out = TruncatedSeries.one(s_bound)
-    for m in range(1, s_bound + 1):
-        for (p, d), count in sorted(dims.items()):
-            if not count:
-                continue
-            if d % 2 == 0:
-                out = out * geometric_factor(
-                    1, m, p + m - 1, d + 2 * m - 2, -1, -count, s_bound
-                )
-            else:
-                out = out * geometric_factor(
-                    1, m, p + m - 1, d + 2 * m - 2, +1, count, s_bound
-                )
-    return out
+    return euler_product(
+        (
+            _goettsche_factor(m, p + m - 1, d, count)
+            for m in range(1, s_bound + 1)
+            for (p, d), count in sorted(dims.items())
+            if count
+        ),
+        s_bound,
+    )
 
 
 def betti_goettsche(betti: dict[int, int], s_bound: int) -> TruncatedSeries:
     """Classical Poincare product from Betti numbers alone (no q refinement)."""
-    out = TruncatedSeries.one(s_bound)
-    for m in range(1, s_bound + 1):
-        for d, count in sorted(betti.items()):
-            if not count:
-                continue
-            if d % 2 == 0:
-                out = out * geometric_factor(1, m, 0, d + 2 * m - 2, -1, -count, s_bound)
-            else:
-                out = out * geometric_factor(1, m, 0, d + 2 * m - 2, +1, count, s_bound)
-    return out
+    return euler_product(
+        (
+            _goettsche_factor(m, 0, d, count)
+            for m in range(1, s_bound + 1)
+            for d, count in sorted(betti.items())
+            if count
+        ),
+        s_bound,
+    )
 
 
 # -- partition sum ---------------------------------------------------------------

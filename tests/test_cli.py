@@ -203,6 +203,18 @@ def test_series_compare_reports_first_difference(tmp_path, capsys):
     assert "4 vs 6" in out
 
 
+def test_series_compare_zero_denominator_exits_2(tmp_path, capsys):
+    # a malformed file is a usage error (2), not a verdict of "unequal" (1)
+    _, one_text, _ = run(capsys, "series", "closed", "--case", "dynkin4", "--s-bound", "1")
+    z = tmp_path / "z.series"
+    o = tmp_path / "o.series"
+    z.write_text("series s_bound=1\n1/0 0 0 0\n")
+    o.write_text(one_text)
+    code, _, err = run(capsys, "series", "compare", str(z), str(o), "--up-to", "1")
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_series_bruteforce_matches_closed_coefficient(capsys):
     code, out, _ = run(capsys, "series", "bruteforce", "--preset", "a0", "-n", "3")
     assert code == 0

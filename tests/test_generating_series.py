@@ -144,7 +144,7 @@ def _relative_hard_lefschetz_breaks(dims, s_bound: int) -> list[int]:
 def test_relative_hard_lefschetz(name):
     # de Cataldo-Migliorini: the perverse filtration of S^[n] -> C^(n) is
     # symmetric about perversity n, shifting degree by twice the distance
-    assert _relative_hard_lefschetz_breaks(ring_dims(preset(name)), 8) == []
+    assert _relative_hard_lefschetz_breaks(ring_dims(preset(name)), 12) == []
 
 
 def test_relative_hard_lefschetz_catches_moved_class():
