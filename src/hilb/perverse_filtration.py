@@ -14,13 +14,18 @@ bookkeeping decompose orbitwise), which turns the factorially large pair
 space into transitive local subproblems without giving up exhaustiveness.
 A local subproblem depends only on the orbit-count signature (m, a, b, m_res)
 of its joint orbit, which keys its memo, and its search runs over groups of
-factor tuples with equal merged product and perversity sum.
+factor tuples with equal merged product and perversity sum.  Since a pair
+(sigma, tau) is read only through the multiset of its signatures, which
+simultaneous conjugation keeps, the run takes one sigma per cycle type and
+every tau.  Its cost estimate counts that work: the pairs, plus one local
+product per pair of factor groups on each memo key that can do any.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .errors import UsageError
 from .report import CheckReport, run_suite
@@ -28,13 +33,13 @@ from .surface_ring import SurfaceRing, Vec, diagonal_push
 from .symmetric_groups import (
     Perm,
     _perm_orbit_blocks,
+    class_representatives,
     enumerate_sn,
     joint_signatures,
     signature_defect,
 )
 from .wreath_ring import (
     DEFAULT_LIMIT,
-    _MULT_STEP_COST,
     WreathClass,
     WreathElement,
     cup,
@@ -208,14 +213,21 @@ def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict 
     return _mult_witness(ring, x, y, excess=total)
 
 
-def _mult_estimate(ring: SurfaceRing, n: int) -> int:
-    """Sum of size**(a + b) over every (sigma, tau) and each of its joint orbits."""
-    perms = list(enumerate_sn(n))
-    return sum(
-        ring.size ** (a + b)
-        for sigma in perms
-        for tau in perms
-        for _, a, b, _ in joint_signatures(sigma, tau)[1]
+def _mult_estimate(ring: SurfaceRing, n: int, pairs: int) -> int:
+    """The work of the exhaustive run: its pairs plus the memo's local products.
+
+    `pairs` is the number of (sigma, tau) pairs the run walks.  Each memo key
+    (m, a, b, m_res) with m <= n and graph defect g <= 1, that is
+    a + b + m_res in {m, m + 2} with 1 <= a, b, m_res <= m, costs one
+    local_product per pair of factor groups (_factor_groups, the run's own
+    memo, so the estimate builds nothing the run would not build); a key with
+    g >= 2 does no work.  No permutation pair is enumerated.
+    """
+    return pairs + sum(
+        len(_factor_groups(ring, a)) * len(_factor_groups(ring, b))
+        for m in range(1, n + 1)
+        for a, b, m_res in product(range(1, m + 1), repeat=3)
+        if a + b + m_res in (m, m + 2)
     )
 
 
@@ -228,12 +240,26 @@ def check_multiplicativity(
 ) -> CheckReport:
     """perversity(x.y) <= perversity(x) + perversity(y) over all basis pairs.
 
-    Runs the orbit-factorized exhaustive check when its exact cost estimate
-    fits the limit; otherwise falls back to a seeded random sample of basis
-    pairs (which must still find zero violations to pass).
+    The exhaustive run takes sigma over one representative per cycle type
+    (class_representatives) and tau over all of S_n.  That covers every pair
+    up to simultaneous conjugation (sigma, tau) -> (c sigma c^-1, c tau c^-1):
+    a pair (c rho c^-1, tau') with rho a representative is the conjugate by c
+    of (rho, c^-1 tau' c), which the run checks.  _mult_pair_check reads a
+    pair only through the multiset of its joint-orbit signatures
+    (m, a, b, m_res), and conjugation by c carries the joint orbits of
+    <sigma, tau> onto those of the conjugates, with the same sizes and the
+    same orbit counts of sigma, tau and sigma tau (c sigma tau c^-1 is the
+    product of the conjugates).  So pass/fail and the worst excess are those
+    of the run over all n!^2 pairs, for any ring, validated or not; only the
+    witnesses are limited to the representatives.
+
+    Runs exhaustively when its work (_mult_estimate) fits the limit;
+    otherwise falls back to a seeded random sample of basis pairs (which must
+    still find zero violations to pass).
     """
-    est = _mult_estimate(ring, n) * _MULT_STEP_COST
     perms = list(enumerate_sn(n))
+    reps = class_representatives(n)
+    est = _mult_estimate(ring, n, len(reps) * len(perms))
     info = {
         "ring": ring.name,
         "n": n,
@@ -255,8 +281,8 @@ def check_multiplicativity(
 
         info["checked"] = sample_size
         return run_suite("multiplicativity", info, (), draw, seed, sample_size)
-    info["checked"] = len(perms) ** 2
-    found = (_mult_pair_check(ring, n, s, t) for s in perms for t in perms)
+    info["checked"] = len(reps) * len(perms)
+    found = (_mult_pair_check(ring, n, s, t) for s in reps for t in perms)
     return run_suite("multiplicativity", info, found)
 
 

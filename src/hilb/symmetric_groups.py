@@ -313,6 +313,14 @@ def graph_defect(sigma: Perm, tau: Perm) -> dict[tuple[int, ...], int]:
     return {block: signature_defect(*sig) for block, sig in zip(blocks, signatures)}
 
 
+def class_representatives(n: int) -> list[Perm]:
+    """One permutation per cycle type: the first of each in enumerate_sn order."""
+    reps: dict[Partition, Perm] = {}
+    for sigma in enumerate_sn(n):
+        reps.setdefault(cycle_type(sigma), sigma)
+    return list(reps.values())
+
+
 def enumerate_sn(n: int, limit: int = 8):
     """All n! permutations, lexicographic in image sequences; id comes first."""
     if n < 0:

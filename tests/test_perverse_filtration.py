@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import factorial
 
 import pytest
 
+from hilb import perverse_filtration, wreath_ring
 from hilb.errors import UsageError
 from hilb.perverse_filtration import (
     BOTTOM,
     MONODROMY_MATRICES,
     TRIANGLE_MATRIX,
     _local_mult_stats,
+    _mult_pair_check,
     check_diagonal_bound,
     check_intersection_nondegenerate,
     check_monodromy_suite,
@@ -20,9 +23,10 @@ from hilb.perverse_filtration import (
     perversity_class,
     pw_transport,
 )
-from hilb.surface_ring import SurfaceRing, load_ring, preset, save_ring
+from hilb.surface_ring import PRESET_NAMES, SurfaceRing, load_ring, preset, save_ring
 from hilb.symmetric_groups import (
     Perm,
+    class_representatives,
     enumerate_sn,
     graph_defect,
     joint_signatures,
@@ -234,8 +238,9 @@ def test_signature_memo_matches_tuple_search(name):
                     assert got == expected, (sigma.cycle_string(), tau.cycle_string())
 
 
-def _corrupted_d4() -> SurfaceRing:
-    """d4 with Delta_2(1) := S (x) S, a perversity-4 class breaking the bound."""
+def _corrupted_d4(diag2=None) -> SurfaceRing:
+    """d4 with Delta_2(1) := S (x) S, a perversity-4 class breaking the bound,
+    or with the given Delta_2 table."""
     ring = preset("d4")
     s = ring.index("S")
     return SurfaceRing(
@@ -250,7 +255,7 @@ def _corrupted_d4() -> SurfaceRing:
             for i in range(ring.size)
             for j in range(ring.size)
         },
-        diag2={0: {(s, s): Fraction(1)}},
+        diag2={0: {(s, s): Fraction(1)}} if diag2 is None else diag2,
         euler={},
     )
 
@@ -268,42 +273,100 @@ def test_multiplicativity_catches_corrupted_diagonal():
 
 
 @pytest.mark.parametrize(
-    "name,n,estimate,mode",
-    [
-        ("d4", 2, 2700, "exhaustive"),
-        ("d4", 5, 412020720, "sampled"),
-        ("k3", 4, 3715695360, "sampled"),
-        ("abelian", 4, 515476480, "sampled"),
-    ],
+    "name,n,estimate",
+    [("d4", 2, 148), ("d4", 5, 2460), ("k3", 4, 15016), ("abelian", 4, 10620)],
 )
-def test_multiplicativity_estimate_and_mode_at_default_limit(name, n, estimate, mode):
-    # the cost model at the default limit: factor-tuple pairs of the local
-    # searches times the step cost, and the mode it picks
+def test_multiplicativity_estimate_and_mode_at_default_limit(name, n, estimate):
+    # the cost model at the default limit: the pairs of the run plus one local
+    # product per pair of factor groups on each memo key with g <= 1
     report = check_multiplicativity(preset(name), n, sample_size=20)
     assert report.passed, report.render_text()
-    assert (report.info["estimate"], report.info["mode"]) == (estimate, mode)
+    assert (report.info["estimate"], report.info["mode"]) == (estimate, "exhaustive")
 
 
 # distinct orbit-count signatures (m, a, b, m_res) of transitive joint orbits
-# on at most n points
-_SIGNATURES = {4: 24, 5: 46}
+# on at most n points: the g <= 1 triples of each m, and (5, 1, 1, 1) at g = 2
+_SIGNATURES = {1: 1, 2: 4, 3: 11, 4: 24, 5: 46}
 
 
 @pytest.mark.parametrize(
-    "name,n",
-    [(name, 4) for name in ("a0", "d4", "e6", "e7", "e8", "k3", "abelian")]
-    + [("d4", 5)],
+    "name,n", [(name, n) for name in PRESET_NAMES for n in (1, 2, 3, 4, 5)]
 )
 def test_multiplicativity_exhaustive_reach(name, n):
     # a fresh copy, so the memo sizes are this run's alone
     ring = load_ring(save_ring(preset(name)))
-    report = check_multiplicativity(ring, n, limit=10**13)
+    report = check_multiplicativity(ring, n)
     assert report.passed, report.render_text()
     assert report.info["mode"] == "exhaustive"
+    assert report.info["checked"] == len(class_representatives(n)) * factorial(n)
     # the memos stay bounded: one local search per signature, and the grouped
     # search never fills the per-tuple product memo
     assert len(ring._caches["mult_local"]) <= _SIGNATURES[n]
     assert not ring._caches.get("mul_seq")
+
+
+def _pair_total(ring: SurfaceRing, sigma: Perm, tau: Perm) -> int | None:
+    """Sum over the joint orbits of (sigma, tau) of the local worst excesses,
+    nonpositive ones included; None when an orbit kills every product."""
+    bests = [_local_mult_stats(ring, *s)[0] for s in joint_signatures(sigma, tau)[1]]
+    return None if None in bests else sum(bests)
+
+
+def _worst_total(ring: SurfaceRing, sigmas, taus) -> int | None:
+    totals = (_pair_total(ring, s, t) for s in sigmas for t in taus)
+    return max((t for t in totals if t is not None), default=None)
+
+
+def _corrupted_d4_e1() -> SurfaceRing:
+    """d4 with Delta_2(E1) := S (x) S: the diagonal bound of a non-unit class
+    breaks, perversity 4 > p(E1) + 2."""
+    d4 = preset("d4")
+    s = d4.index("S")
+    return _corrupted_d4(d4.diag2 | {d4.index("E1"): {(s, s): Fraction(1)}})
+
+
+_FAILING = {"corrupted": _corrupted_d4, "corrupted-E1": _corrupted_d4_e1}
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, n) for name in PRESET_NAMES for n in (1, 2, 3, 4)]
+    + [("d4", 5)]
+    + [(name, n) for name in _FAILING for n in (1, 2, 3)],
+)
+def test_conjugation_reduction_matches_all_pairs(name, n):
+    # the run over one sigma per cycle type against the loop over all n!^2
+    # pairs: same verdict, same worst excess, and the same worst pair total
+    # (nonpositive totals included, so passing rings are compared too)
+    ring = _FAILING[name]() if name in _FAILING else load_ring(save_ring(preset(name)))
+    report = check_multiplicativity(ring, n)
+    assert report.info["mode"] == "exhaustive"
+    perms = list(enumerate_sn(n))
+    brute = [w for s in perms for t in perms if (w := _mult_pair_check(ring, n, s, t))]
+    assert report.passed == (not brute) == (name not in _FAILING or n == 1)
+    if brute:
+        assert report.witnesses[0]["excess"] == max(w["excess"] for w in brute)
+        assert all(w["actual"] - w["bound"] == w["excess"] for w in report.witnesses)
+    reps = class_representatives(n)
+    assert _worst_total(ring, reps, perms) == _worst_total(ring, perms, perms)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_multiplicativity_estimate_covers_local_products(name, monkeypatch):
+    # the estimate counts every local product the run computes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return local_product(*args)
+
+    monkeypatch.setattr(perverse_filtration, "local_product", counting)
+    monkeypatch.setattr(wreath_ring, "local_product", counting)
+    for n in (1, 2, 3, 4):
+        calls.clear()
+        report = check_multiplicativity(load_ring(save_ring(preset(name))), n)
+        assert report.info["mode"] == "exhaustive"
+        assert 0 < len(calls) <= report.info["estimate"] - report.info["checked"], n
 
 
 def test_associativity_memo_up_to_conjugation():

@@ -5,6 +5,7 @@ import pytest
 from hilb.errors import ResourceError, UsageError
 from hilb.symmetric_groups import (
     Perm,
+    class_representatives,
     cycle_type,
     enumerate_sn,
     graph_defect,
@@ -138,6 +139,15 @@ def test_cycle_type():
         1 for p in enumerate_sn(3) if cycle_type(p).mults == (1, 1, 0)
     )
     assert count == 3
+
+
+@pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
+def test_class_representatives_first_of_each_cycle_type(n, classes):
+    # one permutation per cycle type, the lexicographically least of its type
+    reps = {cycle_type(p): p for p in class_representatives(n)}
+    assert len(reps) == len(class_representatives(n)) == classes
+    assert all(reps[cycle_type(p)].images <= p.images for p in enumerate_sn(n))
+    assert class_representatives(3) == [parse_cycles(c, 3) for c in ("id", "(2 3)", "(1 2 3)")]
 
 
 def test_partition_bookkeeping():

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from hilb import wreath_ring
 from hilb.errors import UsageError
 from hilb.report import witness_key
 from hilb.surface_ring import PRESET_NAMES, SurfaceRing, preset, validate
@@ -295,6 +296,72 @@ def test_asymmetric_product_fails_exhaustive_and_sampled(check):
     assert full.info["mode"].startswith("exhaustive")
     sampled = _assert_failing_report(check, entry, limit=10, seed=1, sample_size=1000)
     assert sampled.info["mode"] == "sampled"
+
+
+def _sign_mutant(flip):
+    """sn_act with its sign negated wherever flip(tau, x) holds."""
+
+    def mutant(ring, tau, x):
+        sign, moved = sn_act(ring, tau, x)
+        return (-sign if flip(tau, x) else sign), moved
+
+    return mutant
+
+
+def _odd(tau: Perm) -> bool:
+    return sum(len(c) - 1 for c in tau.cycles()) % 2 == 1
+
+
+_T12, _T13, _C123 = (parse_cycles(c, 3) for c in ("(1 2)", "(1 3)", "(1 2 3)"))
+
+# name -> (mutant on a ring, whether it is still a signed action)
+_ACTION_MUTANTS = {
+    "none": (lambda ring, x0: sn_act, True),
+    # twisting by the sign character, everywhere or on the invariant span of
+    # the elements over transpositions, keeps the law
+    "sign-twist": (lambda ring, x0: _sign_mutant(lambda t, x: _odd(t)), True),
+    "sign-twist-on-transpositions": (
+        lambda ring, x0: _sign_mutant(lambda t, x: _odd(t) and _odd(x.sigma)),
+        True,
+    ),
+    "flip-13-at-x0": (lambda ring, x0: _sign_mutant(lambda t, x: t == _T13 and x == x0), False),
+    "flip-12-on-unit": (
+        lambda ring, x0: _sign_mutant(lambda t, x: t == _T12 and x == unit_element(ring, 3)),
+        False,
+    ),
+    "flip-id-at-x0": (
+        lambda ring, x0: _sign_mutant(lambda t, x: t == Perm.identity(3) and x == x0), False
+    ),
+    "fix-x0-under-123": (
+        lambda ring, x0: lambda r, t, x: (1, x) if t == _C123 and x == x0 else sn_act(r, t, x),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_ACTION_MUTANTS))
+@pytest.mark.parametrize("name", ["a0", "d4"])
+def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
+    # the generator check of the action law (check_equivariance with no room
+    # for the pair pass and no samples runs it alone) fails exactly when the
+    # law fails for some pair (t1, t2) of S_3
+    ring = preset(name)
+    elements = list(enumerate_wreath_basis(ring, 3))
+    x0 = next(x for x in elements if x.sigma == _T12 and len(set(x.factors)) == 2)
+    make, is_action = _ACTION_MUTANTS[mutant]
+    act = make(ring, x0)
+    perms = list(enumerate_sn(3))
+    brute = all(
+        (s1 * s2, m2) == act(ring, t2.compose(t1), x)
+        for x in elements
+        for t1 in perms
+        for s1, m1 in [act(ring, t1, x)]
+        for t2 in perms
+        for s2, m2 in [act(ring, t2, m1)]
+    )
+    monkeypatch.setattr(wreath_ring, "sn_act", act)
+    report = check_equivariance(ring, 3, limit=0, sample_size=0)
+    assert report.passed == brute == is_action, report.render_text()
 
 
 # -- the associativity memo up to simultaneous conjugation ------------------------
