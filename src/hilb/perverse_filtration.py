@@ -12,13 +12,17 @@ p(x.y) <= p(x) + p(y) over every pair of basis elements; it factorizes over
 the joint orbits of the two permutations (both the product and the perversity
 bookkeeping decompose orbitwise), which turns the factorially large pair
 space into transitive local subproblems without giving up exhaustiveness.
-A local subproblem depends only on the orbit-count signature (m, a, b, m_res)
-of its joint orbit, which keys its memo, and its search runs over groups of
-factor tuples with equal merged product and perversity sum.  Since a pair
-(sigma, tau) is read only through the multiset of its signatures, which
-simultaneous conjugation keeps, the run takes one sigma per cycle type and
-every tau.  Its cost estimate counts that work: the pairs, plus one local
-product per pair of factor groups on each memo key that can do any.
+`symmetric_groups.joint_orbits` gives the joint orbits and the ranks of the
+orbits of sigma, tau and sigma tau inside each: their numbers make the
+orbit-count signature (m, a, b, m_res), and sigma's and tau's ranks lift a
+local witness back to the pair.
+A local subproblem depends only on that signature, which keys its memo,
+and its search runs over groups of factor tuples with equal merged product
+and perversity sum.  Since a pair (sigma, tau) is read only through the
+multiset of its signatures, which simultaneous conjugation keeps, the run
+takes one sigma per cycle type and every tau.  Its cost estimate counts that
+work: the pairs, plus one local product per pair of factor groups on each
+memo key that can do any.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .symmetric_groups import (
     _perm_orbit_blocks,
     class_representatives,
     enumerate_sn,
-    joint_signatures,
+    joint_orbits,
     signature_defect,
 )
 from .wreath_ring import (
@@ -193,14 +197,15 @@ def _mult_witness(
     }
 
 
-def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict | None:
+def _mult_pair_check(ring: SurfaceRing, sigma: Perm, tau: Perm) -> dict | None:
     """Worst violation witness among pairs with the given permutations, or None."""
-    joint, signatures = joint_signatures(sigma, tau)
+    st_images = tuple(sigma.images[j - 1] for j in tau.images)
+    blocks, ranks = joint_orbits(sigma.images, tau.images, st_images)
     total = 0
     args_x: list[tuple[int, ...]] = []
     args_y: list[tuple[int, ...]] = []
-    for signature in signatures:
-        best, arg = _local_mult_stats(ring, *signature)
+    for block, (rx, ry, rd) in zip(blocks, ranks):
+        best, arg = _local_mult_stats(ring, len(block), len(rx), len(ry), len(rd))
         if best is None:
             return None  # every product through this orbit vanishes
         total += best
@@ -208,8 +213,8 @@ def _mult_pair_check(ring: SurfaceRing, n: int, sigma: Perm, tau: Perm) -> dict 
         args_y.append(arg[1])
     if total <= 0:
         return None
-    x = lift_element(ring, n, sigma, joint, args_x)
-    y = lift_element(ring, n, tau, joint, args_y)
+    x = lift_element(ring, sigma, [r[0] for r in ranks], args_x)
+    y = lift_element(ring, tau, [r[1] for r in ranks], args_y)
     return _mult_witness(ring, x, y, excess=total)
 
 
@@ -282,7 +287,7 @@ def check_multiplicativity(
         info["checked"] = sample_size
         return run_suite("multiplicativity", info, (), draw, seed, sample_size)
     info["checked"] = len(reps) * len(perms)
-    found = (_mult_pair_check(ring, n, s, t) for s in reps for t in perms)
+    found = (_mult_pair_check(ring, s, t) for s in reps for t in perms)
     return run_suite("multiplicativity", info, found)
 
 

@@ -1,5 +1,8 @@
 """Permutations of [n] = {1, ..., n}, cycle types, orbits and the graph defect.
 
+One breadth-first walk (`_walk`) finds every orbit partition, and
+`joint_orbits` is the one joint-orbit decomposition the package reads.
+
 Composition convention, fixed once for the whole package:
 
     (sigma * tau)(i) = sigma(tau(i))
@@ -185,6 +188,33 @@ class OrbitPartition:
         return True
 
 
+def _walk(n: int, images, points=None) -> tuple[tuple[int, ...], ...]:
+    """Canonical orbit blocks of the group generated by permutations of [n],
+    given by their image sequences, on ascending `points` (all of [n] by
+    default) that each of them maps into itself."""
+    if points is None:
+        points = range(1, n + 1)
+    seen = [False] * (n + 1)
+    blocks = []
+    for start in points:
+        if seen[start]:
+            continue
+        # the points reached from start by the generators; on a finite set a
+        # set closed under permutations is closed under their inverses too
+        seen[start] = True
+        block = [start]
+        for x in block:  # block grows while it is scanned
+            for p in images:
+                y = p[x - 1]
+                if not seen[y]:
+                    seen[y] = True
+                    block.append(y)
+        block.sort()
+        blocks.append(tuple(block))
+    # each block starts at its minimum, so the blocks come ordered by it
+    return tuple(blocks)
+
+
 def orbits(n: int, generators, carrier=None) -> OrbitPartition:
     """Orbit partition of the group generated by `generators` on the carrier.
 
@@ -200,28 +230,10 @@ def orbits(n: int, generators, carrier=None) -> OrbitPartition:
     if any(g.n != n for g in generators):
         raise UsageError("generators must act on the same [n]")
     carrier_set = set(carrier)
-    seen: set[int] = set()
-    blocks = []
-    for start in carrier:
-        if start in seen:
-            continue
-        # the points reached from start by the generators; on a finite set a
-        # set closed under permutations is closed under their inverses too
-        seen.add(start)
-        block = [start]
-        for x in block:  # block grows while it is scanned
-            for g in generators:
-                y = g.images[x - 1]
-                if y not in seen:
-                    if y not in carrier_set:
-                        raise UsageError(
-                            f"generator {g.cycle_string()} does not preserve the carrier"
-                        )
-                    seen.add(y)
-                    block.append(y)
-        blocks.append(tuple(sorted(block)))
-    # each block starts at its minimum, so the blocks come ordered by it
-    return OrbitPartition(tuple(blocks))
+    for g in generators:
+        if any(g.images[x - 1] not in carrier_set for x in carrier):
+            raise UsageError(f"generator {g.cycle_string()} does not preserve the carrier")
+    return OrbitPartition(_walk(n, [g.images for g in generators], carrier))
 
 
 def cycle_type(sigma: Perm) -> Partition:
@@ -235,7 +247,7 @@ def cycle_type(sigma: Perm) -> Partition:
 @lru_cache(maxsize=None)
 def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The canonical orbit blocks of one permutation, cached by its images."""
-    return orbits(len(images), [Perm(images)]).blocks
+    return _walk(len(images), (images,))
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +276,27 @@ def least_conjugate(
     return best
 
 
+def joint_orbits(*images: tuple[int, ...]):
+    """The joint orbits of permutations and where each one's orbits lie.
+
+    `images` holds the image sequences of permutations of one [n].  Returns
+    (blocks, ranks): the canonical orbit blocks of the group they generate,
+    and per block one tuple per permutation of the ranks, in its canonical
+    orbit order, of that permutation's orbits inside the block.
+    """
+    n = len(images[0])
+    blocks = _walk(n, images)
+    where = [0] * (n + 1)
+    for k, block in enumerate(blocks):
+        for v in block:
+            where[v] = k
+    ranks = [[[] for _ in images] for _ in blocks]
+    for col, p in enumerate(images):
+        for m, b in enumerate(_perm_orbit_blocks(p)):
+            ranks[where[b[0]]][col].append(m)
+    return blocks, [tuple(map(tuple, row)) for row in ranks]
+
+
 def joint_signatures(
     sigma: Perm, tau: Perm
 ) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int, int]]]:
@@ -273,14 +306,9 @@ def joint_signatures(
     generated by sigma and tau, and per block the tuple (m, a, b, m_res) of
     its size and the numbers of orbits of sigma, tau and sigma tau on it.
     """
-    blocks = orbits(sigma.n, [sigma, tau]).blocks
-    where = {v: k for k, block in enumerate(blocks) for v in block}
-    counts = [[len(block), 0, 0, 0] for block in blocks]
     st_images = tuple(sigma.images[j - 1] for j in tau.images)
-    for col, images in enumerate((sigma.images, tau.images, st_images), start=1):
-        for b in _perm_orbit_blocks(images):
-            counts[where[b[0]]][col] += 1
-    return blocks, [tuple(c) for c in counts]
+    blocks, ranks = joint_orbits(sigma.images, tau.images, st_images)
+    return blocks, [(len(b), *map(len, r)) for b, r in zip(blocks, ranks)]
 
 
 def signature_defect(m: int, a: int, b: int, m_res: int) -> int:
@@ -321,11 +349,17 @@ def class_representatives(n: int) -> list[Perm]:
     return list(reps.values())
 
 
-def enumerate_sn(n: int, limit: int = 8):
+# the largest n whose symmetric group enumerate_sn lists
+ENUMERATE_LIMIT = 8
+
+
+def enumerate_sn(n: int):
     """All n! permutations, lexicographic in image sequences; id comes first."""
     if n < 0:
         raise UsageError("n must be nonnegative")
-    if n > limit:
-        raise ResourceError(f"refusing to enumerate S_{n} (limit {limit}); {factorial(n)} elements")
+    if n > ENUMERATE_LIMIT:
+        raise ResourceError(
+            f"refusing to enumerate S_{n} (limit {ENUMERATE_LIMIT}); {factorial(n)} elements"
+        )
     for images in permutations(range(1, n + 1)):
         yield Perm(images)

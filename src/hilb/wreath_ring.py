@@ -21,6 +21,7 @@ diagonal components into canonical orbit order.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,13 +40,12 @@ from .surface_ring import (
     validate,
 )
 from .symmetric_groups import (
-    OrbitPartition,
     Perm,
     _perm_orbit_blocks,
     enumerate_sn,
-    graph_defect,
+    joint_orbits,
     least_conjugate,
-    orbits,
+    signature_defect,
 )
 
 DEFAULT_LIMIT = 10**8
@@ -118,10 +118,6 @@ class WreathClass:
 
 
 # -- orbit bookkeeping -------------------------------------------------------
-
-
-def sigma_orbits(sigma: Perm) -> OrbitPartition:
-    return OrbitPartition(_perm_orbit_blocks(sigma.images))
 
 
 def element_degree(ring: SurfaceRing, x: WreathElement) -> int:
@@ -243,20 +239,13 @@ def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
 
 @lru_cache(maxsize=None)
 def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
-    sigma, tau = Perm(sigma_images), Perm(tau_images)
-    gdef = graph_defect(sigma, tau)
-    st = sigma.compose(tau)
-    st_blocks = _perm_orbit_blocks(st.images)
-    s_blocks = _perm_orbit_blocks(sigma_images)
-    t_blocks = _perm_orbit_blocks(tau_images)
-
-    def ranks_in(joint_block, blocks):
-        return tuple(m for m, b in enumerate(blocks) if b[0] in joint_block)
-
-    x_groups = tuple(ranks_in(jb, s_blocks) for jb in gdef)
-    y_groups = tuple(ranks_in(jb, t_blocks) for jb in gdef)
-    dst_groups = tuple(ranks_in(jb, st_blocks) for jb in gdef)
-    return st, x_groups, y_groups, dst_groups, tuple(gdef.values())
+    """Per joint orbit of <sigma, tau>: the ranks of the orbits of sigma, tau
+    and sigma tau inside it, and its graph defect."""
+    st = Perm(tuple(sigma_images[j - 1] for j in tau_images))
+    blocks, ranks = joint_orbits(sigma_images, tau_images, st.images)
+    x_groups, y_groups, dst_groups = (tuple(r[col] for r in ranks) for col in range(3))
+    g_values = tuple(signature_defect(len(b), *map(len, r)) for b, r in zip(blocks, ranks))
+    return st, x_groups, y_groups, dst_groups, g_values
 
 
 def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
@@ -461,9 +450,8 @@ def restrict_perm(sigma: Perm, block: tuple[int, ...]) -> Perm:
 
 def _elements_by_degree(ring: SurfaceRing, sigma: Perm) -> list[tuple[int, tuple[int, ...]]]:
     """(degree, factors) for all factor tuples of sigma, ascending by degree."""
-    key = ("elements_by_degree", sigma.images)
     cache = ring._caches.setdefault("local_elems", {})
-    hit = cache.get(key)
+    hit = cache.get(sigma.images)
     if hit is not None:
         return hit
     blocks = _perm_orbit_blocks(sigma.images)
@@ -472,7 +460,7 @@ def _elements_by_degree(ring: SurfaceRing, sigma: Perm) -> list[tuple[int, tuple
     for factors in iproduct(range(ring.size), repeat=len(blocks)):
         out.append((sum(ring.degrees[f] for f in factors) + shift, factors))
     out.sort()
-    cache[key] = out
+    cache[sigma.images] = out
     return out
 
 
@@ -484,44 +472,21 @@ def max_degree(n: int, perm: Perm) -> int:
 # -- verification suites ---------------------------------------------------------
 
 
-def _degree_hist(ring: SurfaceRing, sigma: Perm) -> list[int]:
-    """Histogram over degree of the factor tuples on sigma's component."""
-    blocks = _perm_orbit_blocks(sigma.images)
-    shift = 2 * (sigma.n - len(blocks))
-    hist = [1]
-    slot = [0] * 5
-    for d in ring.degrees:
-        slot[d] += 1
-    for _ in blocks:
-        new = [0] * (len(hist) + 4)
-        for deg, cnt in enumerate(hist):
-            if not cnt:
-                continue
-            for d, c in enumerate(slot):
-                if c:
-                    new[deg + d] += cnt * c
-        hist = new
-    return [0] * shift + hist
-
-
-def _triple_survivors(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> int:
-    """How many (x, y, z) factor triples survive the degree-capacity cut."""
-    cap = max_degree(sigma.n, sigma.compose(tau).compose(rho))
-    hx = _degree_hist(ring, sigma)
-    hy = _degree_hist(ring, tau)
-    hz = _degree_hist(ring, rho)
-    pair = [0] * (len(hx) + len(hy))
-    for a, ca in enumerate(hx):
-        if not ca:
-            continue
-        for b, cb in enumerate(hy):
-            if cb:
-                pair[a + b] += ca * cb
+def _triple_survivors(ring: SurfaceRing, triples) -> int:
+    """How many (x, y, z) factor triples over the given permutation triples
+    survive the degree-capacity cut; each permutation's degree histogram is
+    read once off _elements_by_degree."""
+    hists = {
+        p: Counter(d for d, _ in _elements_by_degree(ring, p))
+        for p in set(chain.from_iterable(triples))
+    }
     total = 0
-    for ab, cab in enumerate(pair):
-        if not cab or ab > cap:
-            continue
-        total += cab * sum(hz[: max(0, cap - ab + 1)])
+    for sigma, tau, rho in triples:
+        cap = max_degree(sigma.n, sigma.compose(tau).compose(rho))
+        hz = hists[rho].items()
+        for dx, cx in hists[sigma].items():
+            for dy, cy in hists[tau].items():
+                total += cx * cy * sum(c for dz, c in hz if dx + dy + dz <= cap)
     return total
 
 
@@ -623,24 +588,17 @@ def _violating_triples(
     return bad
 
 
-def lift_element(
-    ring: SurfaceRing, n: int, sigma: Perm, joint_blocks, local_factors
-) -> WreathElement:
+def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> WreathElement:
     """Lift per-joint-orbit local factor tuples back onto sigma's orbits.
 
-    local_factors[k] holds the factors of sigma's orbits inside
-    joint_blocks[k], in canonical order; orbits outside every given joint
-    block get the unit.
+    local_factors[k] holds the factors of the orbits of sigma whose ranks
+    (joint_orbits) are rank_lists[k]; every other orbit gets the unit.
     """
-    factor_at: dict[int, int] = {}
-    blocks = _perm_orbit_blocks(sigma.images)
-    for joint_block, factors in zip(joint_blocks, local_factors):
-        members = [b for b in blocks if b[0] in joint_block]
-        for b, f in zip(members, factors):
-            factor_at[b[0]] = f
-    return WreathElement(
-        n=n, sigma=sigma, factors=tuple(factor_at.get(b[0], ring.unit) for b in blocks)
-    )
+    factors = [ring.unit] * len(_perm_orbit_blocks(sigma.images))
+    for ranks, local in zip(rank_lists, local_factors):
+        for m, f in zip(ranks, local):
+            factors[m] = f
+    return WreathElement(n=sigma.n, sigma=sigma, factors=tuple(factors))
 
 
 def check_associativity(
@@ -679,13 +637,14 @@ def check_associativity(
     found: list[dict] = []
     local_suites = 0
     for perm_triple in triples:
-        for block in orbits(n, list(perm_triple)).blocks:
+        blocks, ranks = joint_orbits(*(p.images for p in perm_triple))
+        for block, block_ranks in zip(blocks, ranks):
             local_suites += 1
             local = (restrict_perm(p, block) for p in perm_triple)
             for bad in _associativity_triples(ring, *local):
                 lifted = (
-                    lift_element(ring, n, p, (block,), (e.factors,))
-                    for p, e in zip(perm_triple, bad)
+                    lift_element(ring, p, (r,), (e.factors,))
+                    for p, r, e in zip(perm_triple, block_ranks, bad)
                 )
                 found.append(_triple_witness(ring, *lifted))
     info = {
@@ -700,7 +659,7 @@ def check_associativity(
     # the orbit-local pass cannot see cross-orbit Koszul assembly, so odd
     # rings get a genuinely global pass: exhaustive when the pruned
     # enumeration fits the limit, a seeded sample otherwise
-    est = sum(_triple_survivors(ring, *perm_triple) for perm_triple in triples)
+    est = _triple_survivors(ring, triples)
     if est * _CHECK_STEP_COST <= limit:
         info["mode"] = "orbit-local+global"
         found += [

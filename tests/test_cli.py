@@ -149,6 +149,8 @@ def test_verify_diagonal_echoes_n_without_seed(capsys):
         ("verify", "multiplicativity", "--preset", "d4", "-n", "2", "--jobs", "2"),
         ("verify", "monodromy", "--seed", "1"),
         ("verify", "monodromy", "--preset", "d4"),
+        ("verify", "multiplicativity", "--preset", "d4", "-n", "2", "--limit", "10"),
+        ("verify", "multiplicativity", "--preset", "d4", "-n", "2", "--seed", "1"),
     ],
 )
 def test_verify_rejects_flags_the_suite_never_reads(capsys, argv):

@@ -26,15 +26,18 @@ from hilb.perverse_filtration import (
 from hilb.surface_ring import PRESET_NAMES, SurfaceRing, load_ring, preset, save_ring
 from hilb.symmetric_groups import (
     Perm,
+    _perm_orbit_blocks,
     class_representatives,
     enumerate_sn,
     graph_defect,
+    joint_orbits,
     joint_signatures,
     orbits,
     parse_cycles,
 )
 from hilb.wreath_ring import (
     WreathClass,
+    _cup_plan,
     _mul_sequence,
     check_associativity,
     cup,
@@ -111,21 +114,59 @@ def _signature(sigma: Perm, tau: Perm, block) -> tuple[int, int, int, int]:
     return (m, *(len(orbits(m, [p])) for p in (s, t, s.compose(t))))
 
 
+def _ranks_inside(perm: Perm, block) -> tuple[int, ...]:
+    """The ranks of perm's canonical orbits that lie inside block."""
+    inside = set(block)
+    return tuple(
+        m for m, b in enumerate(_perm_orbit_blocks(perm.images)) if inside.issuperset(b)
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_joint_signatures_match_restricted_orbit_counts(n):
-    # the one signature helper against orbit counts of the restrictions to
-    # each joint orbit, and the graph defect against the signature formula
+    # joint_orbits against a brute-force reference: its blocks are the orbits
+    # of the generated group and each rank list names the permutation's
+    # orbits inside the block, for every (sigma, tau, sigma tau) and, at
+    # n <= 3, every (sigma, tau, rho).  Its views: the signatures against
+    # orbit counts of the restrictions to each joint orbit, the graph defect
+    # against the signature formula, and _cup_plan's groups against a scan for
+    # the orbits whose minimum lies in the block
     perms = list(enumerate_sn(n))
+
+    def ranks_in(joint_block, blocks):
+        return tuple(m for m, b in enumerate(blocks) if b[0] in joint_block)
+
     for sigma in perms:
         for tau in perms:
+            st = sigma.compose(tau)
             blocks, signatures = joint_signatures(sigma, tau)
             defects = graph_defect(sigma, tau)
             context = (sigma.cycle_string(), tau.cycle_string())
             assert blocks == orbits(n, [sigma, tau]).blocks == tuple(defects), context
+            joint, ranks = joint_orbits(sigma.images, tau.images, st.images)
+            assert joint == blocks, context
+            assert ranks == [
+                tuple(_ranks_inside(p, block) for p in (sigma, tau, st)) for block in blocks
+            ], context
+            plan_st, *groups, g_values = _cup_plan(sigma.images, tau.images)
+            assert plan_st == st and g_values == tuple(defects.values()), context
+            assert groups == [
+                tuple(ranks_in(block, _perm_orbit_blocks(p.images)) for block in blocks)
+                for p in (sigma, tau, st)
+            ], context
             for block, signature in zip(blocks, signatures):
                 m, a, b, m_res = _signature(sigma, tau, block)
                 assert signature == (m, a, b, m_res), context
                 assert 2 * defects[block] == m + 2 - a - b - m_res, context
+    if n > 3:
+        return
+    for triple in iproduct(perms, repeat=3):
+        blocks, ranks = joint_orbits(*(p.images for p in triple))
+        context = tuple(p.cycle_string() for p in triple)
+        assert blocks == orbits(n, triple).blocks, context
+        assert ranks == [
+            tuple(_ranks_inside(p, block) for p in triple) for block in blocks
+        ], context
 
 
 @pytest.mark.parametrize(
@@ -342,7 +383,7 @@ def test_conjugation_reduction_matches_all_pairs(name, n):
     report = check_multiplicativity(ring, n)
     assert report.info["mode"] == "exhaustive"
     perms = list(enumerate_sn(n))
-    brute = [w for s in perms for t in perms if (w := _mult_pair_check(ring, n, s, t))]
+    brute = [w for s in perms for t in perms if (w := _mult_pair_check(ring, s, t))]
     assert report.passed == (not brute) == (name not in _FAILING or n == 1)
     if brute:
         assert report.witnesses[0]["excess"] == max(w["excess"] for w in brute)

@@ -169,9 +169,3 @@ def test_enumerate_sn():
     assert perms5[0] == Perm.identity(5)
     with pytest.raises(ResourceError):
         list(enumerate_sn(9))
-
-
-def test_enumerate_sn_respects_override():
-    # just confirm the limit is honored without materializing S_9
-    gen = enumerate_sn(4, limit=4)
-    assert len(list(gen)) == 24

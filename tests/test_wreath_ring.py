@@ -1,6 +1,7 @@
 """The wreath product: action, the joint-orbit kernel, cup product, projection."""
 
 import hashlib
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from hilb.wreath_ring import (
     WreathClass,
     _associativity_triples,
     _mul_sequence,
+    _triple_survivors,
     _violating_triples,
     basis_count,
     check_associativity,
@@ -495,3 +497,26 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
         if degree[x] + degree[y] + degree[z] > cap:
             assert not cup_class(ring, cup(ring, x, y), z)
             assert not cup_class(ring, x, cup(ring, y, z))
+
+
+@pytest.mark.parametrize("name", ["a0", "abelian"])
+def test_triple_survivors_match_brute_force_count(name):
+    # the odd rings' global-pass estimate against a count over basis elements:
+    # per (x, y), the z whose element_degree keeps dx + dy + dz <= cap
+    ring = preset(name)
+    n = 2
+    perms = list(enumerate_sn(n))
+    degrees = {p: [] for p in perms}
+    for x in enumerate_wreath_basis(ring, n):
+        degrees[x.sigma].append(element_degree(ring, x))
+    triples = list(product(perms, repeat=3))
+    total = 0
+    for sigma, tau, rho in triples:
+        cap = max_degree(n, sigma.compose(tau).compose(rho))
+        dzs = sorted(degrees[rho])
+        count = sum(
+            bisect_right(dzs, cap - dx - dy) for dx in degrees[sigma] for dy in degrees[tau]
+        )
+        assert _triple_survivors(ring, [(sigma, tau, rho)]) == count, (sigma, tau, rho)
+        total += count
+    assert _triple_survivors(ring, triples) == total
