@@ -8,8 +8,8 @@ Subcommands:
     hilb series      closed|refined|bruteforce|compare  [...]
 
 Every command is deterministic given its flags (seeds are echoed in
-reports).  Exit codes: 0 success/pass, 1 check failure, 2 usage or parse
-error, 3 resource limit exceeded.
+reports).  Exit codes: 0 success/pass, 1 check failure, 2 usage error or
+malformed, unreadable or inconsistent input, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -78,12 +78,28 @@ def _add_common(
         parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
 
+def _non_negative_int(text: str) -> int:
+    """The argparse type of every -n: decimal digits only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 file; an unreadable file is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"cannot read {path}: {reason}") from None
+
+
 def _resolve_ring(args) -> SurfaceRing:
     if args.preset:
         return preset(args.preset)
     if args.ring:
-        with open(args.ring, "r", encoding="utf-8") as handle:
-            return load_ring(handle.read())
+        return load_ring(_read_text(args.ring))
     raise UsageError("a ring source is required: --preset NAME or --ring PATH")
 
 
@@ -239,11 +255,11 @@ def _cmd_series(args) -> int:
             sys.stdout.write(series_to_text(poly_to_series(poly, n, n)))
         return EXIT_PASS
     if action == "compare":
-        with open(args.series_a, "r", encoding="utf-8") as handle:
-            series_a = series_from_text(handle.read())
-        with open(args.series_b, "r", encoding="utf-8") as handle:
-            series_b = series_from_text(handle.read())
-        comparison = compare_series(series_a, series_b, args.up_to)
+        comparison = compare_series(
+            series_from_text(_read_text(args.series_a)),
+            series_from_text(_read_text(args.series_b)),
+            args.up_to,
+        )
         if args.format == "json":
             print(json.dumps(comparison.to_json_dict(), sort_keys=True, indent=2))
         else:
@@ -270,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     mul = sub.add_parser("mul", help="cup product of two wreath elements")
     _add_ring_source(mul)
     _add_common(mul)
-    mul.add_argument("-n", type=int, required=True)
+    mul.add_argument("-n", type=_non_negative_int, required=True)
     mul.add_argument("x", help="element spec `factors;cycles`, e.g. '1;(1 2)'")
     mul.add_argument("y")
     mul.set_defaults(func=_cmd_mul)
@@ -281,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         suite_parser = verify_sub.add_parser(suite)
         if "ring" in flags:
             _add_ring_source(suite_parser)
-            suite_parser.add_argument("-n", type=int, default=None)
+            suite_parser.add_argument("-n", type=_non_negative_int, default=None)
         _add_common(suite_parser, limit="limit" in flags, seed="seed" in flags)
         suite_parser.set_defaults(func=_cmd_verify)
 
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     brute = series_sub.add_parser("bruteforce", help="orbit-count Poincare polynomial")
     _add_ring_source(brute)
-    brute.add_argument("-n", type=int, required=True)
+    brute.add_argument("-n", type=_non_negative_int, required=True)
     _add_common(brute, limit=True)
     brute.set_defaults(func=_cmd_series, action="bruteforce")
 
@@ -323,7 +339,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except (UsageError, DataError, FileNotFoundError) as exc:
+    except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceError as exc:

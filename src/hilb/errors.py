@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: UsageError -> 2, ResourceError -> 3,
-a failed check -> 1.  Anything else escaping is a genuine bug and is allowed
-to crash loudly.
+The CLI maps these onto exit codes: a failed check -> 1; UsageError, DataError
+and a file it cannot read as UTF-8 -> 2; ResourceError -> 3.  Anything else
+escaping is a genuine bug and is allowed to crash loudly.
 """
 
 

@@ -232,6 +232,8 @@ def brute_force_poincare(
     vanishes and it is excluded.  This is the independent oracle for the
     product formulas: it only uses the S_n action and the abstract perversity.
     """
+    if n < 0:
+        raise UsageError(f"n must be nonnegative, got {n}")
     check_resource(ring, n, limit)
     if n == 0:
         return {(0, 0): Fraction(1)}

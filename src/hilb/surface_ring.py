@@ -69,6 +69,9 @@ class SurfaceRing:
     ):
         if mode not in ("compact", "open"):
             raise UsageError(f"mode must be compact or open, got {mode!r}")
+        # the ring document splits lines at whitespace and `=`, and sums at `+`
+        if any(ch.isspace() or ch == "=" for ch in name):
+            raise UsageError(f"ring name {name!r} invalid: no whitespace, no '='")
         self.name = name
         self.mode = mode
         self.names = tuple(names)
@@ -78,9 +81,9 @@ class SurfaceRing:
         if len(set(self.names)) != k:
             raise UsageError("basis names must be distinct")
         for nm in self.names:
-            if not nm or any(ch.isspace() for ch in nm) or "x" in nm:
+            if not nm or any(ch.isspace() or ch in "x+=" for ch in nm):
                 raise UsageError(
-                    f"basis name {nm!r} invalid: no whitespace, no letter 'x'"
+                    f"basis name {nm!r} invalid: no whitespace, no 'x', '+' or '='"
                 )
         if not (len(self.degrees) == len(self.perversities) == k):
             raise UsageError("names/degrees/perversities length mismatch")
@@ -542,16 +545,16 @@ def preset(name: str) -> SurfaceRing:
 
 # -- serialization ----------------------------------------------------------
 
+# A ring document is one line per datum: `<kind> <names> = <value>`, or
+# `<kind> <names> <value>` for the kinds in _NO_EQUALS.  The table gives the
+# number of basis names of each kind; `(kind, *names)` keys the line, and no
+# key may occur twice.
+_LINE_NAMES = {"ring": 0, "basis": 1, "unit": 0, "mul": 2, "pairing": 2, "diag2": 1, "euler": 0}
+_NO_EQUALS = ("ring", "basis", "unit")
 
-def _render_sum(ring: SurfaceRing, vec: Vec) -> str:
-    return " + ".join(f"{vec[i]}*{ring.names[i]}" for i in sorted(vec))
 
-
-def _render_tensor_sum(ring: SurfaceRing, tensor: Tensor) -> str:
-    return " + ".join(
-        f"{tensor[key]}*{ring.names[key[0]]}x{ring.names[key[1]]}"
-        for key in sorted(tensor)
-    )
+def _render_terms(terms: Mapping, name_of) -> str:
+    return " + ".join(f"{terms[key]}*{name_of(key)}" for key in sorted(terms))
 
 
 def save_ring(ring: SurfaceRing) -> str:
@@ -565,7 +568,7 @@ def save_ring(ring: SurfaceRing) -> str:
             if entries:
                 lines.append(
                     f"mul {ring.names[i]} {ring.names[j]} = "
-                    + _render_sum(ring, dict(entries))
+                    + _render_terms(dict(entries), ring.names.__getitem__)
                 )
     if ring.pairing is not None:
         for i in range(ring.size):
@@ -579,64 +582,68 @@ def save_ring(ring: SurfaceRing) -> str:
             if ring.diag2[g]:
                 lines.append(
                     f"diag2 {ring.names[g]} = "
-                    + _render_tensor_sum(ring, ring.diag2[g])
+                    + _render_terms(ring.diag2[g], lambda key: "x".join(ring.names[i] for i in key))
                 )
-    lines.append(f"euler = {_render_sum(ring, ring.euler)}".rstrip())
+    lines.append(f"euler = {_render_terms(ring.euler, ring.names.__getitem__)}".rstrip())
     return "\n".join(lines) + "\n"
 
 
-def _parse_sum(text: str, index_of: dict[str, int]) -> Vec:
-    text = text.strip()
-    if not text:
-        return {}
-    out: Vec = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if "*" not in term:
-            raise UsageError(f"malformed term {term!r}; expected <coeff>*<name>")
-        coeff_text, name = term.split("*", 1)
-        name = name.strip()
-        if name not in index_of:
-            raise UsageError(f"unknown basis element {name!r}")
-        try:
-            coeff = Fraction(coeff_text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"malformed coefficient in {term!r}") from exc
-        idx = index_of[name]
-        out[idx] = out.get(idx, Fraction(0)) + coeff
-    return {i: c for i, c in out.items() if c}
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"malformed rational {text.strip()!r}") from None
 
 
-def _split_tensor_name(token: str, index_of: dict[str, int]) -> tuple[int, int]:
-    candidates = []
-    for pos, ch in enumerate(token):
-        if ch != "x":
+def _parse_terms(text: str, key_of) -> dict:
+    """`<coeff>*<name> [+ ...]`, empty for zero; `key_of` resolves a name and
+    the coefficients of a repeated name add up."""
+    out: dict = {}
+    for term in text.split("+") if text.strip() else ():
+        coeff, star, name = term.partition("*")
+        if not star:
+            raise UsageError(f"malformed term {term.strip()!r}; expected <coeff>*<name>")
+        key = key_of(name.strip())
+        out[key] = out.get(key, 0) + _rational(coeff)
+    return {key: c for key, c in out.items() if c}
+
+
+def _fields(text: str, keys: tuple[str, ...]) -> list[str]:
+    """The values of `<key>=<value>` tokens that give each key once, in key order."""
+    parts = text.split()
+    fields = dict(part.split("=", 1) for part in parts if "=" in part)
+    if len(fields) != len(parts) or set(fields) != set(keys):
+        raise UsageError("expected " + " ".join(f"{key}=..." for key in keys))
+    return [fields[key] for key in keys]
+
+
+def _split_lines(text: str) -> dict[tuple[str, ...], tuple[str, str]]:
+    """Map the key `(kind, *names)` of each line to (where, value), where
+    `where` names the line for error messages."""
+    lines: dict[tuple[str, ...], tuple[str, str]] = {}
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        left, right = token[:pos], token[pos + 1 :]
-        if left in index_of and right in index_of:
-            candidates.append((index_of[left], index_of[right]))
-    if len(candidates) != 1:
-        raise UsageError(f"cannot split tensor term {token!r} into two basis names")
-    return candidates[0]
-
-
-def _parse_tensor_sum(text: str, index_of: dict[str, int]) -> Tensor:
-    text = text.strip()
-    if not text:
-        return {}
-    out: Tensor = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if "*" not in term:
-            raise UsageError(f"malformed tensor term {term!r}")
-        coeff_text, name = term.split("*", 1)
-        key = _split_tensor_name(name.strip(), index_of)
-        try:
-            coeff = Fraction(coeff_text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"malformed coefficient in {term!r}") from exc
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: c for k, c in out.items() if c}
+        where = f"line {number} {line!r}"
+        kind, _, rest = line.partition(" ")
+        count = _LINE_NAMES.get(kind)
+        if count is None:
+            raise UsageError(f"{where}: unknown line kind {kind!r}")
+        if kind in _NO_EQUALS:
+            parts = rest.split(None, count)
+            names, value = parts[:count], "".join(parts[count:])
+        else:
+            left, equals, value = rest.partition("=")
+            names = left.split() if equals else None
+        if names is None or len(names) != count:
+            form = " <name>" * count + ("" if kind in _NO_EQUALS else " = ...")
+            raise UsageError(f"{where}: expected `{kind}{form}`")
+        key = (kind, *names)
+        if key in lines:
+            raise UsageError(f"{where}: a second `{' '.join(key)}` line")
+        lines[key] = (where, value)
+    return lines
 
 
 def load_ring(text: str) -> SurfaceRing:
@@ -647,89 +654,59 @@ def load_ring(text: str) -> SurfaceRing:
     downstream perversity bookkeeping is defined through basis support and no
     change-of-basis search is attempted.
     """
-    header = None
-    basis: list[tuple[str, int, int]] = []
-    unit_name = None
-    mul_lines: list[tuple[str, str, str]] = []
-    pairing_lines: list[tuple[str, str, str]] = []
-    diag2_lines: list[tuple[str, str]] = []
-    euler_text = ""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "ring":
-            fields = dict(part.split("=", 1) for part in rest.split() if "=" in part)
-            if "name" not in fields or "mode" not in fields:
-                raise UsageError(f"malformed ring header: {line!r}")
-            header = (fields["name"], fields["mode"])
-        elif kind == "basis":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise UsageError(f"malformed basis line: {line!r}")
-            nm = parts[0]
-            fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-            try:
-                basis.append((nm, int(fields["degree"]), int(fields["perversity"])))
-            except (KeyError, ValueError) as exc:
-                raise UsageError(f"malformed basis line: {line!r}") from exc
-        elif kind == "unit":
-            unit_name = rest.strip()
-        elif kind == "mul":
-            left, rhs = rest.split("=", 1)
-            a, b = left.split()
-            mul_lines.append((a, b, rhs))
-        elif kind == "pairing":
-            left, rhs = rest.split("=", 1)
-            a, b = left.split()
-            pairing_lines.append((a, b, rhs))
-        elif kind == "diag2":
-            left, rhs = rest.split("=", 1)
-            diag2_lines.append((left.strip(), rhs))
-        elif kind == "euler":
-            euler_text = rest.split("=", 1)[1] if "=" in rest else ""
-        else:
-            raise UsageError(f"unknown ring document line: {line!r}")
-    if header is None:
-        raise UsageError("missing `ring name=... mode=...` header")
-    if unit_name is None:
-        raise UsageError("missing `unit <name>` line")
-    name, mode = header
-    names = [b[0] for b in basis]
+    lines = _split_lines(text)
+    names = [key[1] for key in lines if key[0] == "basis"]
     index_of = {nm: i for i, nm in enumerate(names)}
-    if unit_name not in index_of:
-        raise UsageError(f"unit {unit_name!r} is not a basis element")
-    mul: dict[tuple[int, int], Vec] = {}
-    for a, b, rhs in mul_lines:
-        if a not in index_of or b not in index_of:
-            raise UsageError(f"mul line references unknown element: {a} {b}")
-        mul[(index_of[a], index_of[b])] = _parse_sum(rhs, index_of)
+
+    def index(name: str) -> int:
+        if name not in index_of:
+            raise UsageError(f"unknown basis element {name!r}")
+        return index_of[name]
+
+    def tensor_index(name: str) -> tuple[int, ...]:
+        pair = name.split("x")
+        if len(pair) != 2:
+            raise UsageError(f"tensor term {name!r} is not <a>x<b>")
+        return tuple(map(index, pair))
+
+    read_value = {
+        "ring": lambda value: _fields(value, ("name", "mode")),
+        "basis": lambda value: [int(v) for v in _fields(value, ("degree", "perversity"))],
+        "unit": index,
+        "mul": lambda value: _parse_terms(value, index),
+        "pairing": _rational,
+        "diag2": lambda value: _parse_terms(value, tensor_index),
+        "euler": lambda value: _parse_terms(value, index),
+    }
+    data: dict[str, dict] = {kind: {} for kind in _LINE_NAMES}
+    for (kind, *key_names), (where, value) in lines.items():
+        try:
+            data[kind][tuple(map(index, key_names))] = read_value[kind](value)
+        except (UsageError, ValueError) as exc:  # int() raises ValueError
+            raise UsageError(f"{where}: {exc}") from None
+    if not data["ring"]:
+        raise UsageError("missing `ring name=... mode=...` header")
+    if not data["unit"]:
+        raise UsageError("missing `unit <name>` line")
+    name, mode = data["ring"][()]
     pairing = None
-    if mode == "compact" or pairing_lines:
+    if mode == "compact" or data["pairing"]:
         pairing = [[Fraction(0)] * len(names) for _ in names]
-        for a, b, rhs in pairing_lines:
-            try:
-                pairing[index_of[a]][index_of[b]] = Fraction(rhs.strip())
-            except (KeyError, ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"malformed pairing line for {a} {b}") from exc
+        for (i, j), c in data["pairing"].items():
+            pairing[i][j] = c
     diag2 = None
-    if mode == "open" or diag2_lines:
-        diag2 = {}
-        for g, rhs in diag2_lines:
-            if g not in index_of:
-                raise UsageError(f"diag2 line references unknown element {g!r}")
-            diag2[index_of[g]] = _parse_tensor_sum(rhs, index_of)
+    if mode == "open" or data["diag2"]:
+        diag2 = {g: tensor for (g,), tensor in data["diag2"].items()}
     ring = SurfaceRing(
         name=name,
         mode=mode,
         names=names,
-        degrees=[b[1] for b in basis],
-        perversities=[b[2] for b in basis],
-        unit=index_of[unit_name],
-        mul=mul,
+        degrees=[d for d, _ in data["basis"].values()],
+        perversities=[p for _, p in data["basis"].values()],
+        unit=data["unit"][()],
+        mul=data["mul"],
         pairing=pairing,
-        euler=_parse_sum(euler_text, index_of),
+        euler=data["euler"].get((), {}),
         diag2=diag2,
     )
     report = validate(ring)

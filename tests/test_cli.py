@@ -217,6 +217,32 @@ def test_series_compare_zero_denominator_exits_2(tmp_path, capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "show", "--ring", "{mul_without_equals}"),
+        ("ring", "show", "--ring", "{directory}"),
+        ("ring", "show", "--ring", "{not_utf8}"),
+        ("ring", "show", "--ring", "{missing}"),
+        ("series", "compare", "{directory}", "{directory}", "--up-to", "1"),
+        ("series", "bruteforce", "--preset", "a0", "-n", "-1"),
+        ("verify", "diagonal", "--preset", "a0", "-n", "-3"),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    paths = {
+        "mul_without_equals": tmp_path / "mul.ring",
+        "directory": tmp_path,
+        "not_utf8": tmp_path / "latin1.ring",
+        "missing": tmp_path / "missing.ring",
+    }
+    paths["mul_without_equals"].write_text(save_ring(preset("a0")) + "mul 1 a\n")
+    paths["not_utf8"].write_bytes(b"ring name=\xe9 mode=open\n")
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_series_bruteforce_matches_closed_coefficient(capsys):
     code, out, _ = run(capsys, "series", "bruteforce", "--preset", "a0", "-n", "3")
     assert code == 0

@@ -69,6 +69,8 @@ def test_brute_force_examples():
     d4 = preset("d4")
     assert brute_force_poincare(d4, 0) == {(0, 0): 1}
     assert brute_force_poincare(d4, 1) == {(0, 0): 1, (1, 2): 4, (2, 2): 1}
+    with pytest.raises(UsageError):
+        brute_force_poincare(d4, -1)
     a0 = preset("a0")
     cf = closed_form(SeriesSpec.parse("a0", 2))
     assert brute_force_poincare(a0, 2) == cf.coefficient_of_s(2)

@@ -1,5 +1,6 @@
 """Surface algebras: presets, validation, serialization, diagonal, filtered basis."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,126 @@ def test_load_rejects_compact_without_usable_pairing():
     )
     with pytest.raises(DataError):
         load_ring(stripped)
+
+
+A0_DOCUMENT = save_ring(preset("a0"))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # each edit replaces the line `old` of the a0 document, or appends
+        # when `old` is None; the error names the offending line
+        ("ring name=a0 mode=open", "ring name=a0", "expected name=... mode=..."),
+        ("ring name=a0 mode=open", "ring name=a0 mode=open 2", "expected name=..."),
+        ("ring name=a0 mode=open", "ring name=a0 name=b mode=open", "expected name="),
+        ("basis a degree=1 perversity=1", "basis a degree=1", "expected degree="),
+        ("basis a degree=1 perversity=1", "basis a degree=one perversity=1", "'one'"),
+        ("basis a degree=1 perversity=1", "basis degree=1 perversity=1", "expected degree="),
+        ("unit 1", "unit", "unknown basis element ''"),
+        ("unit 1", "unit 1 a", "unknown basis element '1 a'"),
+        ("mul a b = 1*w", "mul a b 1*w", "expected `mul <name> <name> = ...`"),
+        ("mul a b = 1*w", "mul a = 1*w", "expected `mul <name> <name> = ...`"),
+        ("mul a b = 1*w", "mul a q = 1*w", "unknown basis element 'q'"),
+        ("mul a b = 1*w", "mul a b = w", "malformed term 'w'"),
+        ("mul a b = 1*w", "mul a b = 1*q", "unknown basis element 'q'"),
+        ("mul a b = 1*w", "mul a b = 1/0*w", "malformed rational '1/0'"),
+        ("mul a b = 1*w", "mul a b = 1*w +", "malformed term ''"),
+        (None, "pairing a b = 1*w", "malformed rational '1*w'"),
+        (None, "pairing a = 1", "expected `pairing <name> <name> = ...`"),
+        (None, "diag2 1 = 1*a", "tensor term 'a' is not <a>x<b>"),
+        (None, "diag2 1 = 1*axbxw", "tensor term 'axbxw' is not <a>x<b>"),
+        (None, "diag2 1 = 1*axq", "unknown basis element 'q'"),
+        (None, "diag2 = 1*axb", "expected `diag2 <name> = ...`"),
+        ("euler =", "euler", "expected `euler = ...`"),
+        ("euler =", "euler w = 1*w", "expected `euler = ...`"),
+        ("euler =", "euler = 1*", "unknown basis element ''"),
+        (None, "muls a b = 1*w", "unknown line kind 'muls'"),
+        (None, "ring name=b mode=open", "a second `ring` line"),
+        (None, "basis a degree=1 perversity=1", "a second `basis a` line"),
+        (None, "unit a", "a second `unit` line"),
+        (None, "mul a b = 1*w", "a second `mul a b` line"),
+        (None, "pairing a b = 1\npairing a b = 1", "a second `pairing a b` line"),
+        (None, "diag2 1 = 1*axb\ndiag2 1 = 1*bxa", "a second `diag2 1` line"),
+        (None, "euler =", "a second `euler` line"),
+    ],
+)
+def test_load_rejects_malformed_line(old, new, message):
+    if old is None:
+        text = A0_DOCUMENT + new + "\n"
+    else:
+        assert old + "\n" in A0_DOCUMENT
+        text = A0_DOCUMENT.replace(old + "\n", new + "\n", 1)
+    with pytest.raises(UsageError, match=r"^line \d+ ") as info:
+        load_ring(text)
+    assert message in str(info.value)
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """One random edit: delete, replace or insert a character; blank a
+    space-separated token or copy one over another; or duplicate a line."""
+    op = rng.randrange(6)
+    if op < 3:
+        pos = rng.randrange(len(text))
+        ch = rng.choice(" =+*x/-#\t\n0125" + text)
+        return text[:pos] + ("", ch, ch + text[pos])[op] + text[pos + 1 :]
+    if op < 5:
+        tokens = text.split(" ")
+        tokens[rng.randrange(len(tokens))] = "" if op == 3 else rng.choice(tokens)
+        return " ".join(tokens)
+    lines = text.splitlines(keepends=True)
+    lines.insert(rng.randrange(len(lines)), rng.choice(lines))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_load_ring_mutants_raise_only_usage_or_data_errors(name):
+    rng = random.Random(name)
+    text = save_ring(preset(name))
+    for _ in range(300):
+        mutant = _mutant(text, rng)
+        try:
+            load_ring(mutant)
+        except (UsageError, DataError):
+            pass
+        except Exception as exc:
+            pytest.fail(f"{exc!r} loading the mutant\n{mutant}")
+
+
+def test_names_survive_save_and_load():
+    a0 = preset("a0")
+    ring = SurfaceRing(
+        name="a0#*+/",
+        mode="open",
+        names=("1", "*a", "#b", "w/2"),
+        degrees=a0.degrees,
+        perversities=a0.perversities,
+        unit=a0.unit,
+        mul={(i, j): dict(a0.mul_basis(i, j)) for i in range(4) for j in range(4)},
+        diag2={0: {(1, 2): 1, (2, 1): -1}},
+        euler={},
+    )
+    text = save_ring(ring)
+    loaded = load_ring(text)
+    assert (loaded.name, loaded.names) == (ring.name, ring.names)
+    assert save_ring(loaded) == text
+
+
+@pytest.mark.parametrize(
+    "ring_name, basis_name",
+    [("a b", "v"), ("a=b", "v"), ("r", "a+"), ("r", "a="), ("r", "a b"), ("r", "ax")],
+)
+def test_names_a_document_cannot_carry_are_rejected(ring_name, basis_name):
+    with pytest.raises(UsageError):
+        SurfaceRing(
+            name=ring_name,
+            mode="open",
+            names=("1", basis_name),
+            degrees=(0, 2),
+            perversities=(0, 2),
+            unit=0,
+            mul={},
+        )
 
 
 # -- diagonal pushforward ------------------------------------------------------
