@@ -72,16 +72,23 @@ def _add_common(
     parser.add_argument("--format", choices=("text", "json"), default="text")
     if limit:
         parser.add_argument(
-            "--limit", type=int, default=DEFAULT_LIMIT, help="resource limit override"
+            "--limit", type=_positive_int, default=DEFAULT_LIMIT, help="resource limit override"
         )
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
 
 def _non_negative_int(text: str) -> int:
-    """The argparse type of every -n: decimal digits only."""
+    """The argparse type of every -n, --s-bound and --up-to: decimal digits only."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of --limit: decimal digits, not all zero."""
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
@@ -306,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     closed = series_sub.add_parser("closed", help="closed-form family expansion")
     closed.add_argument("--case", required=True, help=f"one of {', '.join(CASE_NAMES)}")
-    closed.add_argument("--s-bound", type=int, required=True, dest="s_bound")
+    closed.add_argument("--s-bound", type=_non_negative_int, required=True, dest="s_bound")
     closed.set_defaults(func=_cmd_series, action="closed")
 
     refined = series_sub.add_parser("refined", help="refined product from ring data")
     _add_ring_source(refined)
-    refined.add_argument("--s-bound", type=int, required=True, dest="s_bound")
+    refined.add_argument("--s-bound", type=_non_negative_int, required=True, dest="s_bound")
     refined.set_defaults(func=_cmd_series, action="refined")
 
     brute = series_sub.add_parser("bruteforce", help="orbit-count Poincare polynomial")
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = series_sub.add_parser("compare", help="compare two series files")
     compare.add_argument("series_a")
     compare.add_argument("series_b")
-    compare.add_argument("--up-to", type=int, required=True, dest="up_to")
+    compare.add_argument("--up-to", type=_non_negative_int, required=True, dest="up_to")
     _add_common(compare)
     compare.set_defaults(func=_cmd_series, action="compare")
 

@@ -302,6 +302,8 @@ def compare_series(
     a: TruncatedSeries, b: TruncatedSeries, up_to_s: int
 ) -> ComparisonReport:
     """Equality of truncations; reports the lexicographically first difference."""
+    if up_to_s < 0:
+        raise UsageError(f"up_to_s must be non-negative, got {up_to_s}")
     if a.s_bound < up_to_s or b.s_bound < up_to_s:
         raise UsageError(
             f"both series must be truncated at s_bound >= {up_to_s} "

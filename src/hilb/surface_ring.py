@@ -8,10 +8,12 @@ pushforward along the diagonal (open mode).
 
 Classes of the ring are sparse vectors `dict[int, Fraction]` over basis
 indices; classes of m-fold tensor powers are `dict[tuple[int, ...], Fraction]`
-over index tuples.  Tensor factors of odd degree obey Koszul signs; the
-reordering sign of a permutation pi on homogeneous factors is
+over index tuples.  Tensor factors of odd degree obey Koszul signs: a move
+of homogeneous factors, the factor in slot i going to slot dst[i], has sign
 
-    (-1) ** #{ i < j : pi puts j before i and deg_i, deg_j both odd }.
+    (-1) ** #{ i < j : dst[i] > dst[j] and deg_i, deg_j both odd },
+
+read off the move's `inverted_pairs` by `koszul_sign`, the one sign rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import DataError, ModeError, UsageError
@@ -76,6 +78,8 @@ class SurfaceRing:
         self.mode = mode
         self.names = tuple(names)
         self.degrees = tuple(int(d) for d in degrees)
+        # decided once: a ring with only even classes has no Koszul signs
+        self.has_odd = any(d % 2 for d in self.degrees)
         self.perversities = tuple(int(p) for p in perversities)
         k = len(self.names)
         if len(set(self.names)) != k:
@@ -201,18 +205,20 @@ class SurfaceRing:
 # -- Koszul helpers -------------------------------------------------------
 
 
-def koszul_reorder_sign(degrees: Iterable[int], new_positions: Iterable[int]) -> int:
-    """Sign for reordering homogeneous factors: factor at old slot i moves to
-    new slot new_positions[i]; each inverted pair of odd factors contributes -1."""
-    degs = list(degrees)
-    pos = list(new_positions)
+def inverted_pairs(dst: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The slot pairs i < j that the move sending slot i to dst[i] inverts."""
+    k = len(dst)
+    return tuple((i, j) for i in range(k) for j in range(i + 1, k) if dst[i] > dst[j])
+
+
+def koszul_sign(degrees: Sequence[int], factors: Sequence[int], inverted) -> int:
+    """Koszul sign of a move of the basis factors `factors` (slot i holds one
+    of degree degrees[factors[i]]), given the move's inverted slot pairs:
+    -1 for each inverted pair of odd factors."""
     sign = 1
-    for i in range(len(degs)):
-        if degs[i] % 2 == 0:
-            continue
-        for j in range(i + 1, len(degs)):
-            if degs[j] % 2 and pos[i] > pos[j]:
-                sign = -sign
+    for i, j in inverted:
+        if degrees[factors[i]] % 2 and degrees[factors[j]] % 2:
+            sign = -sign
     return sign
 
 
@@ -290,8 +296,7 @@ def validate(ring: SurfaceRing) -> CheckReport:
         for g in range(k):
             push = _diag_push_basis(ring, 2, g)
             swapped = {
-                (b, a): -c if degs[a] % 2 and degs[b] % 2 else c
-                for (a, b), c in push.items()
+                (b, a): koszul_sign(degs, (a, b), ((0, 1),)) * c for (a, b), c in push.items()
             }
             if swapped != push:
                 w("diagonal-symmetry", element=names[g])
@@ -491,8 +496,8 @@ def _preset_abelian() -> SurfaceRing:
     index_of = {s: i for i, s in enumerate(subsets)}
 
     def merge_sign(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        inversions = sum(1 for a in s for b in t if b < a)
-        return -1 if inversions % 2 else 1
+        # the move of the odd generators of s + t to their sorted order
+        return koszul_sign((1,) * 4, s + t, inverted_pairs(s + t))
 
     one = Fraction(1)
     mul: dict[tuple[int, int], Vec] = {}

@@ -13,9 +13,12 @@ orbits of <sigma, tau>, multiplies there, inserts Euler-class powers e^g
 prescribed by the graph defect (with e^g = 0 for g >= 2, since e sits in top
 degree), and pushes forward to the orbits of <sigma tau>; `local_product` is
 that step on one joint orbit, shared with the multiplicativity checker.
-Odd-degree factors contribute Koszul signs at every reordering; the
-pushforward sign is fixed to the reordering sign of moving the inserted
-diagonal components into canonical orbit order.
+Odd-degree factors give the Koszul sign (`surface_ring.koszul_sign`) of
+each move of tensor factors, planned once per permutation pair.  The action
+moves sigma's orbits to their relabeled ranks.  The cup product makes two
+moves: `pull` takes x's slots, then y's, to joint-orbit order (x's before
+y's on each joint orbit); `push` takes the product's components, read in
+joint-orbit order, to the canonical slots of sigma tau.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .surface_ring import (
     Tensor,
     Vec,
     diagonal_push,
-    koszul_reorder_sign,
+    inverted_pairs,
+    koszul_sign,
     validate,
 )
 from .symmetric_groups import (
@@ -178,24 +182,15 @@ def render_class(ring: SurfaceRing, cls: WreathClass) -> str:
 
 @lru_cache(maxsize=None)
 def _act_plan(tau_images: tuple[int, ...], sigma_images: tuple[int, ...]):
-    """Conjugation transport: new permutation, position map, inverted pairs."""
-    n = len(tau_images)
+    """Conjugation transport: the new permutation, and the move of sigma's
+    orbits to their relabeled ranks, as target slots and inverted pairs."""
     tau = Perm(tau_images)
     sigma = Perm(sigma_images)
     new_sigma = tau.compose(sigma).compose(tau.inverse())
     old_blocks = _perm_orbit_blocks(sigma_images)
     image_mins = [min(tau(v) for v in block) for block in old_blocks]
-    ranked = sorted(range(len(old_blocks)), key=lambda m: image_mins[m])
-    new_pos = [0] * len(old_blocks)
-    for rank, m in enumerate(ranked):
-        new_pos[m] = rank
-    inverted = tuple(
-        (i, j)
-        for i in range(len(old_blocks))
-        for j in range(i + 1, len(old_blocks))
-        if new_pos[i] > new_pos[j]
-    )
-    return new_sigma, tuple(new_pos), inverted
+    new_pos = tuple(sorted(image_mins).index(v) for v in image_mins)
+    return new_sigma, new_pos, inverted_pairs(new_pos)
 
 
 def sn_act(ring: SurfaceRing, tau: Perm, x: WreathElement) -> tuple[int, WreathElement]:
@@ -206,12 +201,7 @@ def sn_act(ring: SurfaceRing, tau: Perm, x: WreathElement) -> tuple[int, WreathE
     new_factors = [0] * len(x.factors)
     for m, f in enumerate(x.factors):
         new_factors[new_pos[m]] = f
-    sign = 1
-    if inverted:
-        degs = ring.degrees
-        for i, j in inverted:
-            if degs[x.factors[i]] % 2 and degs[x.factors[j]] % 2:
-                sign = -sign
+    sign = koszul_sign(ring.degrees, x.factors, inverted) if ring.has_odd else 1
     return sign, WreathElement(n=x.n, sigma=new_sigma, factors=tuple(new_factors))
 
 
@@ -239,13 +229,28 @@ def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
 
 @lru_cache(maxsize=None)
 def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
-    """Per joint orbit of <sigma, tau>: the ranks of the orbits of sigma, tau
-    and sigma tau inside it, and its graph defect."""
+    """sigma tau; per joint orbit of <sigma, tau>, the ranks of sigma's and
+    tau's orbits inside it, its graph defect g and its number m_res of
+    orbits of sigma tau; and the product's two moves, each by its inverted
+    slot pairs.
+
+    `pull` moves x's slots, then y's slots, to joint-orbit order, x's before
+    y's on each joint orbit.  `push` moves the product's components, read in
+    joint-orbit order, to the canonical slots `dst` of sigma tau.
+    """
     st = Perm(tuple(sigma_images[j - 1] for j in tau_images))
     blocks, ranks = joint_orbits(sigma_images, tau_images, st.images)
-    x_groups, y_groups, dst_groups = (tuple(r[col] for r in ranks) for col in range(3))
-    g_values = tuple(signature_defect(len(b), *map(len, r)) for b, r in zip(blocks, ranks))
-    return st, x_groups, y_groups, dst_groups, g_values
+    local = tuple(
+        (xg, yg, signature_defect(len(b), len(xg), len(yg), len(dg)), len(dg))
+        for b, (xg, yg, dg) in zip(blocks, ranks)
+    )
+    # x's slot m is pull slot m and y's slot m is pull slot kx + m; `order`
+    # lists the pull slots in joint-orbit order
+    kx = sum(len(xg) for xg, *_ in local)
+    order = [s for xg, yg, *_ in local for s in (*xg, *(kx + m for m in yg))]
+    dst = tuple(m for *_, dg in ranks for m in dg)
+    pull = inverted_pairs([order.index(s) for s in range(len(order))])
+    return st, local, pull, dst, inverted_pairs(dst)
 
 
 def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
@@ -302,62 +307,39 @@ def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
 
 
 def _cup_terms(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
-    """The product joint orbit by joint orbit, assembled with Koszul signs."""
-    n = x.n
-    st, x_groups, y_groups, dst_groups, g_values = _cup_plan(
-        x.sigma.images, y.sigma.images
-    )
-    out = WreathClass(n)
-    if any(euler_vanishes(g) for g in g_values):
+    """The product joint orbit by joint orbit, assembled by two slot moves.
+
+    `pull` brings x's and y's factors to joint-orbit order, where each joint
+    orbit's factors are merged and multiplied (`local_product`); `push`
+    takes each term's components to their slots `dst` of sigma tau.  Each
+    move contributes its Koszul sign, taken only on rings with odd classes.
+    """
+    st, local, pull, dst, push = _cup_plan(x.sigma.images, y.sigma.images)
+    out = WreathClass(x.n)
+    if any(euler_vanishes(g) for _, _, g, _ in local):
         return out
     pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
-    for xg, yg, dg, g in zip(x_groups, y_groups, dst_groups, g_values):
+    for xg, yg, g, m_res in local:
         mx = _mul_sequence(ring, tuple(x.factors[m] for m in xg))
-        if not mx:
-            return out
-        my = _mul_sequence(ring, tuple(y.factors[m] for m in yg))
-        if not my:
-            return out
-        split = local_product(ring, mx, my, g, len(dg))
+        my = _mul_sequence(ring, tuple(y.factors[m] for m in yg)) if mx else {}
+        split = local_product(ring, mx, my, g, m_res) if my else {}
         if not split:
             return out
         pushed.append(sorted(split.items()))
-
-    degs = ring.degrees
-    has_odd = any(d % 2 for d in degs)
-    sign = 1
-    if has_odd:
-        # regroup each factor sequence by joint orbit, then interleave the
-        # two regrouped tensors orbit by orbit
-        for factors, groups in ((x.factors, x_groups), (y.factors, y_groups)):
-            new_pos = [0] * len(factors)
-            for rank, m in enumerate(m for grp in groups for m in grp):
-                new_pos[m] = rank
-            sign *= koszul_reorder_sign([degs[f] for f in factors], new_pos)
-        par_x = [sum(degs[x.factors[m]] for m in grp) % 2 for grp in x_groups]
-        par_y = [sum(degs[y.factors[m]] for m in grp) % 2 for grp in y_groups]
-        for i in range(len(g_values)):
-            for j in range(i + 1, len(g_values)):
-                if par_y[i] and par_x[j]:
-                    sign = -sign
-
-    n_dst = sum(len(d) for d in dst_groups)
+    degs, odd = ring.degrees, ring.has_odd
+    sign = koszul_sign(degs, x.factors + y.factors, pull) if odd else 1
     for combo in iproduct(*pushed):
         coeff = sign
-        flat_positions: list[int] = []
-        flat_factors: list[int] = []
-        for k, (sub_key, c) in enumerate(combo):
+        flat: list[int] = []
+        for key, c in combo:
             coeff *= c
-            flat_positions.extend(dst_groups[k])
-            flat_factors.extend(sub_key)
-        if has_odd:
-            coeff *= koszul_reorder_sign(
-                [degs[f] for f in flat_factors], flat_positions
-            )
-        new_key = [0] * n_dst
-        for pos, f in zip(flat_positions, flat_factors):
-            new_key[pos] = f
-        out.add_term(WreathElement(n=n, sigma=st, factors=tuple(new_key)), coeff)
+            flat += key
+        if odd:
+            coeff *= koszul_sign(degs, flat, push)
+        factors = [0] * len(dst)
+        for slot, f in zip(dst, flat):
+            factors[slot] = f
+        out.add_term(WreathElement(n=x.n, sigma=st, factors=tuple(factors)), coeff)
     return out
 
 
@@ -654,7 +636,7 @@ def check_associativity(
         "seed": seed,
         "local_suites": local_suites,
     }
-    if not any(d % 2 for d in ring.degrees):
+    if not ring.has_odd:
         return run_suite("associativity", info, found)
     # the orbit-local pass cannot see cross-orbit Koszul assembly, so odd
     # rings get a genuinely global pass: exhaustive when the pruned

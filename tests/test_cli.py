@@ -1,10 +1,11 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from hilb.cli import main
+from hilb.cli import build_parser, main
 from hilb.surface_ring import SurfaceRing, preset, save_ring
 
 
@@ -227,6 +228,14 @@ def test_series_compare_zero_denominator_exits_2(tmp_path, capsys):
         ("series", "compare", "{directory}", "{directory}", "--up-to", "1"),
         ("series", "bruteforce", "--preset", "a0", "-n", "-1"),
         ("verify", "diagonal", "--preset", "a0", "-n", "-3"),
+        # a limit below 1 once sent exhaustive suites to sampling, and
+        # --up-to -1 once reported "equal through s^-1"
+        ("verify", "associativity", "--preset", "a0", "-n", "2", "--limit", "-5"),
+        ("verify", "equivariance", "--preset", "a0", "-n", "2", "--limit", "0"),
+        ("series", "bruteforce", "--preset", "a0", "-n", "1", "--limit", "0"),
+        ("series", "closed", "--case", "dynkin4", "--s-bound", "-1"),
+        ("series", "refined", "--preset", "d4", "--s-bound", "-1"),
+        ("series", "compare", "{series}", "{series}", "--up-to", "-1"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
@@ -235,12 +244,33 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "directory": tmp_path,
         "not_utf8": tmp_path / "latin1.ring",
         "missing": tmp_path / "missing.ring",
+        "series": tmp_path / "one.series",
     }
+    paths["series"].write_text("series s_bound=1\n1/1 0 0 0\n")
     paths["mul_without_equals"].write_text(save_ring(preset("a0")) + "mul 1 a\n")
     paths["not_utf8"].write_bytes(b"ring name=\xe9 mode=open\n")
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert "error:" in err
+
+
+def test_every_integer_flag_but_seed_has_a_checked_type():
+    def actions(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+            else:
+                yield action
+
+    typed = {}
+    for action in actions(build_parser()):
+        for option in action.option_strings:
+            typed.setdefault(action.type, set()).add(option)
+    assert typed.get(int, set()) <= {"--seed"}
+    assert {"-n", "--limit", "--s-bound", "--up-to"} <= set().union(
+        *(options for kind, options in typed.items() if kind not in (None, int))
+    )
 
 
 def test_series_bruteforce_matches_closed_coefficient(capsys):

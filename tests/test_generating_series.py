@@ -186,6 +186,8 @@ def test_compare_series():
     assert (report.coeff_a, report.coeff_b) == (4, 6)
     with pytest.raises(UsageError):
         compare_series(a, TruncatedSeries.one(1), 3)
+    with pytest.raises(UsageError):
+        compare_series(a, a, -1)  # "equal through s^-1" says nothing
 
 
 def test_poly_render():

@@ -1,6 +1,7 @@
 """Abstract perversity and the filtration checkers."""
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 from math import factorial
 
@@ -129,12 +130,16 @@ def test_joint_signatures_match_restricted_orbit_counts(n):
     # orbits inside the block, for every (sigma, tau, sigma tau) and, at
     # n <= 3, every (sigma, tau, rho).  Its views: the signatures against
     # orbit counts of the restrictions to each joint orbit, the graph defect
-    # against the signature formula, and _cup_plan's groups against a scan for
-    # the orbits whose minimum lies in the block
+    # against the signature formula, _cup_plan's groups against a scan for
+    # the orbits whose minimum lies in the block, and its two moves against
+    # their definitions
     perms = list(enumerate_sn(n))
 
     def ranks_in(joint_block, blocks):
         return tuple(m for m, b in enumerate(blocks) if b[0] in joint_block)
+
+    def inversions(keys):
+        return tuple((i, j) for i, j in combinations(range(len(keys)), 2) if keys[i] > keys[j])
 
     for sigma in perms:
         for tau in perms:
@@ -148,12 +153,29 @@ def test_joint_signatures_match_restricted_orbit_counts(n):
             assert ranks == [
                 tuple(_ranks_inside(p, block) for p in (sigma, tau, st)) for block in blocks
             ], context
-            plan_st, *groups, g_values = _cup_plan(sigma.images, tau.images)
-            assert plan_st == st and g_values == tuple(defects.values()), context
-            assert groups == [
+            plan_st, local, pull, dst, push = _cup_plan(sigma.images, tau.images)
+            assert plan_st == st, context
+            assert [g for _, _, g, _ in local] == list(defects.values()), context
+            groups = [
                 tuple(ranks_in(block, _perm_orbit_blocks(p.images)) for block in blocks)
                 for p in (sigma, tau, st)
-            ], context
+            ]
+            assert [xg for xg, _, _, _ in local] == list(groups[0]), context
+            assert [yg for _, yg, _, _ in local] == list(groups[1]), context
+            assert [m_res for _, _, _, m_res in local] == list(map(len, groups[2])), context
+            # push: the product's components, read in joint-orbit order, go to
+            # sigma tau's ranks in that order
+            assert dst == tuple(m for dg in groups[2] for m in dg), context
+            assert push == inversions(dst), context
+            # pull: x's slots, then y's, sorted by (joint orbit, side, rank)
+            keys = [
+                (k, side, m)
+                for side, p in enumerate((sigma, tau))
+                for m, b in enumerate(_perm_orbit_blocks(p.images))
+                for k, block in enumerate(blocks)
+                if b[0] in block
+            ]
+            assert pull == inversions(keys), context
             for block, signature in zip(blocks, signatures):
                 m, a, b, m_res = _signature(sigma, tau, block)
                 assert signature == (m, a, b, m_res), context

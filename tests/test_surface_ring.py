@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,6 +14,8 @@ from hilb.surface_ring import (
     diagonal_push,
     e8_cartan,
     filtered_basis,
+    inverted_pairs,
+    koszul_sign,
     load_ring,
     preset,
     save_ring,
@@ -373,6 +376,39 @@ def test_adjunction_defines_compact_diagonal():
                         )
                     rhs = ring.pairing_eval({g: 1}, ring.mul_class({x: 1}, {y: 1}))
                     assert lhs == rhs, (name, ring.names[g], ring.names[x], ring.names[y])
+
+
+def _sign_by_adjacent_swaps(odd: tuple[int, ...], dst: tuple[int, ...]) -> int:
+    """The Koszul sign of a move made one adjacent swap at a time (bubble sort
+    on the target slots): each swap of two odd neighbours is one -1."""
+    slots = list(zip(dst, odd))
+    sign = 1
+    for end in range(len(slots) - 1, 0, -1):
+        for i in range(end):
+            if slots[i][0] > slots[i + 1][0]:
+                if slots[i][1] and slots[i + 1][1]:
+                    sign = -sign
+                slots[i], slots[i + 1] = slots[i + 1], slots[i]
+    return sign
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_koszul_sign_matches_its_definition(k):
+    # every move of k <= 6 slots and every parity pattern; basis factor f
+    # has degree degrees[f], so factor 0 is even and factor 1 odd
+    degrees = (2, 3)
+    for dst in permutations(range(k)):
+        inverted = inverted_pairs(dst)
+        assert inverted == tuple(
+            (i, j) for i, j in combinations(range(k), 2) if dst[i] > dst[j]
+        )
+        for factors in product((0, 1), repeat=k):
+            expected = _sign_by_adjacent_swaps(factors, dst)
+            assert koszul_sign(degrees, factors, inverted) == expected, (dst, factors)
+
+
+def test_only_the_odd_presets_have_odd_classes():
+    assert [name for name in PRESET_NAMES if preset(name).has_odd] == ["a0", "abelian"]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

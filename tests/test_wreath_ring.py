@@ -520,3 +520,36 @@ def test_triple_survivors_match_brute_force_count(name):
         assert _triple_survivors(ring, [(sigma, tau, rho)]) == count, (sigma, tau, rho)
         total += count
     assert _triple_survivors(ring, triples) == total
+
+
+# sha256 over every render_class(cup(x, y)) (x, y in basis order) and then
+# every "sign render_element(image)" of sn_act (tau in enumerate_sn order),
+# one line each, pinned before the Koszul signs were read off slot plans;
+# a cycle string restricts the basis to that permutation
+_PRODUCT_AND_ACTION_SHA256 = {
+    ("a0", 3, None): "4868aa8fca80c8a7cc0474bf994469dc3e2ecc4759428f58a75f578632b8c721",
+    ("abelian", 2, None): "1912e00918eabf077314b4fad85a9d71a0a2875b10d55f6efaa09ec3c6f20df9",
+    ("abelian", 3, "(1 3)"): "64c29ce37456eb3a461fc9c8c2c8052973c43367e555be8de848cfeebb678dbd",
+    ("d4", 3, None): "51f20dec46f14e9202b67c21906cccb1e35d8c2fcb5ad4f9efa0aeb84883095f",
+}
+
+
+@pytest.mark.parametrize("name,n,only", sorted(_PRODUCT_AND_ACTION_SHA256, key=str))
+def test_every_product_and_action_image_unchanged(name, n, only):
+    # a0 and abelian carry odd classes, so every Koszul sign of the action
+    # and of the cup product's pull move is in the digest; d4 is the even
+    # control.  The push move inverts odd components only from n = 3 on, and
+    # there only for sigma = tau = (1 3): its joint orbit {1, 3} pushes to
+    # slots 0 and 2 of sigma tau = id, around slot 1 of the joint orbit {2}
+    ring = preset(name)
+    basis = list(enumerate_wreath_basis(ring, n))
+    if only is not None:
+        basis = [x for x in basis if x.sigma == parse_cycles(only, n)]
+    digest = hashlib.sha256()
+    for x, y in product(basis, repeat=2):
+        digest.update(render_class(ring, cup(ring, x, y)).encode() + b"\n")
+    for tau in enumerate_sn(n):
+        for x in basis:
+            sign, moved = sn_act(ring, tau, x)
+            digest.update(f"{sign} {render_element(ring, moved)}\n".encode())
+    assert digest.hexdigest() == _PRODUCT_AND_ACTION_SHA256[(name, n, only)]
