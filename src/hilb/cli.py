@@ -112,8 +112,9 @@ def _resolve_ring(args) -> SurfaceRing:
 
 def _parse_element_spec(ring: SurfaceRing, n: int, spec: str):
     """Parse `factors;cycles`, factors comma-separated, each `name` (in
-    canonical orbit order) or `name@orbit-minimum`; unassigned orbits under
-    the @ form default to the unit."""
+    canonical orbit order) or `name@orbit-minimum` (decimal digits, each
+    orbit at most once); unassigned orbits under the @ form default to the
+    unit."""
     if ";" not in spec:
         raise UsageError(f"element spec needs `factors;cycles`: {spec!r}")
     factor_text, cycle_text = spec.rsplit(";", 1)
@@ -126,16 +127,19 @@ def _parse_element_spec(ring: SurfaceRing, n: int, spec: str):
     factors = [ring.unit] * len(blocks)
     if tagged:
         mins = {block[0]: i for i, block in enumerate(blocks)}
+        seen = set()
         for entry in entries:
             name, at = entry.split("@", 1)
-            try:
-                anchor = int(at)
-            except ValueError:
-                raise UsageError(f"orbit anchor must be an integer: {entry!r}")
+            if not at.isdecimal():
+                raise UsageError(f"orbit anchor must be decimal digits: {entry!r}")
+            anchor = int(at)
             if anchor not in mins:
                 raise UsageError(
                     f"{anchor} is not the minimum of an orbit of {sigma.cycle_string()}"
                 )
+            if anchor in seen:
+                raise UsageError(f"orbit anchor {anchor} given twice in {spec!r}")
+            seen.add(anchor)
             factors[mins[anchor]] = ring.index(name)
     else:
         if len(entries) != len(blocks):
@@ -212,10 +216,7 @@ def _cmd_mul(args) -> int:
 VERIFY_SUITES = {
     "multiplicativity": (("ring",), lambda ring, n, a: check_multiplicativity(ring, n)),
     "diagonal": (("ring",), lambda ring, n, a: check_diagonal_bound(ring, n_max=max(n, 2))),
-    "associativity": (
-        ("ring", "limit", "seed"),
-        lambda ring, n, a: check_associativity(ring, n, limit=a.limit, seed=a.seed),
-    ),
+    "associativity": (("ring",), lambda ring, n, a: check_associativity(ring, n)),
     "equivariance": (
         ("ring", "limit", "seed"),
         lambda ring, n, a: check_equivariance(ring, n, limit=a.limit, seed=a.seed),

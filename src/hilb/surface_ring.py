@@ -289,12 +289,15 @@ def validate(ring: SurfaceRing) -> CheckReport:
 
     # Delta_2 must be Koszul-symmetric and coassociative, so that the iterated
     # pushforward Delta_m is symmetric in its m slots (the cup product's
-    # S_n-equivariance rests on this); skipped where Delta_2 is undefined,
-    # which the mode and pairing axioms already report
+    # S_n-equivariance rests on this), and must preserve parity (the
+    # orbit-local associativity check on odd rings rests on this); skipped
+    # where Delta_2 is undefined, which the mode and pairing axioms report
     if nondegenerate if ring.is_compact else has_diag2:
         degs = ring.degrees
         for g in range(k):
             push = _diag_push_basis(ring, 2, g)
+            if any((degs[a] + degs[b] - degs[g]) % 2 for a, b in push):
+                w("diagonal-parity", element=names[g])
             swapped = {
                 (b, a): koszul_sign(degs, (a, b), ((0, 1),)) * c for (a, b), c in push.items()
             }

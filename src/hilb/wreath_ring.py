@@ -18,13 +18,14 @@ each move of tensor factors, planned once per permutation pair.  The action
 moves sigma's orbits to their relabeled ranks.  The cup product makes two
 moves: `pull` takes x's slots, then y's, to joint-orbit order (x's before
 y's on each joint orbit); `push` takes the product's components, read in
-joint-orbit order, to the canonical slots of sigma tau.
+joint-orbit order, to the canonical slots of sigma tau.  Both bracketings of
+a triple product share their moves across joint orbits, so associativity is
+checked one joint orbit at a time on every ring (`check_associativity`).
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +33,7 @@ from itertools import chain
 from itertools import product as iproduct
 from math import factorial
 
-from .errors import ResourceError, UsageError
+from .errors import DataError, ResourceError, UsageError
 from .report import CheckReport, run_suite
 from .surface_ring import (
     SurfaceRing,
@@ -454,31 +455,6 @@ def max_degree(n: int, perm: Perm) -> int:
 # -- verification suites ---------------------------------------------------------
 
 
-def _triple_survivors(ring: SurfaceRing, triples) -> int:
-    """How many (x, y, z) factor triples over the given permutation triples
-    survive the degree-capacity cut; each permutation's degree histogram is
-    read once off _elements_by_degree."""
-    hists = {
-        p: Counter(d for d, _ in _elements_by_degree(ring, p))
-        for p in set(chain.from_iterable(triples))
-    }
-    total = 0
-    for sigma, tau, rho in triples:
-        cap = max_degree(sigma.n, sigma.compose(tau).compose(rho))
-        hz = hists[rho].items()
-        for dx, cx in hists[sigma].items():
-            for dy, cy in hists[tau].items():
-                total += cx * cy * sum(c for dz, c in hz if dx + dy + dz <= cap)
-    return total
-
-
-def _associates(ring: SurfaceRing, x, y, z, xy: WreathClass | None = None) -> bool:
-    """(x.y).z = x.(y.z); `xy` may carry the memoized x.y."""
-    if xy is None:
-        xy = cup(ring, x, y)
-    return cup_class(ring, xy, z) == cup_class(ring, x, cup(ring, y, z))
-
-
 def _triple_witness(ring: SurfaceRing, x, y, z) -> dict:
     return {
         "x": render_element(ring, x),
@@ -498,6 +474,17 @@ _EQUIVARIANCE_AXIOMS = frozenset(
     }
 )
 
+# validate's axioms that make the product, e and Delta_2 preserve parity
+_PARITY_AXIOMS = frozenset({"degree-additivity", "euler-degree", "diagonal-parity"})
+
+
+def _failing_axioms(ring: SurfaceRing) -> frozenset[str]:
+    """The axioms `validate` reports violated; read once per ring."""
+    cache = ring._caches.setdefault("validate", {})
+    if "failing" not in cache:
+        cache["failing"] = frozenset(w["axiom"] for w in validate(ring).witnesses)
+    return cache["failing"]
+
 
 def cup_equivariant(ring: SurfaceRing) -> bool:
     """Whether the ring has what makes its cup product S_n-equivariant.
@@ -505,13 +492,9 @@ def cup_equivariant(ring: SurfaceRing) -> bool:
     Relabelling the points reorders the merged factors of a joint orbit and
     the slots of the diagonal pushforward; graded commutativity and
     associativity of the surface product absorb the first, a Koszul-symmetric
-    coassociative Delta_2 the second.  Read once per ring from `validate`.
+    coassociative Delta_2 the second.
     """
-    cache = ring._caches.setdefault("cup_equivariant", {})
-    if "holds" not in cache:
-        axioms = {w["axiom"] for w in validate(ring).witnesses}
-        cache["holds"] = not axioms & _EQUIVARIANCE_AXIOMS
-    return cache["holds"]
+    return not _failing_axioms(ring) & _EQUIVARIANCE_AXIOMS
 
 
 def _associativity_triples(
@@ -541,7 +524,7 @@ def _associativity_triples(
 def _violating_triples(
     ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
 ) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
-    """Every basis triple over (sigma, tau, rho) that fails associativity,
+    """Every basis triple over (sigma, tau, rho) with (x.y).z != x.(y.z),
     enumeration pruned by the degree capacity of the target component (below
     which both sides vanish)."""
     m = sigma.n
@@ -565,7 +548,9 @@ def _violating_triples(
                 if dx + dy + dz > cap:
                     break
                 z = WreathElement(m, rho, fz)
-                if not _associates(ring, x, y, z, xy):
+                yz = cup(ring, y, z)
+                # both sides vanish when x.y and y.z do
+                if (xy or yz) and cup_class(ring, xy, z) != cup_class(ring, x, yz):
                     bad.append((x, y, z))
     return bad
 
@@ -583,42 +568,55 @@ def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> W
     return WreathElement(n=sigma.n, sigma=sigma, factors=tuple(factors))
 
 
-def check_associativity(
-    ring: SurfaceRing,
-    n: int,
-    limit: int = DEFAULT_LIMIT,
-    seed: int = 0,
-    sample_size: int = 100_000,
-) -> CheckReport:
-    """(x.y).z = x.(y.z) over basis triples.
+def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport:
+    """(x.y).z = x.(y.z) over basis triples, one joint orbit at a time.
 
-    The check factorizes over the joint orbits of the three permutations:
-    each joint orbit is an independent transitive subproblem, checked
-    exhaustively with degree-capacity pruning, and a local violation lifts to
-    a global one by padding the other orbits with units.  For rings with odd
-    classes the cross-orbit Koszul assembly is exercised by the genuinely
-    global pruned enumeration whenever it fits the resource limit (it does
-    for the a0 preset); otherwise a seeded global sample supplements the
-    orbit-local pass.
+    Each joint orbit B of <sigma, tau, rho> is an independent transitive
+    subproblem, checked exhaustively with degree-capacity pruning; a local
+    violation on m points lifts to a global one on n points, with the other
+    points carrying the identity and units.  The local pass is exact for
+    every ring, Koszul signs included.  In `_cup_terms` each bracketing of
+    x.y.z is a composite of slot moves, each with its Koszul sign, and of
+    even maps (the merged product, e^g, Delta_m), each acting only on the
+    slots of one B.  An even map commutes without sign with a move of slots
+    it does not touch, and a composite of moves has the sign of the
+    composite permutation (`koszul_sign`).  So
 
-    Both passes solve one problem per class of permutation triples under
+        (xy)z = M_out o (tensor over B of (x_B y_B) z_B) o M_in,
+
+    and x(yz) has the same form with the same M_in (x's, y's and z's slots
+    to block order) and M_out (block order to the slots of sigma tau rho):
+    the associator vanishes iff every local one does.  The argument needs
+    the product, e and Delta_2 to preserve parity; `validate` checks that
+    (`degree-additivity`, `euler-degree`, `diagonal-parity`), and a ring
+    with odd classes that breaks one of them raises DataError.  Even rings
+    do no sign work and are not gated.
+
+    One problem is solved per class of permutation triples under
     simultaneous conjugation: the memo is keyed by the least conjugate
     t(sigma, tau, rho)t^-1, and its violating triples are moved back along
     t^-1 with `sn_act`.  That is exact when the cup product is
     S_n-equivariant: then t.((xy)z) and t.(x(yz)) carry the same sign against
     ((t x)(t y))(t z) and (t x)((t y)(t z)), so the violating set moves as a
-    set.  Equivariance follows from graded
-    commutativity and associativity of the surface product and a
-    Koszul-symmetric, coassociative Delta_2 (`cup_equivariant` reads them from
-    `validate`).  A ring that lacks one of them may have a non-equivariant
-    cup product, whose violating sets differ between conjugate triples, so it
-    keys the memo by the raw triple instead.
+    set.  Equivariance follows from graded commutativity and associativity
+    of the surface product and a Koszul-symmetric, coassociative Delta_2
+    (`cup_equivariant` reads them from `validate`).  A ring that lacks one of
+    them may have a non-equivariant cup product, whose violating sets differ
+    between conjugate triples, so it keys the memo by the raw triple instead.
+
+    `seed` is only echoed in the report.
     """
+    if ring.has_odd:
+        broken = _failing_axioms(ring) & _PARITY_AXIOMS
+        if broken:
+            raise DataError(
+                f"ring {ring.name} violates {', '.join(sorted(broken))}; the "
+                "orbit-local associativity check needs parity-preserving data"
+            )
     perms = list(enumerate_sn(n))
-    triples = [(s, t, r) for s in perms for t in perms for r in perms]
     found: list[dict] = []
     local_suites = 0
-    for perm_triple in triples:
+    for perm_triple in iproduct(perms, repeat=3):
         blocks, ranks = joint_orbits(*(p.images for p in perm_triple))
         for block, block_ranks in zip(blocks, ranks):
             local_suites += 1
@@ -636,30 +634,7 @@ def check_associativity(
         "seed": seed,
         "local_suites": local_suites,
     }
-    if not ring.has_odd:
-        return run_suite("associativity", info, found)
-    # the orbit-local pass cannot see cross-orbit Koszul assembly, so odd
-    # rings get a genuinely global pass: exhaustive when the pruned
-    # enumeration fits the limit, a seeded sample otherwise
-    est = _triple_survivors(ring, triples)
-    if est * _CHECK_STEP_COST <= limit:
-        info["mode"] = "orbit-local+global"
-        found += [
-            _triple_witness(ring, *bad)
-            for perm_triple in triples
-            for bad in _associativity_triples(ring, *perm_triple)
-        ]
-        return run_suite("associativity", info, found)
-    info["mode"] = "orbit-local+sampled"
-    if sample_size:
-        info["sampled_triples"] = sample_size
-    elements = list(enumerate_wreath_basis(ring, n))
-
-    def draw(rng: random.Random) -> dict | None:
-        x, y, z = (rng.choice(elements) for _ in range(3))
-        return None if _associates(ring, x, y, z) else _triple_witness(ring, x, y, z)
-
-    return run_suite("associativity", info, found, draw, seed, sample_size)
+    return run_suite("associativity", info, found)
 
 
 def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:

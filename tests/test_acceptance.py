@@ -136,6 +136,7 @@ def test_criterion_05_lehn_ring_axioms():
         for n in (2, 3):
             assoc = check_associativity(ring, n)
             assert assoc.passed, assoc.render_text()
+            assert assoc.info["mode"] == "orbit-local"
             units = check_unit_laws(ring, n)
             assert units.passed, units.render_text()
             equiv = check_equivariance(ring, n)

@@ -77,6 +77,9 @@ def test_mul_unit_identity(capsys):
 def test_mul_bad_spec_exits_2(capsys):
     code, _, err = run(capsys, "mul", "--preset", "d4", "-n", "2", "nope", "1;id")
     assert code == 2
+    code, _, err = run(capsys, "mul", "--preset", "a0", "-n", "2", "a@1,b@1;id", "b;(1 2)")
+    assert code == 2
+    assert "anchor 1 given twice" in err
 
 
 def test_verify_monodromy(capsys):
@@ -152,6 +155,8 @@ def test_verify_diagonal_echoes_n_without_seed(capsys):
         ("verify", "monodromy", "--preset", "d4"),
         ("verify", "multiplicativity", "--preset", "d4", "-n", "2", "--limit", "10"),
         ("verify", "multiplicativity", "--preset", "d4", "-n", "2", "--seed", "1"),
+        ("verify", "associativity", "--preset", "d4", "-n", "2", "--limit", "10"),
+        ("verify", "associativity", "--preset", "d4", "-n", "2", "--seed", "1"),
     ],
 )
 def test_verify_rejects_flags_the_suite_never_reads(capsys, argv):
@@ -230,12 +235,17 @@ def test_series_compare_zero_denominator_exits_2(tmp_path, capsys):
         ("verify", "diagonal", "--preset", "a0", "-n", "-3"),
         # a limit below 1 once sent exhaustive suites to sampling, and
         # --up-to -1 once reported "equal through s^-1"
-        ("verify", "associativity", "--preset", "a0", "-n", "2", "--limit", "-5"),
+        ("verify", "equivariance", "--preset", "a0", "-n", "2", "--limit", "-5"),
         ("verify", "equivariance", "--preset", "a0", "-n", "2", "--limit", "0"),
         ("series", "bruteforce", "--preset", "a0", "-n", "1", "--limit", "0"),
         ("series", "closed", "--case", "dynkin4", "--s-bound", "-1"),
         ("series", "refined", "--preset", "d4", "--s-bound", "-1"),
         ("series", "compare", "{series}", "{series}", "--up-to", "-1"),
+        # a repeated orbit anchor once let the last factor win; anchors take
+        # decimal digits only, like -n
+        ("mul", "--preset", "a0", "-n", "2", "a@1,b@1;id", "b;(1 2)"),
+        ("mul", "--preset", "a0", "-n", "2", "a@1_0;id", "b;(1 2)"),
+        ("mul", "--preset", "a0", "-n", "2", "a@-0;id", "b;(1 2)"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv):

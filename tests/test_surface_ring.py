@@ -1,5 +1,6 @@
 """Surface algebras: presets, validation, serialization, diagonal, filtered basis."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -164,6 +165,25 @@ def test_save_load_round_trip(name):
     assert loaded.perversities == ring.perversities
     assert loaded.mode == ring.mode
     assert save_ring(loaded) == text
+
+
+# sha256 of each preset's save_ring document before the diagonal-parity axiom
+_PRESET_DOCUMENTS = {
+    "a0": "c8f3d891db35acba5ee43570361f7dfd591b8e75bacb9bb6e913b40a04c03fbd",
+    "d4": "bebdb887da1bb5e2b9d10a4f38a6deeadf7e227e9e8a6ad1fcdc4d0cb36ace2f",
+    "e6": "a7bdbf58ec77cac8a48aa8ced9381852ef0b4a428e7aa8a398e13cae57c2f8db",
+    "e7": "87fe6d24c7121efb9d507edb76da0230f98bbea4807536b48f8cac320869d723",
+    "e8": "c98bed3a032d376b3dfef97b69a89f7bca918883364508a30639e56e392b47f5",
+    "k3": "9b5f282ff164e2cfd963dfeefb328972aecbcbc416ab52519b9c731a7f3a851d",
+    "abelian": "37ed2e75db4eb302f824ea4496a580623882a24fc3d2b17af225ca5c826fbe3c",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_documents_unchanged(name):
+    # test_save_load_round_trip shows each one still loads past the new axiom
+    text = save_ring(preset(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PRESET_DOCUMENTS[name]
 
 
 def test_load_rejects_invalid_document():

@@ -1,16 +1,23 @@
 """The wreath product: action, the joint-orbit kernel, cup product, projection."""
 
 import hashlib
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hilb import wreath_ring
-from hilb.errors import UsageError
+from hilb.cli import main
+from hilb.errors import DataError, UsageError
 from hilb.report import witness_key
-from hilb.surface_ring import PRESET_NAMES, SurfaceRing, preset, validate
+from hilb.surface_ring import (
+    PRESET_NAMES,
+    SurfaceRing,
+    load_ring,
+    preset,
+    save_ring,
+    validate,
+)
 from hilb.symmetric_groups import (
     Perm,
     enumerate_sn,
@@ -22,7 +29,6 @@ from hilb.wreath_ring import (
     WreathClass,
     _associativity_triples,
     _mul_sequence,
-    _triple_survivors,
     _violating_triples,
     basis_count,
     check_associativity,
@@ -426,16 +432,21 @@ def test_conjugation_key_without_coassociativity_would_change_the_report():
     table = _D4_DIAG | {"E1": {("S", "S"): 1}}
     raw = check_associativity(_with_diag2("d4", table), 3)
     forced = _with_diag2("d4", table)
-    forced._caches["cup_equivariant"] = {"holds": True}
+    forced._caches["validate"] = {"failing": frozenset()}
     assert check_associativity(forced, 3).to_json() != raw.to_json()
 
 
+# a0 with Delta_2(1) = a (x) b - b (x) a: it passes validate and fails
+# associativity from n = 2 on
+_A0_ODD_DIAGONAL = {"1": {("a", "b"): 1, ("b", "a"): -1}}
+
+
 def _gated_mutants():
-    # d4 with E1.E1 := S, and a0 with the odd Delta_2(1) = a (x) b - b (x) a:
-    # both keep the equivariance axioms and fail associativity in A{S_3}
+    # d4 with E1.E1 := S, and a0 with the odd diagonal: both keep the
+    # equivariance axioms and fail associativity in A{S_3}
     return {
         "d4-E1E1": _d4_with("E1", "E1", {"S": 1}),
-        "a0-odd-diagonal": _with_diag2("a0", {"1": {("a", "b"): 1, ("b", "a"): -1}}),
+        "a0-odd-diagonal": _with_diag2("a0", _A0_ODD_DIAGONAL),
     }
 
 
@@ -458,6 +469,61 @@ def test_conjugation_key_matches_raw_triples(name, m):
             assert set(_associativity_triples(ring, *triple)) == set(raw), triple
             violations += len(raw)
     assert (violations > 0) == (name not in PRESET_NAMES)
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("a0", 2), ("a0", 3), ("abelian", 2), ("a0-odd-diagonal", 2), ("a0-odd-diagonal", 3)],
+)
+def test_orbit_local_associativity_matches_all_triples(name, n):
+    # the reference for the orbit-local reduction on odd rings: the violating
+    # triples of every permutation triple of S_n, with raw keys and no split
+    # into joint orbits.  The verdicts agree, and every lifted local witness
+    # is a global violation
+    if name == "a0-odd-diagonal":
+        ring = _with_diag2("a0", _A0_ODD_DIAGONAL)
+    else:
+        ring = load_ring(save_ring(preset(name)))
+    report = check_associativity(ring, n)
+    assert report.info["mode"] == "orbit-local"
+    perms = list(enumerate_sn(n))
+    brute = {
+        tuple(render_element(ring, e) for e in bad)
+        for triple in product(perms, repeat=3)
+        for bad in _violating_triples(ring, *triple)
+    }
+    assert report.passed == (not brute)
+    assert {(w["x"], w["y"], w["z"]) for w in report.witnesses} <= brute
+    assert report.passed == (name in PRESET_NAMES)
+    if not report.passed and n == 2:
+        assert len(report.witnesses) == len(brute) == 12
+
+
+@pytest.mark.parametrize(
+    "table,axioms",
+    [
+        # Delta_2(w) = a (x) 1 + 1 (x) a is symmetric and coassociative, but
+        # odd where w is even
+        ({"w": {("a", "1"): 1, ("1", "a"): 1}}, {"diagonal-parity"}),
+        # the same terms on Delta_2(1) also break coassociativity:
+        # Delta_3(1) = a1a + 1aa against aa1 + a1a
+        ({"1": {("a", "1"): 1, ("1", "a"): 1}}, {"diagonal-parity", "diagonal-coassociativity"}),
+    ],
+)
+def test_diagonal_parity_gates_odd_associativity(table, axioms, tmp_path, capsys, monkeypatch):
+    ring = _with_diag2("a0", table)
+    assert {w["axiom"] for w in validate(ring).witnesses} == axioms
+    path = tmp_path / "odd.ring"
+    path.write_text(save_ring(ring))
+    assert main(["ring", "show", "--ring", str(path)]) == 2
+    assert "diagonal-parity" in capsys.readouterr().err
+    calls = []
+    monkeypatch.setattr(wreath_ring, "validate", lambda r: calls.append(r) or validate(r))
+    for _ in range(2):
+        with pytest.raises(DataError, match="diagonal-parity"):
+            check_associativity(ring, 2)
+    assert cup_equivariant(ring) == (axioms == {"diagonal-parity"})
+    assert len(calls) == 1  # validate is read once per ring
 
 
 # sha256 of the JSON reports at the commit before the conjugation key
@@ -497,29 +563,6 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
         if degree[x] + degree[y] + degree[z] > cap:
             assert not cup_class(ring, cup(ring, x, y), z)
             assert not cup_class(ring, x, cup(ring, y, z))
-
-
-@pytest.mark.parametrize("name", ["a0", "abelian"])
-def test_triple_survivors_match_brute_force_count(name):
-    # the odd rings' global-pass estimate against a count over basis elements:
-    # per (x, y), the z whose element_degree keeps dx + dy + dz <= cap
-    ring = preset(name)
-    n = 2
-    perms = list(enumerate_sn(n))
-    degrees = {p: [] for p in perms}
-    for x in enumerate_wreath_basis(ring, n):
-        degrees[x.sigma].append(element_degree(ring, x))
-    triples = list(product(perms, repeat=3))
-    total = 0
-    for sigma, tau, rho in triples:
-        cap = max_degree(n, sigma.compose(tau).compose(rho))
-        dzs = sorted(degrees[rho])
-        count = sum(
-            bisect_right(dzs, cap - dx - dy) for dx in degrees[sigma] for dy in degrees[tau]
-        )
-        assert _triple_survivors(ring, [(sigma, tau, rho)]) == count, (sigma, tau, rho)
-        total += count
-    assert _triple_survivors(ring, triples) == total
 
 
 # sha256 over every render_class(cup(x, y)) (x, y in basis order) and then
