@@ -7,9 +7,9 @@ Subcommands:
     hilb verify      SUITE  [--preset|--ring] [-n N] [...]
     hilb series      closed|refined|bruteforce|compare  [...]
 
-Every command is deterministic given its flags (seeds are echoed in
-reports).  Exit codes: 0 success/pass, 1 check failure, 2 usage error or
-malformed, unreadable or inconsistent input, 3 resource limit exceeded.
+Every command is deterministic given its flags.  Exit codes: 0
+success/pass, 1 check failure, 2 usage error or malformed, unreadable or
+inconsistent input, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -63,19 +63,13 @@ def _add_ring_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--ring", metavar="PATH", help="ring document to load")
 
 
-def _add_common(
-    parser: argparse.ArgumentParser,
-    limit: bool = False,
-    seed: bool = False,
-) -> None:
-    """--format always; --limit and --seed on request."""
+def _add_common(parser: argparse.ArgumentParser, limit: bool = False) -> None:
+    """--format always; --limit on request."""
     parser.add_argument("--format", choices=("text", "json"), default="text")
     if limit:
         parser.add_argument(
             "--limit", type=_positive_int, default=DEFAULT_LIMIT, help="resource limit override"
         )
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
 
 def _non_negative_int(text: str) -> int:
@@ -211,28 +205,25 @@ def _cmd_mul(args) -> int:
     return EXIT_PASS
 
 
-# suite -> (the flags it reads besides --format, runner(ring, n, args));
-# "ring" stands for the ring source and -n
+# suite -> (whether it reads the ring source and -n, runner(ring, n)); no
+# suite reads a flag besides those and --format
 VERIFY_SUITES = {
-    "multiplicativity": (("ring",), lambda ring, n, a: check_multiplicativity(ring, n)),
-    "diagonal": (("ring",), lambda ring, n, a: check_diagonal_bound(ring, n_max=max(n, 2))),
-    "associativity": (("ring",), lambda ring, n, a: check_associativity(ring, n)),
-    "equivariance": (
-        ("ring", "limit", "seed"),
-        lambda ring, n, a: check_equivariance(ring, n, limit=a.limit, seed=a.seed),
-    ),
-    "monodromy": ((), lambda ring, n, a: check_monodromy_suite()),
+    "multiplicativity": (True, check_multiplicativity),
+    "diagonal": (True, lambda ring, n: check_diagonal_bound(ring, n_max=max(n, 2))),
+    "associativity": (True, check_associativity),
+    "equivariance": (True, check_equivariance),
+    "monodromy": (False, lambda ring, n: check_monodromy_suite()),
 }
 
 
 def _cmd_verify(args) -> int:
-    flags, run = VERIFY_SUITES[args.suite]
-    if "ring" not in flags:
-        return _emit_report(run(None, None, args), args.format)
+    reads_ring, run = VERIFY_SUITES[args.suite]
+    if not reads_ring:
+        return _emit_report(run(None, None), args.format)
     ring = _resolve_ring(args)
     n = args.n if args.n is not None else 2
-    report = run(ring, n, args)
-    # every ring suite echoes n; the suites that take --seed echo it themselves
+    report = run(ring, n)
+    # every ring suite echoes n
     report.info.setdefault("n", n)
     return _emit_report(report, args.format)
 
@@ -301,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify_sub = verify.add_subparsers(dest="suite", required=True, metavar="SUITE")
-    for suite, (flags, _) in VERIFY_SUITES.items():
+    for suite, (reads_ring, _) in VERIFY_SUITES.items():
         suite_parser = verify_sub.add_parser(suite)
-        if "ring" in flags:
+        if reads_ring:
             _add_ring_source(suite_parser)
             suite_parser.add_argument("-n", type=_non_negative_int, default=None)
-        _add_common(suite_parser, limit="limit" in flags, seed="seed" in flags)
+        _add_common(suite_parser)
         suite_parser.set_defaults(func=_cmd_verify)
 
     series = sub.add_parser("series", help="generating-series commands")

@@ -21,15 +21,15 @@ y's on each joint orbit); `push` takes the product's components, read in
 joint-orbit order, to the canonical slots of sigma tau.  Both bracketings of
 a triple product share their moves across joint orbits, so associativity is
 checked one joint orbit at a time on every ring (`check_associativity`).
+So are equivariance and graded commutativity (as the twisted identity
+x.y = (-1)^(|x||y|) sigma_x(y).x), over the joint orbits of <sigma, tau>.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from itertools import product as iproduct
 from math import factorial
 
@@ -54,11 +54,6 @@ from .symmetric_groups import (
 )
 
 DEFAULT_LIMIT = 10**8
-
-# Cost, in elementary ring multiplications, of one cup-and-compare step in
-# the axiom suites.  Work estimates are measured in elementary
-# multiplications so they can be gated against the resource limit.
-_CHECK_STEP_COST = 30
 
 
 @dataclass(frozen=True)
@@ -128,15 +123,6 @@ class WreathClass:
 def element_degree(ring: SurfaceRing, x: WreathElement) -> int:
     blocks = _perm_orbit_blocks(x.sigma.images)
     return sum(ring.degrees[f] for f in x.factors) + 2 * (x.n - len(blocks))
-
-
-def class_degree(ring: SurfaceRing, cls: WreathClass) -> int | None:
-    degrees = {element_degree(ring, el) for el in cls.terms}
-    if not degrees:
-        return None
-    if len(degrees) != 1:
-        raise UsageError("class is not homogeneous")
-    return degrees.pop()
 
 
 def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> WreathElement:
@@ -391,15 +377,6 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
             yield x, survives
 
 
-def invariant_basis(ring: SurfaceRing, n: int) -> list[WreathClass]:
-    """Projections of surviving orbit representatives: a basis of the invariants."""
-    out = []
-    for rep, survives in iter_orbit_reps(ring, n):
-        if survives:
-            out.append(invariant_project(ring, WreathClass.of(rep)))
-    return out
-
-
 # -- resource estimation -------------------------------------------------------
 
 
@@ -484,6 +461,18 @@ def _failing_axioms(ring: SurfaceRing) -> frozenset[str]:
     if "failing" not in cache:
         cache["failing"] = frozenset(w["axiom"] for w in validate(ring).witnesses)
     return cache["failing"]
+
+
+def _require_parity(ring: SurfaceRing, suite: str) -> None:
+    """DataError unless the product, e and Delta_2 preserve parity, as the
+    move argument of the orbit-local suites needs; even rings always pass."""
+    if ring.has_odd:
+        broken = _failing_axioms(ring) & _PARITY_AXIOMS
+        if broken:
+            raise DataError(
+                f"ring {ring.name} violates {', '.join(sorted(broken))}; the "
+                f"orbit-local {suite} check needs parity-preserving data"
+            )
 
 
 def cup_equivariant(ring: SurfaceRing) -> bool:
@@ -606,13 +595,7 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
 
     `seed` is only echoed in the report.
     """
-    if ring.has_odd:
-        broken = _failing_axioms(ring) & _PARITY_AXIOMS
-        if broken:
-            raise DataError(
-                f"ring {ring.name} violates {', '.join(sorted(broken))}; the "
-                "orbit-local associativity check needs parity-preserving data"
-            )
+    _require_parity(ring, "associativity")
     perms = list(enumerate_sn(n))
     found: list[dict] = []
     local_suites = 0
@@ -650,24 +633,73 @@ def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
     return run_suite("unit-laws", {"ring": ring.name, "n": n}, found)
 
 
-def check_equivariance(
-    ring: SurfaceRing,
-    n: int,
-    limit: int = DEFAULT_LIMIT,
-    seed: int = 0,
-    sample_size: int = 100_000,
-) -> CheckReport:
-    """sn_act(tau, x.y) = sn_act(tau, x) . sn_act(tau, y).
+def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
+    """(x, y, |x||y| odd) for every basis pair over a pair (sigma, tau) of
+    S_m, smallest <= m <= n, whose joint orbit is all of [m], pruned by the
+    degree capacity of sigma tau's component (above it both products vanish,
+    by degree additivity)."""
+    for m in range(smallest, n + 1):
+        perms = list(enumerate_sn(m))
+        for sigma, tau in iproduct(perms, repeat=2):
+            if len(joint_orbits(sigma.images, tau.images)[0]) > 1:
+                continue
+            cap = max_degree(m, sigma.compose(tau))
+            ys = _elements_by_degree(ring, tau)
+            for dx, fx in _elements_by_degree(ring, sigma):
+                if dx + ys[0][0] > cap:
+                    break
+                x = WreathElement(m, sigma, fx)
+                for dy, fy in ys:
+                    if dx + dy > cap:
+                        break
+                    yield x, WreathElement(m, tau, fy), dx % 2 and dy % 2
 
-    Exhaustive mode verifies (i) that sn_act is a group action with signs,
-    on generators (see composes), and (ii) the equivariance identity for
-    adjacent-transposition generators over all basis pairs; together these
-    imply equivariance for every tau.  When the pair space exceeds the
-    resource limit the identity is checked on a seeded sample of
-    (x, y, tau) triples instead.
+
+def _lifted_witness(ring: SurfaceRing, n: int, x, y, **more) -> dict:
+    """A local violation on points 1..m, put on [n] with the identity and
+    units on the other points (their local products are units)."""
+
+    def lift(e: WreathElement) -> str:
+        sigma = Perm(e.sigma.images + tuple(range(e.n + 1, n + 1)))
+        factors = e.factors + (ring.unit,) * (n - e.n)
+        return render_element(ring, WreathElement(n, sigma, factors))
+
+    return {"x": lift(x), "y": lift(y), **more, "excess": 1}
+
+
+def check_equivariance(
+    ring: SurfaceRing, n: int, seed: int = 0, sample_size: int = 0
+) -> CheckReport:
+    """sn_act(tau, x.y) = sn_act(tau, x) . sn_act(tau, y), one joint orbit at
+    a time.
+
+    (i) sn_act is a group action with signs, checked on generators (see
+    composes), and (ii) the identity holds for every adjacent transposition
+    g = (i i+1); together they give it for every tau.  (ii) is checked on
+    every local pair (`_local_pairs`, m >= 2) under every adjacent
+    transposition of S_m, which is exact by the move argument of
+    `check_associativity`.  If i and i+1 lie in one joint orbit B of
+    <sigma, tau>, they are adjacent in B, so g restricts to an adjacent
+    transposition of B's order-preserving relabelling and fixes the other
+    joint orbits.  Otherwise g carries each joint orbit onto one in the same
+    relative order: it changes no local problem and only moves slots across
+    joint orbits.  Both g.(xy) and (gx)(gy) are composites of Koszul slot
+    moves and of even maps that each act on one joint orbit B, so both read
+    M_out o (tensor over B of L_B) o M_in with the same M_in and M_out; L_B
+    is g_B.(x_B y_B) against (g_B x_B)(g_B y_B) where g acts inside B, and
+    x_B y_B on both sides elsewhere.  So the identity holds iff it holds on
+    every joint orbit.  Pairs with x.y = 0 are skipped: x -> gx is an
+    involution of the local basis that keeps degrees, so g permutes the local
+    pairs.  Where the identity holds and x.y != 0, (gx)(gy) != 0; if it holds
+    on every such pair, g maps them into, hence onto, themselves, so it maps
+    the pairs with x.y = 0 to pairs with (gx)(gy) = 0.  A violation at a
+    pair with x.y = 0 shows at its image (gx, gy).  Odd rings are gated by
+    `_require_parity`.  `seed` is only echoed; `sample_size` is unread.
     """
+    _require_parity(ring, "equivariance")
     perms = list(enumerate_sn(n))
-    elements = list(enumerate_wreath_basis(ring, n))
+    # generators[m]: the adjacent transpositions of S_m
+    generators = [[Perm.from_cycles([(i, i + 1)], m) for i in range(1, m)] for m in range(n + 1)]
 
     def composes():
         """The signed action law A(t2)A(t1) = A(t2 t1), A(t) = sn_act(t, .).
@@ -680,13 +712,13 @@ def check_equivariance(
         length and the generator check at t = w t1.
         """
         identity = Perm.identity(n)
-        for x in elements:
+        for x in enumerate_wreath_basis(ring, n):
             if sn_act(ring, identity, x) != (1, x):
                 yield {"x": render_element(ring, x), "tau": "id",
                        "detail": "action-identity", "excess": 1}
             for t in perms:
                 s1, m1 = sn_act(ring, t, x)
-                for g in generators:
+                for g in generators[n]:
                     s2, m2 = sn_act(ring, g, m1)
                     gt = g.compose(t)
                     holds = (s1 * s2, m2) == sn_act(ring, gt, x)
@@ -697,81 +729,48 @@ def check_equivariance(
                         "excess": 1,
                     }
 
-    def commutes(x, y, tau: Perm, xy: WreathClass | None = None) -> dict | None:
-        lhs = act_class(ring, tau, cup(ring, x, y) if xy is None else xy)
-        sx, mx = sn_act(ring, tau, x)
-        sy, my = sn_act(ring, tau, y)
-        if lhs == cup(ring, mx, my).scale(sx * sy):
-            return None
-        return {
-            "x": render_element(ring, x),
-            "y": render_element(ring, y),
-            "tau": tau.cycle_string(),
-            "excess": 1,
-        }
+    def found():
+        yield from composes()
+        for x, y, _ in _local_pairs(ring, n, 2):
+            xy = cup(ring, x, y)
+            if not xy:
+                continue
+            for g in generators[x.n]:
+                sx, gx = sn_act(ring, g, x)
+                sy, gy = sn_act(ring, g, y)
+                if act_class(ring, g, xy) != cup(ring, gx, gy).scale(sx * sy):
+                    yield _lifted_witness(ring, n, x, y, tau=g.cycle_string())
 
-    def generator_pairs():
-        for x in elements:
-            dx = element_degree(ring, x)
-            for y in elements:
-                cap = max_degree(n, x.sigma.compose(y.sigma))
-                if dx + element_degree(ring, y) > cap:
-                    continue  # both sides vanish: degree additivity
-                xy = cup(ring, x, y)
-                for tau in generators:
-                    yield commutes(x, y, tau, xy)
-
-    # the group-action property is always checked exhaustively (cheap)
-    found = composes()
-    generators = [
-        Perm.from_cycles([(i, i + 1)], n) for i in range(1, n)
-    ] or [Perm.identity(n)]
-    info = {"ring": ring.name, "n": n, "mode": "exhaustive-generators", "seed": seed}
-    if len(elements) ** 2 * (len(generators) + 1) * _CHECK_STEP_COST <= limit:
-        return run_suite("equivariance", info, chain(found, generator_pairs()))
-    info.update(mode="sampled", sampled_triples=sample_size)
-
-    def draw(rng: random.Random) -> dict | None:
-        x, y, tau = rng.choice(elements), rng.choice(elements), rng.choice(perms)
-        return commutes(x, y, tau)
-
-    return run_suite("equivariance", info, found, draw, seed, sample_size)
+    info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}
+    return run_suite("equivariance", info, found())
 
 
-def check_graded_commutativity(
-    ring: SurfaceRing,
-    n: int,
-    limit: int = DEFAULT_LIMIT,
-    seed: int = 0,
-    sample_size: int = 100_000,
-) -> CheckReport:
-    """X.Y = (-1)^(deg X deg Y) Y.X on the invariant subalgebra.
+def check_graded_commutativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport:
+    """x.y = (-1)^(|x||y|) sigma_x(y).x on basis pairs, one joint orbit at a
+    time.
 
-    A{S_n} itself is noncommutative (it contains the group algebra), so the
-    graded-commutativity statement lives on the S_n-invariant model; the
-    check runs over pairs from the invariant basis of projected orbit sums.
+    A{S_n} is noncommutative (it contains the group algebra); its basis
+    elements commute up to this twist, where x lies over sigma and
+    sigma_x(y) is sn_act(sigma, y) with its sign.  The twist gives graded
+    commutativity on the invariant model: for S_n-invariant homogeneous
+    X = sum c_x x and Y, sigma_x(Y) = Y, so X.Y = sum c_x eps sigma_x(Y).x =
+    eps Y.X with eps = (-1)^(|X||Y|).  It is checked on every local pair
+    (`_local_pairs`, m >= 1), which is exact by the move argument of
+    `check_associativity`: <sigma, sigma tau sigma^-1> = <sigma, tau>, so
+    both sides have the same joint orbits and sigma maps each one to itself;
+    the swap of x past y (sign eps) and sigma's move of y's slots are Koszul
+    moves, so both sides read M_out o (tensor over B of L_B) o M_in with the
+    same M_in and M_out, and L_B is x_B y_B against eps_B sigma_B(y_B) x_B.
+    So the identity holds iff it holds on every joint orbit.  Odd rings are
+    gated by `_require_parity`.  `seed` is only echoed.
     """
-    inv = invariant_basis(ring, n)
-    total_terms = sum(len(cls.terms) for cls in inv)
+    _require_parity(ring, "graded-commutativity")
 
-    def commutes(a: WreathClass, b: WreathClass) -> dict | None:
-        da = class_degree(ring, a)
-        db = class_degree(ring, b)
-        if da + db > 4 * n:
-            return None  # above the top degree of A{S_n}: both products vanish
-        sign = -1 if (da % 2 and db % 2) else 1
-        if cup_class(ring, a, b) == cup_class(ring, b, a).scale(sign):
-            return None
-        return {"x": render_class(ring, a), "y": render_class(ring, b), "excess": 1}
+    def found():
+        for x, y, odd in _local_pairs(ring, n, 1):
+            sign, moved = sn_act(ring, x.sigma, y)
+            if cup(ring, x, y) != cup(ring, moved, x).scale(-sign if odd else sign):
+                yield _lifted_witness(ring, n, x, y)
 
-    info = {"ring": ring.name, "n": n, "seed": seed, "invariant_basis_size": len(inv)}
-    if total_terms**2 * _CHECK_STEP_COST <= limit:
-        info.update(mode="exhaustive", pairs_checked=len(inv) ** 2)
-        found = (commutes(a, b) for a in inv for b in inv)
-        return run_suite("graded-commutativity", info, found)
-    info.update(mode="sampled", pairs_checked=sample_size)
-
-    def draw(rng: random.Random) -> dict | None:
-        return commutes(rng.choice(inv), rng.choice(inv))
-
-    return run_suite("graded-commutativity", info, (), draw, seed, sample_size)
+    info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}
+    return run_suite("graded-commutativity", info, found())

@@ -27,6 +27,7 @@ from hilb.symmetric_groups import (
 )
 from hilb.wreath_ring import (
     WreathClass,
+    act_class,
     _associativity_triples,
     _mul_sequence,
     _violating_triples,
@@ -249,9 +250,9 @@ def test_render_element():
 # -- failing reports ------------------------------------------------------------
 
 
-def _d4_with(left: str, right: str, product: dict[str, int]) -> SurfaceRing:
-    """d4 with the one table entry left.right redefined."""
-    ring = preset("d4")
+def _with_product(base: str, left: str, right: str, product: dict[str, int]) -> SurfaceRing:
+    """An open preset with the one table entry left.right redefined."""
+    ring = preset(base)
     mul = {
         (i, j): dict(ring.mul_basis(i, j))
         for i in range(ring.size)
@@ -273,16 +274,17 @@ def _d4_with(left: str, right: str, product: dict[str, int]) -> SurfaceRing:
     )
 
 
-def _assert_failing_report(check, entry, **kwargs):
-    """The report fails, lists distinct witnesses in driver order, and a
-    fresh run on a freshly built ring reproduces it exactly."""
-    report = check(_d4_with(*entry), 2, **kwargs)
+def _assert_failing_report(check, entry):
+    """On d4 with one product redefined, the report fails, lists distinct
+    witnesses in driver order, and a fresh run on a freshly built ring
+    reproduces it exactly."""
+    report = check(_with_product("d4", *entry), 2)
     assert not report.passed
     keys = [witness_key(w) for w in report.witnesses]
     assert keys == sorted(keys)
     distinct = {tuple(sorted(w.items())) for w in report.witnesses}
     assert len(distinct) == len(report.witnesses)
-    assert check(_d4_with(*entry), 2, **kwargs).to_json() == report.to_json()
+    assert check(_with_product("d4", *entry), 2).to_json() == report.to_json()
     return report
 
 
@@ -297,13 +299,10 @@ def test_unit_laws_catch_scaled_unit():
 
 
 @pytest.mark.parametrize("check", [check_equivariance, check_graded_commutativity])
-def test_asymmetric_product_fails_exhaustive_and_sampled(check):
+def test_asymmetric_product_fails_orbit_local(check):
     # E1.E2 := S with E2.E1 left at 0
-    entry = ("E1", "E2", {"S": 1})
-    full = _assert_failing_report(check, entry)
-    assert full.info["mode"].startswith("exhaustive")
-    sampled = _assert_failing_report(check, entry, limit=10, seed=1, sample_size=1000)
-    assert sampled.info["mode"] == "sampled"
+    report = _assert_failing_report(check, ("E1", "E2", {"S": 1}))
+    assert report.info["mode"] == "orbit-local"
 
 
 def _sign_mutant(flip):
@@ -350,9 +349,10 @@ _ACTION_MUTANTS = {
 @pytest.mark.parametrize("mutant", list(_ACTION_MUTANTS))
 @pytest.mark.parametrize("name", ["a0", "d4"])
 def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
-    # the generator check of the action law (check_equivariance with no room
-    # for the pair pass and no samples runs it alone) fails exactly when the
-    # law fails for some pair (t1, t2) of S_3
+    # the generator check of the action law (the action-* witnesses of
+    # check_equivariance) fails exactly when the law fails for some pair
+    # (t1, t2) of S_3.  Both sign twists keep the law; the twist on every
+    # odd tau breaks equivariance, the one on transpositions only does not
     ring = preset(name)
     elements = list(enumerate_wreath_basis(ring, 3))
     x0 = next(x for x in elements if x.sigma == _T12 and len(set(x.factors)) == 2)
@@ -368,8 +368,10 @@ def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
         for s2, m2 in [act(ring, t2, m1)]
     )
     monkeypatch.setattr(wreath_ring, "sn_act", act)
-    report = check_equivariance(ring, 3, limit=0, sample_size=0)
-    assert report.passed == brute == is_action, report.render_text()
+    report = check_equivariance(ring, 3)
+    law_holds = not any(w.get("detail", "").startswith("action-") for w in report.witnesses)
+    assert law_holds == brute == is_action, report.render_text()
+    assert report.passed == (mutant in ("none", "sign-twist-on-transpositions"))
 
 
 # -- the associativity memo up to simultaneous conjugation ------------------------
@@ -445,7 +447,7 @@ def _gated_mutants():
     # d4 with E1.E1 := S, and a0 with the odd diagonal: both keep the
     # equivariance axioms and fail associativity in A{S_3}
     return {
-        "d4-E1E1": _d4_with("E1", "E1", {"S": 1}),
+        "d4-E1E1": _with_product("d4", "E1", "E1", {"S": 1}),
         "a0-odd-diagonal": _with_diag2("a0", _A0_ODD_DIAGONAL),
     }
 
@@ -499,6 +501,96 @@ def test_orbit_local_associativity_matches_all_triples(name, n):
         assert len(report.witnesses) == len(brute) == 12
 
 
+# failing rings for the references of the orbit-local pair suites, with
+# their (equivariance, graded commutativity) verdicts
+_PAIR_MUTANTS = {
+    "d4-E1E2": (lambda: _with_product("d4", "E1", "E2", {"S": 1}), (False, False)),
+    "d4-scaled-unit": (lambda: _with_product("d4", "1", "E1", {"E1": 2}), (True, False)),
+    "a0-ba": (lambda: _with_product("a0", "b", "a", {"w": 1}), (False, False)),
+    # Delta_2(1) = a (x) b fails diagonal-symmetry
+    "a0-diagonal-ab": (lambda: _with_diag2("a0", {"1": {("a", "b"): 1}}), (False, True)),
+}
+
+_PAIR_CASES = [("a0", 2), ("a0", 3), ("d4", 2), ("d4", 3), ("abelian", 2)] + [
+    (name, n) for name in _PAIR_MUTANTS for n in ((2, 3) if name.startswith("a0") else (2,))
+]
+
+
+def _pair_case(name: str, n: int):
+    """A fresh ring for a reference case, its basis, and the verdicts
+    (equivariance, graded commutativity) it must get."""
+    if name in _PAIR_MUTANTS:
+        make, verdicts = _PAIR_MUTANTS[name]
+        ring = make()
+    else:
+        ring, verdicts = load_ring(save_ring(preset(name))), (True, True)
+    return ring, list(enumerate_wreath_basis(ring, n)), verdicts
+
+
+@pytest.mark.parametrize("name,n", _PAIR_CASES)
+def test_orbit_local_equivariance_matches_all_pairs(name, n):
+    # the reference for the orbit-local reduction: g.(xy) = (gx)(gy) over
+    # every basis pair of A{S_n} and every adjacent transposition g, with no
+    # split into joint orbits and no degree cut.  The verdicts agree, and
+    # every lifted local witness is a global violation
+    ring, basis, (passes, _) = _pair_case(name, n)
+    report = check_equivariance(ring, n)
+    assert report.info["mode"] == "orbit-local"
+    generators = [Perm.from_cycles([(i, i + 1)], n) for i in range(1, n)]
+    brute = set()
+    for x, y in product(basis, repeat=2):
+        xy = cup(ring, x, y)
+        for g in generators:
+            sx, gx = sn_act(ring, g, x)
+            sy, gy = sn_act(ring, g, y)
+            if act_class(ring, g, xy) != cup(ring, gx, gy).scale(sx * sy):
+                brute.add((render_element(ring, x), render_element(ring, y), g.cycle_string()))
+    assert report.passed == (not brute) == passes
+    assert {(w["x"], w["y"], w["tau"]) for w in report.witnesses} <= brute
+
+
+def _invariant_basis(ring: SurfaceRing, n: int) -> list[WreathClass]:
+    """Projections of surviving orbit representatives: a basis of the invariants."""
+    return [
+        invariant_project(ring, WreathClass.of(rep))
+        for rep, survives in iter_orbit_reps(ring, n)
+        if survives
+    ]
+
+
+def _class_degree(ring: SurfaceRing, cls: WreathClass) -> int:
+    (degree,) = {element_degree(ring, el) for el in cls.terms}
+    return degree
+
+
+@pytest.mark.parametrize("name,n", _PAIR_CASES)
+def test_orbit_local_commutativity_matches_all_pairs(name, n):
+    # the references for the orbit-local reduction: X.Y = eps Y.X over every
+    # pair of the invariant basis, and the twisted identity
+    # x.y = eps sigma_x(y).x over every basis pair of A{S_n}, with no split
+    # into joint orbits and no degree cut.  The three verdicts agree, and
+    # every lifted local witness is a global violation of the identity
+    ring, basis, (_, passes) = _pair_case(name, n)
+    report = check_graded_commutativity(ring, n)
+    assert report.info["mode"] == "orbit-local"
+    twisted = set()
+    for x, y in product(basis, repeat=2):
+        sign, moved = sn_act(ring, x.sigma, y)
+        if element_degree(ring, x) % 2 and element_degree(ring, y) % 2:
+            sign = -sign
+        if cup(ring, x, y) != cup(ring, moved, x).scale(sign):
+            twisted.add((render_element(ring, x), render_element(ring, y)))
+    invariant = _invariant_basis(ring, n)
+    invariant_commutes = all(
+        cup_class(ring, a, b)
+        == cup_class(ring, b, a).scale((-1) ** (_class_degree(ring, a) * _class_degree(ring, b)))
+        for a in invariant
+        for b in invariant
+    )
+    assert report.passed == (not twisted) == invariant_commutes == passes
+    assert {(w["x"], w["y"]) for w in report.witnesses} <= twisted
+
+
 @pytest.mark.parametrize(
     "table,axioms",
     [
@@ -519,9 +611,10 @@ def test_diagonal_parity_gates_odd_associativity(table, axioms, tmp_path, capsys
     assert "diagonal-parity" in capsys.readouterr().err
     calls = []
     monkeypatch.setattr(wreath_ring, "validate", lambda r: calls.append(r) or validate(r))
-    for _ in range(2):
+    # the gate of all three orbit-local suites, each run twice
+    for check in (check_associativity, check_equivariance, check_graded_commutativity) * 2:
         with pytest.raises(DataError, match="diagonal-parity"):
-            check_associativity(ring, 2)
+            check(ring, 2)
     assert cup_equivariant(ring) == (axioms == {"diagonal-parity"})
     assert len(calls) == 1  # validate is read once per ring
 
@@ -539,7 +632,7 @@ _PARENT_REPORTS = {
 def test_failing_associativity_reports_unchanged(left, right, n):
     # E1.E1 := S keeps the equivariance axioms (conjugation key), E1.E2 := S
     # breaks graded commutativity (raw key); both reports stay byte-identical
-    ring = _d4_with(left, right, {"S": 1})
+    ring = _with_product("d4", left, right, {"S": 1})
     assert cup_equivariant(ring) == (left == right)
     report = check_associativity(ring, n)
     count, digest = _PARENT_REPORTS[(left, right, n)]
@@ -554,7 +647,7 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
     elements = list(enumerate_wreath_basis(ring, n))
     degree = {x: element_degree(ring, x) for x in elements}
     for x, y in product(elements, repeat=2):
-        # check_equivariance's generator_pairs cut
+        # the degree cut of the equivariance and commutativity local pairs
         if degree[x] + degree[y] > max_degree(n, x.sigma.compose(y.sigma)):
             assert not cup(ring, x, y)
     for x, y, z in product(elements, repeat=3):
