@@ -9,13 +9,16 @@ Subcommands:
 
 Every command is deterministic given its flags.  Exit codes: 0
 success/pass, 1 check failure, 2 usage error or malformed, unreadable or
-inconsistent input, 3 resource limit exceeded.
+inconsistent input, or standard output closed before the command finished
+writing (a broken pipe, reported without a traceback), 3 resource limit
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DataError, ResourceError, UsageError
@@ -337,13 +340,21 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,16 +20,12 @@ A local subproblem depends only on that signature, which keys its memo,
 and its search runs over groups of factor tuples with equal merged product
 and perversity sum.  Since a pair (sigma, tau) is read only through the
 multiset of its signatures, which simultaneous conjugation keeps, the run
-takes one sigma per cycle type and every tau.  Its cost estimate counts that
-work: the pairs, plus one local product per pair of factor groups on each
-memo key that can do any.
+takes one sigma per cycle type and every tau, and is always exhaustive.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from itertools import product
 
 from .errors import UsageError
 from .report import CheckReport, run_suite
@@ -43,7 +39,6 @@ from .symmetric_groups import (
     signature_defect,
 )
 from .wreath_ring import (
-    DEFAULT_LIMIT,
     WreathClass,
     WreathElement,
     cup,
@@ -170,29 +165,23 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
 
 
 def _mult_witness(
-    ring: SurfaceRing, x: WreathElement, y: WreathElement, excess: int | None = None
-) -> dict | None:
-    """The witness for the pair (x, y), or None when it keeps the bound.
+    ring: SurfaceRing, x: WreathElement, y: WreathElement, excess: int
+) -> dict:
+    """The witness for the pair (x, y), whose local search predicts `excess`.
 
-    With `excess` given (the local search's prediction) the witness is built
-    whatever the product turns out to be, so a factorization error shows up
-    in the report instead of being filtered out.
+    The witness is built whatever the product turns out to be, so a
+    factorization error shows up in the report instead of being filtered out.
     """
     px = perversity(ring, x)
     py = perversity(ring, y)
     actual = perversity_class(ring, cup(ring, x, y))
-    actual = None if isinstance(actual, _Bottom) else int(actual)
-    if excess is None:
-        if actual is None or actual <= px + py:
-            return None
-        excess = actual - px - py
     return {
         "x": render_element(ring, x),
         "y": render_element(ring, y),
         "perversity_x": px,
         "perversity_y": py,
         "bound": px + py,
-        "actual": actual,
+        "actual": None if isinstance(actual, _Bottom) else int(actual),
         "excess": excess,
     }
 
@@ -215,37 +204,15 @@ def _mult_pair_check(ring: SurfaceRing, sigma: Perm, tau: Perm) -> dict | None:
         return None
     x = lift_element(ring, sigma, [r[0] for r in ranks], args_x)
     y = lift_element(ring, tau, [r[1] for r in ranks], args_y)
-    return _mult_witness(ring, x, y, excess=total)
-
-
-def _mult_estimate(ring: SurfaceRing, n: int, pairs: int) -> int:
-    """The work of the exhaustive run: its pairs plus the memo's local products.
-
-    `pairs` is the number of (sigma, tau) pairs the run walks.  Each memo key
-    (m, a, b, m_res) with m <= n and graph defect g <= 1, that is
-    a + b + m_res in {m, m + 2} with 1 <= a, b, m_res <= m, costs one
-    local_product per pair of factor groups (_factor_groups, the run's own
-    memo, so the estimate builds nothing the run would not build); a key with
-    g >= 2 does no work.  No permutation pair is enumerated.
-    """
-    return pairs + sum(
-        len(_factor_groups(ring, a)) * len(_factor_groups(ring, b))
-        for m in range(1, n + 1)
-        for a, b, m_res in product(range(1, m + 1), repeat=3)
-        if a + b + m_res in (m, m + 2)
-    )
+    return _mult_witness(ring, x, y, total)
 
 
 def check_multiplicativity(
-    ring: SurfaceRing,
-    n: int,
-    limit: int = DEFAULT_LIMIT,
-    seed: int = 0,
-    sample_size: int = 1_000_000,
+    ring: SurfaceRing, n: int, seed: int = 0, sample_size: int = 0
 ) -> CheckReport:
     """perversity(x.y) <= perversity(x) + perversity(y) over all basis pairs.
 
-    The exhaustive run takes sigma over one representative per cycle type
+    The run takes sigma over one representative per cycle type
     (class_representatives) and tau over all of S_n.  That covers every pair
     up to simultaneous conjugation (sigma, tau) -> (c sigma c^-1, c tau c^-1):
     a pair (c rho c^-1, tau') with rho a representative is the conjugate by c
@@ -258,35 +225,19 @@ def check_multiplicativity(
     of the run over all n!^2 pairs, for any ring, validated or not; only the
     witnesses are limited to the representatives.
 
-    Runs exhaustively when its work (_mult_estimate) fits the limit;
-    otherwise falls back to a seeded random sample of basis pairs (which must
-    still find zero violations to pass).
+    The run is always exhaustive: enumerate_sn refuses n > 8 with
+    ResourceError before any pair is checked.  `seed` is only echoed;
+    `sample_size` is unread.
     """
     perms = list(enumerate_sn(n))
     reps = class_representatives(n)
-    est = _mult_estimate(ring, n, len(reps) * len(perms))
     info = {
         "ring": ring.name,
         "n": n,
-        "mode": "exhaustive" if est <= limit else "sampled",
+        "mode": "exhaustive",
         "seed": seed,
-        "estimate": est,
-        "limit": limit,
+        "checked": len(reps) * len(perms),
     }
-    if est > limit:
-        weights = [ring.size ** len(_perm_orbit_blocks(p.images)) for p in perms]
-
-        def element(rng: random.Random, p: Perm) -> WreathElement:
-            k = len(_perm_orbit_blocks(p.images))
-            return WreathElement(n, p, tuple(rng.randrange(ring.size) for _ in range(k)))
-
-        def draw(rng: random.Random) -> dict | None:
-            sigma, tau = rng.choices(perms, weights=weights, k=2)
-            return _mult_witness(ring, element(rng, sigma), element(rng, tau))
-
-        info["checked"] = sample_size
-        return run_suite("multiplicativity", info, (), draw, seed, sample_size)
-    info["checked"] = len(reps) * len(perms)
     found = (_mult_pair_check(ring, s, t) for s in reps for t in perms)
     return run_suite("multiplicativity", info, found)
 

@@ -1,12 +1,11 @@
 """Machine-readable pass/fail records for every property suite, and the one
-driver that turns a suite's checks into its record."""
+driver that turns an exhaustive suite's checks into its record."""
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 # Rendered inputs a witness may carry, in sort order after the excess.
 WITNESS_FIELDS = ("x", "y", "z", "tau", "detail")
@@ -59,26 +58,12 @@ def witness_key(w: dict) -> tuple:
     return (-w["excess"],) + tuple(w.get(k, "") for k in WITNESS_FIELDS)
 
 
-def run_suite(
-    suite: str,
-    info: dict,
-    found: Iterable[dict | None],
-    sample: Callable[[random.Random], dict | None] | None = None,
-    seed: int = 0,
-    sample_size: int = 0,
-) -> CheckReport:
-    """Collect the witnesses of one suite run into its report.
+def run_suite(suite: str, info: dict, found: Iterable[dict | None]) -> CheckReport:
+    """Collect the witnesses of one exhaustive suite run into its report.
 
-    `found` yields a witness dict, or None, for each input the exhaustive
-    pass checked.  When `sample` is given it is called `sample_size` times
-    with one generator seeded by `seed`, and answers the same way for one
-    random input.  Repeated witnesses are kept once.
+    `found` yields a witness dict, or None, for each input the run checked.
+    Repeated witnesses are kept once.
     """
-    witnesses = [w for w in found if w is not None]
-    if sample is not None:
-        rng = random.Random(seed)
-        draws = (sample(rng) for _ in range(sample_size))
-        witnesses.extend(w for w in draws if w is not None)
-    unique = {tuple(sorted(w.items())): w for w in witnesses}
+    unique = {tuple(sorted(w.items())): w for w in found if w is not None}
     ordered = sorted(unique.values(), key=witness_key)
     return CheckReport(suite, not ordered, ordered, info)

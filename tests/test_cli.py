@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hilb
 from hilb.cli import build_parser, main
 from hilb.surface_ring import SurfaceRing, preset, save_ring
 
@@ -323,3 +328,36 @@ def test_resource_error_exits_3(capsys):
     )
     assert code == 3
     assert "resource" in err
+    # multiplicativity has no cost gate: enumerate_sn refuses S_9 before any
+    # pair is checked
+    code, out, err = run(capsys, "verify", "multiplicativity", "--preset", "d4", "-n", "9")
+    assert (code, out) == (3, "")
+    assert "resource" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_2_without_traceback(unbuffered):
+    # stdout is a pipe whose read end is already closed, as when the report
+    # is piped into `head` or `true`; a buffered stdout meets the closed pipe
+    # only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(hilb.__file__).parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilb.cli", "verify", "multiplicativity",
+             "--preset", "d4", "-n", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
