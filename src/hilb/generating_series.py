@@ -231,6 +231,9 @@ def brute_force_poincare(
     acts by -1 on the factor tensor, in which case its symmetrization
     vanishes and it is excluded.  This is the independent oracle for the
     product formulas: it only uses the S_n action and the abstract perversity.
+    The orbits come from `iter_orbit_reps`, which scans one permutation per
+    cycle type against its centralizer.  The resource gate `check_resource`
+    still prices the scan of all of S_n.
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")

@@ -342,7 +342,11 @@ def graph_defect(sigma: Perm, tau: Perm) -> dict[tuple[int, ...], int]:
 
 
 def class_representatives(n: int) -> list[Perm]:
-    """One permutation per cycle type: the first of each in enumerate_sn order."""
+    """One permutation per cycle type: the first of each in enumerate_sn order.
+
+    That is the lexicographically least element of each conjugacy class, and
+    the list is increasing.
+    """
     reps: dict[Partition, Perm] = {}
     for sigma in enumerate_sn(n):
         reps.setdefault(cycle_type(sigma), sigma)

@@ -47,6 +47,7 @@ from .surface_ring import (
 from .symmetric_groups import (
     Perm,
     _perm_orbit_blocks,
+    class_representatives,
     enumerate_sn,
     joint_orbits,
     least_conjugate,
@@ -361,20 +362,37 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
     The representative is the lexicographically minimal element of its orbit.
     `survives` is False when some stabilizer element acts by -1 on the factor
     tensor, in which case the orbit sums to zero in the invariant model.
+
+    Only the least permutation sigma of each conjugacy class
+    (`class_representatives`) can carry a representative, and only its
+    centralizer Z(sigma) can move a.sigma to an element at most a.sigma: any
+    other tau conjugates sigma to a larger permutation.  Centralizer elements
+    with the same slot move act alike on every factor tuple, so one tau per
+    move is tested.  The pairs come out as a scan of every basis element
+    against all of S_n would yield them, in the same order.
     """
     taus = list(enumerate_sn(n))
-    for x in enumerate_wreath_basis(ring, n):
-        minimal = True
-        survives = True
+    for sigma in class_representatives(n):
+        s = sigma.images
+        moves: dict[tuple[int, ...], Perm] = {}
         for tau in taus:
-            sign, moved = sn_act(ring, tau, x)
-            if moved < x:
-                minimal = False
-                break
-            if moved == x and sign == -1:
-                survives = False
-        if minimal:
-            yield x, survives
+            t = tau.images
+            if all(t[s[i] - 1] == s[t[i] - 1] for i in range(n)):  # tau sigma = sigma tau
+                moves.setdefault(_act_plan(t, s)[1], tau)
+        k = len(_perm_orbit_blocks(s))
+        for factors in iproduct(range(ring.size), repeat=k):
+            x = WreathElement(n=n, sigma=sigma, factors=factors)
+            minimal = True
+            survives = True
+            for tau in moves.values():
+                sign, moved = sn_act(ring, tau, x)
+                if moved < x:
+                    minimal = False
+                    break
+                if moved == x and sign == -1:
+                    survives = False
+            if minimal:
+                yield x, survives
 
 
 # -- resource estimation -------------------------------------------------------
@@ -387,7 +405,13 @@ def basis_count(ring: SurfaceRing, n: int) -> int:
 
 
 def spec_cost(ring: SurfaceRing, n: int) -> int:
-    """The package-wide resource proxy: n! * (basis size)^n."""
+    """n! * (basis size)^n: the resource proxy of `brute_force_poincare`.
+
+    Nothing else reads it.  It prices a scan of every factor tuple against
+    all of S_n, while `iter_orbit_reps` tests each tuple against one
+    permutation per slot move of a centralizer, so it over-counts the work.
+    It stays as it is, so that the gate refuses the same inputs as before.
+    """
     return factorial(n) * ring.size**n
 
 

@@ -19,7 +19,7 @@ from hilb.generating_series import (
     ring_betti,
     ring_dims,
 )
-from hilb.surface_ring import preset
+from hilb.surface_ring import PRESET_NAMES, load_ring, preset, save_ring
 
 FAMILY = {"a0": "a0", "d4": "dynkin4", "e6": "dynkin6", "e7": "dynkin7", "e8": "dynkin8"}
 
@@ -129,17 +129,18 @@ def test_hard_lefschetz_palindromy_compact(name):
         assert flipped == poly, (name, n)
 
 
+def _lefschetz_symmetric(poly, n: int) -> bool:
+    """Whether dims_n(p, d) = dims_n(2n - p, d + 2(n - p)) on one s^n slice."""
+    return poly == {(2 * n - p, d + 2 * (n - p)): c for (p, d), c in poly.items()}
+
+
 def _relative_hard_lefschetz_breaks(dims, s_bound: int) -> list[int]:
-    """The n <= s_bound at which dims_n(p, d) = dims_n(2n - p, d + 2(n - p))
-    fails on the refined series."""
+    """The n <= s_bound at which the refined series breaks the symmetry."""
     refined = refined_goettsche(dims, s_bound)
-    broken = []
-    for n in range(1, s_bound + 1):
-        poly = refined.coefficient_of_s(n)
-        flipped = {(2 * n - p, d + 2 * (n - p)): c for (p, d), c in poly.items()}
-        if flipped != poly:
-            broken.append(n)
-    return broken
+    return [
+        n for n in range(1, s_bound + 1)
+        if not _lefschetz_symmetric(refined.coefficient_of_s(n), n)
+    ]
 
 
 @pytest.mark.parametrize("name", ["a0", "d4", "e6", "e7", "e8", "k3", "abelian"])
@@ -155,6 +156,24 @@ def test_relative_hard_lefschetz_catches_moved_class():
     dims[(1, 2)] -= 1
     dims[(0, 2)] = dims.get((0, 2), 0) + 1
     assert _relative_hard_lefschetz_breaks(dims, 3)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "name,n_max", [(name, 5 if name in ("a0", "d4") else 3) for name in PRESET_NAMES]
+)
+def test_relative_hard_lefschetz_on_orbit_counts(name, n_max):
+    # the same symmetry on the oracle's own counts, with no product formula
+    ring = preset(name)
+    for n in range(1, n_max + 1):
+        assert _lefschetz_symmetric(brute_force_poincare(ring, n), n), (name, n)
+
+
+def test_orbit_count_symmetry_catches_moved_class():
+    # E1 moved from perversity 1 to perversity 0 in the d4 ring itself
+    text = save_ring(preset("d4")).replace(
+        "basis E1 degree=2 perversity=1", "basis E1 degree=2 perversity=0"
+    )
+    assert not _lefschetz_symmetric(brute_force_poincare(load_ring(text), 1), 1)
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,24 @@ def test_class_representatives_first_of_each_cycle_type(n, classes):
     assert class_representatives(3) == [parse_cycles(c, 3) for c in ("id", "(2 3)", "(1 2 3)")]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_class_representatives_are_conjugation_minima(n):
+    # the lemma the orbit oracle prunes by: each representative is the least
+    # of its conjugacy class, computed here by conjugating with all of S_n,
+    # so every tau outside its centralizer moves it to a larger permutation;
+    # the representatives come in increasing order and their classes cover S_n
+    perms = list(enumerate_sn(n))
+    reps = class_representatives(n)
+    assert reps == sorted(reps)
+    covered = set()
+    for sigma in reps:
+        conjugates = {tau.compose(sigma).compose(tau.inverse()) for tau in perms}
+        assert min(conjugates) == sigma
+        assert covered.isdisjoint(conjugates)
+        covered |= conjugates
+    assert len(covered) == len(perms)
+
+
 def test_partition_bookkeeping():
     part = cycle_type(parse_cycles("(1 2)(3 4 5)", 5))
     assert part.n == 5

@@ -241,6 +241,34 @@ def test_orbit_reps_super_dimension_count():
     assert len(killed) == 2  # (a,a) and (b,b) on the identity component
 
 
+def _orbit_reps_by_full_scan(ring: SurfaceRing, n: int):
+    """The reference for the centralizer scan: every basis element tested
+    against all of S_n, by the same minimality and stabilizer-sign test."""
+    taus = list(enumerate_sn(n))
+    for x in enumerate_wreath_basis(ring, n):
+        minimal = True
+        survives = True
+        for tau in taus:
+            sign, moved = sn_act(ring, tau, x)
+            if moved < x:
+                minimal = False
+                break
+            if moved == x and sign == -1:
+                survives = False
+        if minimal:
+            yield x, survives
+
+
+@pytest.mark.parametrize(
+    "name,n_max", [(name, 4 if name in ("a0", "d4", "e6") else 3) for name in PRESET_NAMES]
+)
+def test_orbit_reps_match_the_full_scan(name, n_max):
+    # a0's odd classes exercise the sign test on the stabilizers
+    ring = preset(name)
+    for n in range(n_max + 1):
+        assert list(iter_orbit_reps(ring, n)) == list(_orbit_reps_by_full_scan(ring, n)), n
+
+
 def test_render_element():
     ring = preset("d4")
     x = make_element(ring, 3, parse_cycles("(1 2)", 3), (1, 5))
