@@ -12,7 +12,7 @@ p(x.y) <= p(x) + p(y) over every pair of basis elements; it factorizes over
 the joint orbits of the two permutations (both the product and the perversity
 bookkeeping decompose orbitwise), which turns the factorially large pair
 space into transitive local subproblems without giving up exhaustiveness.
-`symmetric_groups.joint_orbits` gives the joint orbits and the ranks of the
+`symmetric_groups.pair_orbits` gives the joint orbits and the ranks of the
 orbits of sigma, tau and sigma tau inside each: their numbers make the
 orbit-count signature (m, a, b, m_res), and sigma's and tau's ranks lift a
 local witness back to the pair.
@@ -35,7 +35,7 @@ from .symmetric_groups import (
     _perm_orbit_blocks,
     class_representatives,
     enumerate_sn,
-    joint_orbits,
+    pair_orbits,
     signature_defect,
 )
 from .wreath_ring import (
@@ -43,7 +43,6 @@ from .wreath_ring import (
     WreathElement,
     cup,
     euler_vanishes,
-    lift_element,
     local_product,
     render_element,
 )
@@ -186,10 +185,22 @@ def _mult_witness(
     }
 
 
+def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> WreathElement:
+    """Lift per-joint-orbit local factor tuples back onto sigma's orbits.
+
+    local_factors[k] holds the factors of the orbits of sigma whose ranks
+    (joint_orbits) are rank_lists[k]; every other orbit gets the unit.
+    """
+    factors = [ring.unit] * len(_perm_orbit_blocks(sigma.images))
+    for ranks, local in zip(rank_lists, local_factors):
+        for m, f in zip(ranks, local):
+            factors[m] = f
+    return WreathElement(n=sigma.n, sigma=sigma, factors=tuple(factors))
+
+
 def _mult_pair_check(ring: SurfaceRing, sigma: Perm, tau: Perm) -> dict | None:
     """Worst violation witness among pairs with the given permutations, or None."""
-    st_images = tuple(sigma.images[j - 1] for j in tau.images)
-    blocks, ranks = joint_orbits(sigma.images, tau.images, st_images)
+    _, blocks, ranks = pair_orbits(sigma.images, tau.images)
     total = 0
     args_x: list[tuple[int, ...]] = []
     args_y: list[tuple[int, ...]] = []

@@ -251,29 +251,25 @@ def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def least_conjugate(
-    images: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def least_conjugate(images: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The lexicographically least simultaneous conjugate of permutations.
 
     `images` holds the image sequences of permutations of one [m].  Returns
-    (least, t): the least tuple (t p1 t^-1, t p2 t^-1, ...) over t in S_m,
-    and the first t (lexicographic in its images) that reaches it.
+    the least tuple (t p1 t^-1, t p2 t^-1, ...) over t in S_m.
     """
     m = len(images[0])
-    best = None
-    for t in permutations(range(1, m + 1)):
+
+    def conjugate(t):
         # t p t^-1 sends t(i) to t(p(i))
-        conjugate = []
+        out = []
         for p in images:
-            out = [0] * m
+            moved = [0] * m
             for i, j in enumerate(p):
-                out[t[i] - 1] = t[j - 1]
-            conjugate.append(tuple(out))
-        conjugate = tuple(conjugate)
-        if best is None or conjugate < best[0]:
-            best = (conjugate, t)
-    return best
+                moved[t[i] - 1] = t[j - 1]
+            out.append(tuple(moved))
+        return tuple(out)
+
+    return min(map(conjugate, permutations(range(1, m + 1))))
 
 
 def joint_orbits(*images: tuple[int, ...]):
@@ -297,6 +293,16 @@ def joint_orbits(*images: tuple[int, ...]):
     return blocks, [tuple(map(tuple, row)) for row in ranks]
 
 
+def pair_orbits(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
+    """sigma tau and the joint orbits of (sigma, tau, sigma tau).
+
+    Returns (st, blocks, ranks): the image sequence of sigma tau, applying
+    tau first, and `joint_orbits` of the three permutations.
+    """
+    st = tuple(sigma_images[j - 1] for j in tau_images)
+    return (st, *joint_orbits(sigma_images, tau_images, st))
+
+
 def joint_signatures(
     sigma: Perm, tau: Perm
 ) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int, int, int]]]:
@@ -306,8 +312,7 @@ def joint_signatures(
     generated by sigma and tau, and per block the tuple (m, a, b, m_res) of
     its size and the numbers of orbits of sigma, tau and sigma tau on it.
     """
-    st_images = tuple(sigma.images[j - 1] for j in tau.images)
-    blocks, ranks = joint_orbits(sigma.images, tau.images, st_images)
+    _, blocks, ranks = pair_orbits(sigma.images, tau.images)
     return blocks, [(len(b), *map(len, r)) for b, r in zip(blocks, ranks)]
 
 

@@ -23,6 +23,11 @@ a triple product share their moves across joint orbits, so associativity is
 checked one joint orbit at a time on every ring (`check_associativity`).
 So are equivariance and graded commutativity (as the twisted identity
 x.y = (-1)^(|x||y|) sigma_x(y).x), over the joint orbits of <sigma, tau>.
+The three suites walk one generator of local problems, the transitive
+permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
+solves one triple per class under simultaneous conjugation when the cup
+product is S_n-equivariant.  Each violation is one witness, lifted onto
+points 1..m.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .symmetric_groups import (
     enumerate_sn,
     joint_orbits,
     least_conjugate,
+    pair_orbits,
     signature_defect,
 )
 
@@ -226,8 +232,7 @@ def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
     y's on each joint orbit.  `push` moves the product's components, read in
     joint-orbit order, to the canonical slots `dst` of sigma tau.
     """
-    st = Perm(tuple(sigma_images[j - 1] for j in tau_images))
-    blocks, ranks = joint_orbits(sigma_images, tau_images, st.images)
+    st_images, blocks, ranks = pair_orbits(sigma_images, tau_images)
     local = tuple(
         (xg, yg, signature_defect(len(b), len(xg), len(yg), len(dg)), len(dg))
         for b, (xg, yg, dg) in zip(blocks, ranks)
@@ -238,7 +243,7 @@ def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
     order = [s for xg, yg, *_ in local for s in (*xg, *(kx + m for m in yg))]
     dst = tuple(m for *_, dg in ranks for m in dg)
     pull = inverted_pairs([order.index(s) for s in range(len(order))])
-    return st, local, pull, dst, inverted_pairs(dst)
+    return Perm(st_images), local, pull, dst, inverted_pairs(dst)
 
 
 def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
@@ -404,19 +409,18 @@ def basis_count(ring: SurfaceRing, n: int) -> int:
     )
 
 
-def spec_cost(ring: SurfaceRing, n: int) -> int:
-    """n! * (basis size)^n: the resource proxy of `brute_force_poincare`.
-
-    Nothing else reads it.  It prices a scan of every factor tuple against
-    all of S_n, while `iter_orbit_reps` tests each tuple against one
-    permutation per slot move of a centralizer, so it over-counts the work.
-    It stays as it is, so that the gate refuses the same inputs as before.
-    """
-    return factorial(n) * ring.size**n
-
-
 def check_resource(ring: SurfaceRing, n: int, limit: int) -> None:
-    cost = spec_cost(ring, n)
+    """ResourceError when n! * (basis size)^n exceeds limit: the gate of
+    `brute_force_poincare`.
+
+    n! * size^n is no over-count: it is the worst case of the identity class
+    in `iter_orbit_reps`, whose size^n factor tuples may each be tested
+    against all n! slot moves of Z(id) = S_n.  Most tuples leave at the first
+    move with `moved < x`, which is what makes runs such as e6 at n = 6 fast,
+    but nothing bounds that in advance; a gate that admits them needs an
+    enumeration of sorted tuples first.
+    """
+    cost = factorial(n) * ring.size**n
     if cost > limit:
         raise ResourceError(
             f"n={n} on ring {ring.name} needs ~{cost} elementary products, limit {limit}"
@@ -424,12 +428,6 @@ def check_resource(ring: SurfaceRing, n: int, limit: int) -> None:
 
 
 # -- transitive local subproblems ----------------------------------------------
-
-
-def restrict_perm(sigma: Perm, block: tuple[int, ...]) -> Perm:
-    """Relabel the restriction of sigma to an invariant block onto [len(block)]."""
-    relabel = {v: i + 1 for i, v in enumerate(block)}
-    return Perm(tuple(relabel[sigma(v)] for v in block))
 
 
 def _elements_by_degree(ring: SurfaceRing, sigma: Perm) -> list[tuple[int, tuple[int, ...]]]:
@@ -453,16 +451,35 @@ def max_degree(n: int, perm: Perm) -> int:
     return 2 * n + 2 * len(_perm_orbit_blocks(perm.images))
 
 
+def _transitive_tuples(n: int, smallest: int, arity: int):
+    """Every tuple of `arity` permutations of S_m, smallest <= m <= n, whose
+    joint orbit is all of [m]: the local problems of the orbit-local suites.
+
+    A joint orbit of a tuple of S_n, relabelled in order onto 1..m, is one
+    of them, and each of them is one, on points 1..m with the identity on
+    the other points.
+    """
+    for m in range(smallest, n + 1):
+        perms = list(enumerate_sn(m))
+        for perm_tuple in iproduct(perms, repeat=arity):
+            if len(joint_orbits(*(p.images for p in perm_tuple))[0]) == 1:
+                yield perm_tuple
+
+
+def _lifted_witness(ring: SurfaceRing, n: int, *elements, **more) -> dict:
+    """A local violation on points 1..m, put on [n] with the identity and
+    units on the other points (their local products are units); the elements
+    are rendered as x, y and z."""
+
+    def lift(e: WreathElement) -> str:
+        sigma = Perm(e.sigma.images + tuple(range(e.n + 1, n + 1)))
+        factors = e.factors + (ring.unit,) * (n - e.n)
+        return render_element(ring, WreathElement(n, sigma, factors))
+
+    return {**dict(zip("xyz", map(lift, elements))), **more, "excess": 1}
+
+
 # -- verification suites ---------------------------------------------------------
-
-
-def _triple_witness(ring: SurfaceRing, x, y, z) -> dict:
-    return {
-        "x": render_element(ring, x),
-        "y": render_element(ring, y),
-        "z": render_element(ring, z),
-        "excess": 1,
-    }
 
 
 # validate's axioms that together make the cup product S_n-equivariant
@@ -510,30 +527,6 @@ def cup_equivariant(ring: SurfaceRing) -> bool:
     return not _failing_axioms(ring) & _EQUIVARIANCE_AXIOMS
 
 
-def _associativity_triples(
-    ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
-) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
-    """Violating triples on one permutation triple.
-
-    The memo is keyed by the least simultaneous conjugate t(sigma, tau, rho)t^-1
-    when the cup product is equivariant (`cup_equivariant`), and by the raw
-    triple (t = id) otherwise; the representative's violating triples are
-    moved back along t^-1.
-    """
-    raw = (sigma.images, tau.images, rho.images)
-    key, t = least_conjugate(raw) if cup_equivariant(ring) else (raw, None)
-    cache = ring._caches.setdefault("assoc_local", {})
-    bad = cache.get(key)
-    if bad is None:
-        bad = cache[key] = _violating_triples(ring, *(Perm(p) for p in key))
-    if not bad or key == raw:
-        return bad
-    # equivariance moves violating triples to violating triples (both sides
-    # of the identity pick up the same sign), so the set moves as a set
-    back = Perm(t).inverse()
-    return [tuple(sn_act(ring, back, e)[1] for e in triple) for triple in bad]
-
-
 def _violating_triples(
     ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
 ) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
@@ -568,19 +561,6 @@ def _violating_triples(
     return bad
 
 
-def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> WreathElement:
-    """Lift per-joint-orbit local factor tuples back onto sigma's orbits.
-
-    local_factors[k] holds the factors of the orbits of sigma whose ranks
-    (joint_orbits) are rank_lists[k]; every other orbit gets the unit.
-    """
-    factors = [ring.unit] * len(_perm_orbit_blocks(sigma.images))
-    for ranks, local in zip(rank_lists, local_factors):
-        for m, f in zip(ranks, local):
-            factors[m] = f
-    return WreathElement(n=sigma.n, sigma=sigma, factors=tuple(factors))
-
-
 def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport:
     """(x.y).z = x.(y.z) over basis triples, one joint orbit at a time.
 
@@ -605,41 +585,43 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     with odd classes that breaks one of them raises DataError.  Even rings
     do no sign work and are not gated.
 
-    One problem is solved per class of permutation triples under
-    simultaneous conjugation: the memo is keyed by the least conjugate
-    t(sigma, tau, rho)t^-1, and its violating triples are moved back along
-    t^-1 with `sn_act`.  That is exact when the cup product is
-    S_n-equivariant: then t.((xy)z) and t.(x(yz)) carry the same sign against
-    ((t x)(t y))(t z) and (t x)((t y)(t z)), so the violating set moves as a
-    set.  Equivariance follows from graded commutativity and associativity
-    of the surface product and a Koszul-symmetric, coassociative Delta_2
-    (`cup_equivariant` reads them from `validate`).  A ring that lacks one of
-    them may have a non-equivariant cup product, whose violating sets differ
-    between conjugate triples, so it keys the memo by the raw triple instead.
+    Each local problem is a triple (sigma, tau, rho) of S_m, m <= n, whose
+    joint orbit is all of [m] (`_transitive_tuples`), and one is solved per
+    class of such triples under simultaneous conjugation: the triple that
+    is its own least conjugate (`least_conjugate`).  That is exact when the
+    cup product is S_n-equivariant: then t.((xy)z) and t.(x(yz)) carry the
+    same sign against ((t x)(t y))(t z) and (t x)((t y)(t z)), so conjugate
+    triples have conjugate violating sets, and either both are empty or
+    neither is.  Equivariance follows from graded commutativity and
+    associativity of the surface product and a Koszul-symmetric,
+    coassociative Delta_2 (`cup_equivariant` reads them from `validate`).
+    A ring that lacks one of them may have a non-equivariant cup product,
+    whose violating sets differ between conjugate triples, so every
+    transitive triple is solved.  Each violation of a solved problem is one
+    witness, lifted onto points 1..m (`_lifted_witness`); `local_suites`
+    counts the problems solved.
 
     `seed` is only echoed in the report.
     """
     _require_parity(ring, "associativity")
-    perms = list(enumerate_sn(n))
-    found: list[dict] = []
-    local_suites = 0
-    for perm_triple in iproduct(perms, repeat=3):
-        blocks, ranks = joint_orbits(*(p.images for p in perm_triple))
-        for block, block_ranks in zip(blocks, ranks):
-            local_suites += 1
-            local = (restrict_perm(p, block) for p in perm_triple)
-            for bad in _associativity_triples(ring, *local):
-                lifted = (
-                    lift_element(ring, p, (r,), (e.factors,))
-                    for p, r, e in zip(perm_triple, block_ranks, bad)
-                )
-                found.append(_triple_witness(ring, *lifted))
+    equivariant = cup_equivariant(ring)
+
+    def solved(triple) -> bool:
+        images = tuple(p.images for p in triple)
+        return not equivariant or least_conjugate(images) == images
+
+    problems = [triple for triple in _transitive_tuples(n, 1, 3) if solved(triple)]
+    found = (
+        _lifted_witness(ring, n, *bad)
+        for triple in problems
+        for bad in _violating_triples(ring, *triple)
+    )
     info = {
         "ring": ring.name,
         "n": n,
         "mode": "orbit-local",
         "seed": seed,
-        "local_suites": local_suites,
+        "local_suites": len(problems),
     }
     return run_suite("associativity", info, found)
 
@@ -658,37 +640,22 @@ def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
 
 
 def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
-    """(x, y, |x||y| odd) for every basis pair over a pair (sigma, tau) of
-    S_m, smallest <= m <= n, whose joint orbit is all of [m], pruned by the
-    degree capacity of sigma tau's component (above it both products vanish,
-    by degree additivity)."""
-    for m in range(smallest, n + 1):
-        perms = list(enumerate_sn(m))
-        for sigma, tau in iproduct(perms, repeat=2):
-            if len(joint_orbits(sigma.images, tau.images)[0]) > 1:
-                continue
-            cap = max_degree(m, sigma.compose(tau))
-            ys = _elements_by_degree(ring, tau)
-            for dx, fx in _elements_by_degree(ring, sigma):
-                if dx + ys[0][0] > cap:
+    """(x, y, |x||y| odd) for every basis pair over a transitive pair
+    (sigma, tau) of S_m, smallest <= m <= n (`_transitive_tuples`), pruned
+    by the degree capacity of sigma tau's component (above it both products
+    vanish, by degree additivity)."""
+    for sigma, tau in _transitive_tuples(n, smallest, 2):
+        m = sigma.n
+        cap = max_degree(m, sigma.compose(tau))
+        ys = _elements_by_degree(ring, tau)
+        for dx, fx in _elements_by_degree(ring, sigma):
+            if dx + ys[0][0] > cap:
+                break
+            x = WreathElement(m, sigma, fx)
+            for dy, fy in ys:
+                if dx + dy > cap:
                     break
-                x = WreathElement(m, sigma, fx)
-                for dy, fy in ys:
-                    if dx + dy > cap:
-                        break
-                    yield x, WreathElement(m, tau, fy), dx % 2 and dy % 2
-
-
-def _lifted_witness(ring: SurfaceRing, n: int, x, y, **more) -> dict:
-    """A local violation on points 1..m, put on [n] with the identity and
-    units on the other points (their local products are units)."""
-
-    def lift(e: WreathElement) -> str:
-        sigma = Perm(e.sigma.images + tuple(range(e.n + 1, n + 1)))
-        factors = e.factors + (ring.unit,) * (n - e.n)
-        return render_element(ring, WreathElement(n, sigma, factors))
-
-    return {"x": lift(x), "y": lift(y), **more, "excess": 1}
+                yield x, WreathElement(m, tau, fy), dx % 2 and dy % 2
 
 
 def check_equivariance(

@@ -139,6 +139,17 @@ def test_verify_diagonal_json(capsys):
     assert payload["suite"] == "diagonal-bound"
 
 
+def test_verify_associativity_json_counts_local_problems(capsys):
+    # one local problem per conjugacy class of transitive triples on 1, 2, 3 points
+    code, out, _ = run(
+        capsys, "verify", "associativity", "--preset", "d4", "-n", "3", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "pass"
+    assert payload["info"]["local_suites"] == 49
+
+
 def test_verify_diagonal_echoes_n_without_seed(capsys):
     code, out, _ = run(
         capsys, "verify", "diagonal", "--preset", "k3", "-n", "4", "--format", "json"

@@ -39,12 +39,10 @@ from hilb.wreath_ring import (
     WreathClass,
     _cup_plan,
     _mul_sequence,
-    check_associativity,
     cup,
     enumerate_wreath_basis,
     local_product,
     make_element,
-    restrict_perm,
     sn_act,
     unit_element,
 )
@@ -105,6 +103,12 @@ def test_multiplicativity_small_presets():
         report = check_multiplicativity(ring, 2)
         assert report.passed, report.render_text()
         assert report.info["mode"] == "exhaustive"
+
+
+def restrict_perm(sigma: Perm, block: tuple[int, ...]) -> Perm:
+    """Relabel the restriction of sigma to an invariant block onto [len(block)]."""
+    relabel = {v: i + 1 for i, v in enumerate(block)}
+    return Perm(tuple(relabel[sigma(v)] for v in block))
 
 
 def _signature(sigma: Perm, tau: Perm, block) -> tuple[int, int, int, int]:
@@ -413,22 +417,6 @@ def test_conjugation_reduction_matches_all_pairs(name, n):
         assert all(w["actual"] - w["bound"] == w["excess"] for w in report.witnesses)
     reps = class_representatives(n)
     assert _worst_total(ring, reps, perms) == _worst_total(ring, perms, perms)
-
-
-def test_associativity_memo_up_to_conjugation():
-    # one local problem per class of transitive permutation triples under
-    # simultaneous conjugation: 1 + 7 + 41 on 1, 2, 3 points (202 raw triples)
-    ring = load_ring(save_ring(preset("d4")))
-    report = check_associativity(ring, 3)
-    assert report.passed, report.render_text()
-    assert report.info == {
-        "ring": "d4",
-        "n": 3,
-        "mode": "orbit-local",
-        "seed": 0,
-        "local_suites": 239,
-    }
-    assert len(ring._caches["assoc_local"]) <= 49
 
 
 def test_diagonal_bound_presets():

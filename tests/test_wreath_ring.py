@@ -28,7 +28,7 @@ from hilb.symmetric_groups import (
 from hilb.wreath_ring import (
     WreathClass,
     act_class,
-    _associativity_triples,
+    _lifted_witness,
     _mul_sequence,
     _violating_triples,
     basis_count,
@@ -164,6 +164,39 @@ def test_cup_open_ring_euler_branch_dies():
     ring = preset("d4")
     x = make_element(ring, 3, parse_cycles("(1 2 3)", 3), (0,))
     assert cup(ring, x, x) == WreathClass(3)
+
+
+# the one-class ring: H*(pt) = Q in degree 0, with no diagonal and no Euler class
+_PT = """ring name=pt mode=open
+basis 1 degree=0 perversity=0
+unit 1
+mul 1 1 = 1*1
+euler =
+"""
+
+
+def test_class_algebra_anchor_on_the_point():
+    """On pt, A{S_n} is the class algebra graded by n - #orbits: the product
+    of 1.sigma and 1.tau is 1.(sigma tau) when the degrees add and 0
+    otherwise (Lehn-Sorger, H*(Hilb^n C^2) = gr Z(Q[S_n])).  Degrees add iff
+    every joint orbit has graph defect 0 and one orbit of sigma tau, so this
+    anchor pins the composition order and the graph defect; it does not see
+    e or Delta_m, which such a product never reaches."""
+    ring = load_ring(_PT)
+    nonzero = 0
+    for n in range(1, 6):
+        ones = {
+            s: make_element(ring, n, s, (ring.unit,) * len(s.cycles())) for s in enumerate_sn(n)
+        }
+        degree = {s: element_degree(ring, x) for s, x in ones.items()}
+        for sigma, x in ones.items():
+            for tau, y in ones.items():
+                z = ones[sigma.compose(tau)]
+                additive = degree[sigma] + degree[tau] == degree[z.sigma]
+                expected = WreathClass.of(z) if additive else WreathClass(n)
+                assert cup(ring, x, y) == expected, (n, sigma.cycle_string(), tau.cycle_string())
+                nonzero += additive and n == 5
+    assert nonzero == 1809
 
 
 def test_unit_laws_small():
@@ -402,7 +435,7 @@ def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
     assert report.passed == (mutant in ("none", "sign-twist-on-transpositions"))
 
 
-# -- the associativity memo up to simultaneous conjugation ------------------------
+# -- associativity up to simultaneous conjugation ---------------------------------
 
 _D4_DIAG = {"1": {(f"E{i}", f"E{i}"): -1 for i in range(1, 5)}}
 
@@ -449,21 +482,70 @@ def test_diagonal_axioms_gate_the_conjugation_key(table, axiom):
     assert not report.passed
     assert {w["axiom"] for w in report.witnesses} == {axiom}
     assert not cup_equivariant(ring)
-    check_associativity(ring, 3)
-    keys = ring._caches["assoc_local"]
-    # every distinct local triple is its own key: 1 + 7 + 194 on 1, 2, 3 points
-    assert len(keys) == 202
-    assert any(least_conjugate(key)[0] != key for key in keys)
+    # every transitive triple is solved: 1 + 7 + 194 on 1, 2, 3 points
+    assert check_associativity(ring, 3).info["local_suites"] == 202
+
+
+def test_associativity_one_problem_per_conjugacy_class():
+    # one local problem per class of transitive permutation triples under
+    # simultaneous conjugation: 1 + 7 + 41 on 1, 2, 3 points (202 triples)
+    ring = load_ring(save_ring(preset("d4")))
+    report = check_associativity(ring, 3)
+    assert report.passed, report.render_text()
+    assert report.info == {
+        "ring": "d4",
+        "n": 3,
+        "mode": "orbit-local",
+        "seed": 0,
+        "local_suites": 49,
+    }
+
+
+def _transitive_triples(m: int):
+    """The triples of S_k, k <= m, whose joint orbit is all of [k]."""
+    for k in range(1, m + 1):
+        for triple in product(list(enumerate_sn(k)), repeat=3):
+            if len(orbits(k, triple).blocks) == 1:
+                yield triple
+
+
+def _conjugated_violations(ring: SurfaceRing, triple, memo: dict) -> set:
+    """The violating triples of the least conjugate t(sigma, tau, rho)t^-1,
+    moved back along t^-1, for the first t of S_m that reaches it (the
+    identity when the triple is its own least conjugate).  memo caches the
+    least conjugates' violating triples."""
+    least = least_conjugate(tuple(p.images for p in triple))
+    t = next(
+        t
+        for t in enumerate_sn(triple[0].n)
+        if tuple(t.compose(p).compose(t.inverse()).images for p in triple) == least
+    )
+    if least not in memo:
+        memo[least] = _violating_triples(ring, *map(Perm, least))
+    back = t.inverse()
+    return {tuple(sn_act(ring, back, e)[1] for e in bad) for bad in memo[least]}
 
 
 def test_conjugation_key_without_coassociativity_would_change_the_report():
     # the cup product of this ring is not S_3-equivariant, so the violating
-    # sets of conjugate triples differ and the raw key is the only exact one
+    # sets of conjugate triples differ and every transitive triple is solved.
+    # Solving representatives only gives a subset of the witnesses, and
+    # moving them along S_3 would give a witness set other than the report's
     table = _D4_DIAG | {"E1": {("S", "S"): 1}}
-    raw = check_associativity(_with_diag2("d4", table), 3)
+    ring = _with_diag2("d4", table)
+    raw = {witness_key(w) for w in check_associativity(ring, 3).witnesses}
     forced = _with_diag2("d4", table)
     forced._caches["validate"] = {"failing": frozenset()}
-    assert check_associativity(forced, 3).to_json() != raw.to_json()
+    representatives = {witness_key(w) for w in check_associativity(forced, 3).witnesses}
+    memo: dict = {}
+    conjugated = {
+        witness_key(_lifted_witness(ring, 3, *bad))
+        for triple in _transitive_triples(3)
+        for bad in _conjugated_violations(ring, triple, memo)
+    }
+    assert representatives < raw
+    assert representatives < conjugated
+    assert conjugated != raw
 
 
 # a0 with Delta_2(1) = a (x) b - b (x) a: it passes validate and fails
@@ -486,18 +568,17 @@ def _gated_mutants():
     + [("a0", 3), ("d4", 3), ("e6", 3), ("d4-E1E1", 3), ("a0-odd-diagonal", 3)],
 )
 def test_conjugation_key_matches_raw_triples(name, m):
+    # the argument for solving one triple per conjugacy class: every
+    # transitive triple's violating set is its least conjugate's, moved back
     mutants = _gated_mutants()
     ring = mutants[name] if name in mutants else preset(name)
     assert cup_equivariant(ring)
     violations = 0
-    for k in range(1, m + 1):
-        perms = list(enumerate_sn(k))
-        for triple in product(perms, repeat=3):
-            if len(orbits(k, triple).blocks) != 1:
-                continue
-            raw = _violating_triples(ring, *triple)
-            assert set(_associativity_triples(ring, *triple)) == set(raw), triple
-            violations += len(raw)
+    memo: dict = {}
+    for triple in _transitive_triples(m):
+        raw = _violating_triples(ring, *triple)
+        assert _conjugated_violations(ring, triple, memo) == set(raw), triple
+        violations += len(raw)
     assert (violations > 0) == (name not in PRESET_NAMES)
 
 
@@ -647,19 +728,20 @@ def test_diagonal_parity_gates_odd_associativity(table, axioms, tmp_path, capsys
     assert len(calls) == 1  # validate is read once per ring
 
 
-# sha256 of the JSON reports at the commit before the conjugation key
+# witness counts and sha256 of the JSON reports: every witness is a violation
+# of a solved local problem, lifted onto points 1..m
 _PARENT_REPORTS = {
-    ("E1", "E1", 2): (6, "86ce5af1e2704f906b334fe52d63675f53f4d1e5360020636bf51368658acd78"),
-    ("E1", "E1", 3): (234, "0c25b83343007c9791c89b3b68e569534070c5ae4601625f77a941795bcc02f6"),
-    ("E1", "E2", 2): (10, "8db8a4d23cb93c0c5c3187cc2a5689843534ee0107de24e236aa488410f8575a"),
-    ("E1", "E2", 3): (334, "0e594b0b05561244fcaad5da1c4e42a5fd0be199591c7e7edb98cd60e1e0f740"),
+    ("E1", "E1", 2): (6, "e21fbdabc6f9868d6d2b9c06e8fde3f16322a3c4732fa0765fdf7fc5539f1420"),
+    ("E1", "E1", 3): (42, "edafb195faa5febaa4f659fddf32d7932f120814757ab8992a30937d86f909ec"),
+    ("E1", "E2", 2): (10, "db1499d3e310286c29ec3dc46c9ef6aa9c76a04e520a2f16594d51a901432726"),
+    ("E1", "E2", 3): (314, "01460759f4af0e1d3f71b35229f78271652b5ccd24a225cd77ec4e25ea3ae169"),
 }
 
 
 @pytest.mark.parametrize("left,right,n", sorted(_PARENT_REPORTS))
 def test_failing_associativity_reports_unchanged(left, right, n):
-    # E1.E1 := S keeps the equivariance axioms (conjugation key), E1.E2 := S
-    # breaks graded commutativity (raw key); both reports stay byte-identical
+    # E1.E1 := S keeps the equivariance axioms (one triple per conjugacy
+    # class), E1.E2 := S breaks graded commutativity (every transitive triple)
     ring = _with_product("d4", left, right, {"S": 1})
     assert cup_equivariant(ring) == (left == right)
     report = check_associativity(ring, n)
@@ -679,7 +761,7 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
         if degree[x] + degree[y] > max_degree(n, x.sigma.compose(y.sigma)):
             assert not cup(ring, x, y)
     for x, y, z in product(elements, repeat=3):
-        # _associativity_triples' cut on the target component
+        # _violating_triples' cut on the target component
         cap = max_degree(n, x.sigma.compose(y.sigma).compose(z.sigma))
         if degree[x] + degree[y] + degree[z] > cap:
             assert not cup_class(ring, cup(ring, x, y), z)
