@@ -250,26 +250,27 @@ def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return _walk(len(images), (images,))
 
 
-@lru_cache(maxsize=None)
-def least_conjugate(images: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The lexicographically least simultaneous conjugate of permutations.
+def is_least_conjugate(images: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether permutations are their own least simultaneous conjugate.
 
-    `images` holds the image sequences of permutations of one [m].  Returns
-    the least tuple (t p1 t^-1, t p2 t^-1, ...) over t in S_m.
+    `images` holds the image sequences of permutations of one [m].  False
+    at the first t in S_m whose (t p1 t^-1, t p2 t^-1, ...) is
+    lexicographically smaller; each conjugate is built only as far as it
+    takes to tell.
     """
     m = len(images[0])
-
-    def conjugate(t):
-        # t p t^-1 sends t(i) to t(p(i))
-        out = []
+    for t in permutations(range(1, m + 1)):
         for p in images:
+            # t p t^-1 sends t(i) to t(p(i))
             moved = [0] * m
             for i, j in enumerate(p):
                 moved[t[i] - 1] = t[j - 1]
-            out.append(tuple(moved))
-        return tuple(out)
-
-    return min(map(conjugate, permutations(range(1, m + 1))))
+            moved = tuple(moved)
+            if moved != p:
+                if moved < p:
+                    return False
+                break
+    return True
 
 
 def joint_orbits(*images: tuple[int, ...]):

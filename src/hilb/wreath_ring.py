@@ -28,6 +28,12 @@ permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
 solves one triple per class under simultaneous conjugation when the cup
 product is S_n-equivariant.  Each violation is one witness, lifted onto
 points 1..m.
+
+The suites and the orbit-count oracle run on plain tuples: `_cup_factors`
+is the one cup kernel, from two image tuples and two factor tuples to
+{factor tuple over sigma tau: coeff}, and `_transport` is the one action
+on a factor tuple.  WreathElement and WreathClass exist for the API
+(`cup`, `cup_class`, `sn_act`), the CLI and witnesses.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ from .symmetric_groups import (
     _perm_orbit_blocks,
     class_representatives,
     enumerate_sn,
+    is_least_conjugate,
     joint_orbits,
-    least_conjugate,
     pair_orbits,
     signature_defect,
 )
@@ -73,6 +79,15 @@ class WreathElement:
 
     def __lt__(self, other: "WreathElement") -> bool:
         return (self.sigma.images, self.factors) < (other.sigma.images, other.factors)
+
+
+def _add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff, keeping no zero coefficient."""
+    acc = terms.get(key, 0) + coeff
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 class WreathClass:
@@ -93,11 +108,7 @@ class WreathClass:
         return cls(element.n, {element: coeff})
 
     def add_term(self, element: WreathElement, coeff: Fraction) -> None:
-        acc = self.terms.get(element, 0) + coeff
-        if acc:
-            self.terms[element] = acc
-        else:
-            self.terms.pop(element, None)
+        _add_term(self.terms, element, coeff)
 
     def __add__(self, other: "WreathClass") -> "WreathClass":
         out = WreathClass(self.n, dict(self.terms))
@@ -145,12 +156,19 @@ def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> WreathEleme
     return WreathElement(n=n, sigma=sigma, factors=factors)
 
 
-def enumerate_wreath_basis(ring: SurfaceRing, n: int):
-    """All basis elements a.sigma, sigma lexicographic, factor tuples lexicographic."""
+def _basis_tuples(ring: SurfaceRing, n: int):
+    """(sigma, factors) per basis element a.sigma, sigma lexicographic,
+    factor tuples lexicographic."""
     for sigma in enumerate_sn(n):
         k = len(_perm_orbit_blocks(sigma.images))
         for factors in iproduct(range(ring.size), repeat=k):
-            yield WreathElement(n=n, sigma=sigma, factors=factors)
+            yield sigma, factors
+
+
+def enumerate_wreath_basis(ring: SurfaceRing, n: int):
+    """All basis elements a.sigma, in `_basis_tuples` order."""
+    for sigma, factors in _basis_tuples(ring, n):
+        yield WreathElement(n=n, sigma=sigma, factors=factors)
 
 
 def render_element(ring: SurfaceRing, x: WreathElement) -> str:
@@ -187,16 +205,23 @@ def _act_plan(tau_images: tuple[int, ...], sigma_images: tuple[int, ...]):
     return new_sigma, new_pos, inverted_pairs(new_pos)
 
 
+def _transport(ring: SurfaceRing, t, s, factors) -> tuple[int, tuple, tuple]:
+    """Transport the factors of a.sigma along tau, given by the image tuples
+    t, s; returns (Koszul sign, images of tau sigma tau^-1, moved factors)."""
+    new_sigma, new_pos, inverted = _act_plan(t, s)
+    moved = [0] * len(factors)
+    for m, f in enumerate(factors):
+        moved[new_pos[m]] = f
+    sign = koszul_sign(ring.degrees, factors, inverted) if ring.has_odd else 1
+    return sign, new_sigma.images, tuple(moved)
+
+
 def sn_act(ring: SurfaceRing, tau: Perm, x: WreathElement) -> tuple[int, WreathElement]:
     """Transport x along tau; returns (Koszul sign, transported element)."""
     if tau.n != x.n:
         raise UsageError("tau and x must live in the same S_n")
-    new_sigma, new_pos, inverted = _act_plan(tau.images, x.sigma.images)
-    new_factors = [0] * len(x.factors)
-    for m, f in enumerate(x.factors):
-        new_factors[new_pos[m]] = f
-    sign = koszul_sign(ring.degrees, x.factors, inverted) if ring.has_odd else 1
-    return sign, WreathElement(n=x.n, sigma=new_sigma, factors=tuple(new_factors))
+    sign, images, factors = _transport(ring, tau.images, x.sigma.images, x.factors)
+    return sign, WreathElement(n=x.n, sigma=Perm(images), factors=factors)
 
 
 def act_class(ring: SurfaceRing, tau: Perm, cls: WreathClass) -> WreathClass:
@@ -282,58 +307,82 @@ def local_product(ring: SurfaceRing, mx: Vec, my: Vec, g: int, m: int) -> Tensor
     return diagonal_push(ring, m, prod)
 
 
-def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
-    """Lehn cup product of two basis elements; bilinear closure is cup_class.
+# the most entries the cup memo holds; it is emptied when full
+CUP_MEMO_BOUND = 2_000_000
 
-    Results are memoized per ring; callers must treat them as immutable.
+
+def _cup_factors(ring: SurfaceRing, s, t, fx, fy) -> dict[tuple[int, ...], Fraction]:
+    """The cup product of fx.sigma and fy.tau, given by the image tuples s, t
+    and factor tuples fx, fy, as {factors over sigma tau: coeff}; the one
+    kernel of `cup` and the ring-axiom suites.
+
+    It works joint orbit by joint orbit and assembles the result by two
+    slot moves.  `pull` brings x's and y's factors to joint-orbit order,
+    where each joint orbit's factors are merged and multiplied
+    (`local_product`); `push` takes each term's components to their slots
+    `dst` of sigma tau.  Each move contributes its Koszul sign, taken only
+    on rings with odd classes.  Results are memoized per ring, at most
+    CUP_MEMO_BOUND of them; callers must treat them as immutable.
     """
+    cache = ring._caches.setdefault("cup", {})
+    key = (s, t, fx, fy)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    _, local, pull, dst, push = _cup_plan(s, t)
+    pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
+    if not any(euler_vanishes(g) for _, _, g, _ in local):
+        for xg, yg, g, m_res in local:
+            mx = _mul_sequence(ring, tuple(fx[m] for m in xg))
+            my = _mul_sequence(ring, tuple(fy[m] for m in yg)) if mx else {}
+            split = local_product(ring, mx, my, g, m_res) if my else {}
+            if not split:
+                break
+            pushed.append(sorted(split.items()))
+    out: dict[tuple[int, ...], Fraction] = {}
+    # the product vanishes unless every joint orbit has a nonzero local one
+    if len(pushed) == len(local):
+        degs, odd = ring.degrees, ring.has_odd
+        sign = koszul_sign(degs, fx + fy, pull) if odd else 1
+        for combo in iproduct(*pushed):
+            coeff = sign
+            flat: list[int] = []
+            for part, c in combo:
+                coeff *= c
+                flat += part
+            if odd:
+                coeff *= koszul_sign(degs, flat, push)
+            factors = [0] * len(dst)
+            for slot, f in zip(dst, flat):
+                factors[slot] = f
+            _add_term(out, tuple(factors), coeff)
+    if len(cache) >= CUP_MEMO_BOUND:
+        cache.clear()
+    cache[key] = out
+    return out
+
+
+def _cup_linear(ring: SurfaceRing, s, t, a: dict, b: dict) -> dict:
+    """Bilinear closure of `_cup_factors`: {factors: coeff} over sigma times
+    {factors: coeff} over tau."""
+    out: dict = {}
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            c = ca * cb
+            for f, cc in _cup_factors(ring, s, t, fa, fb).items():
+                _add_term(out, f, c * cc)
+    return out
+
+
+def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
+    """Lehn cup product of two basis elements (`_cup_factors`); bilinear
+    closure is cup_class."""
     if x.n != y.n:
         raise UsageError("cup factors must live in the same A{S_n}")
-    cache = ring._caches.setdefault("cup", {})
-    cached = cache.get((x, y))
-    if cached is not None:
-        return cached
-    if len(cache) > 2_000_000:
-        cache.clear()  # keep the memo bounded on long exhaustive runs
-    out = cache[(x, y)] = _cup_terms(ring, x, y)
-    return out
-
-
-def _cup_terms(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
-    """The product joint orbit by joint orbit, assembled by two slot moves.
-
-    `pull` brings x's and y's factors to joint-orbit order, where each joint
-    orbit's factors are merged and multiplied (`local_product`); `push`
-    takes each term's components to their slots `dst` of sigma tau.  Each
-    move contributes its Koszul sign, taken only on rings with odd classes.
-    """
-    st, local, pull, dst, push = _cup_plan(x.sigma.images, y.sigma.images)
-    out = WreathClass(x.n)
-    if any(euler_vanishes(g) for _, _, g, _ in local):
-        return out
-    pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
-    for xg, yg, g, m_res in local:
-        mx = _mul_sequence(ring, tuple(x.factors[m] for m in xg))
-        my = _mul_sequence(ring, tuple(y.factors[m] for m in yg)) if mx else {}
-        split = local_product(ring, mx, my, g, m_res) if my else {}
-        if not split:
-            return out
-        pushed.append(sorted(split.items()))
-    degs, odd = ring.degrees, ring.has_odd
-    sign = koszul_sign(degs, x.factors + y.factors, pull) if odd else 1
-    for combo in iproduct(*pushed):
-        coeff = sign
-        flat: list[int] = []
-        for key, c in combo:
-            coeff *= c
-            flat += key
-        if odd:
-            coeff *= koszul_sign(degs, flat, push)
-        factors = [0] * len(dst)
-        for slot, f in zip(dst, flat):
-            factors[slot] = f
-        out.add_term(WreathElement(n=x.n, sigma=st, factors=tuple(factors)), coeff)
-    return out
+    s, t = x.sigma.images, y.sigma.images
+    st = _cup_plan(s, t)[0]
+    terms = _cup_factors(ring, s, t, x.factors, y.factors)
+    return WreathClass(x.n, {WreathElement(x.n, st, f): c for f, c in terms.items()})
 
 
 def cup_class(ring: SurfaceRing, a, b) -> WreathClass:
@@ -373,31 +422,30 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
     centralizer Z(sigma) can move a.sigma to an element at most a.sigma: any
     other tau conjugates sigma to a larger permutation.  Centralizer elements
     with the same slot move act alike on every factor tuple, so one tau per
-    move is tested.  The pairs come out as a scan of every basis element
-    against all of S_n would yield them, in the same order.
+    move is tested; it keeps sigma, so only the moved factor tuples are
+    compared.  The pairs come out as a scan of every basis element against
+    all of S_n would yield them, in the same order.
     """
-    taus = list(enumerate_sn(n))
+    taus = [tau.images for tau in enumerate_sn(n)]
     for sigma in class_representatives(n):
         s = sigma.images
-        moves: dict[tuple[int, ...], Perm] = {}
-        for tau in taus:
-            t = tau.images
+        moves: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for t in taus:
             if all(t[s[i] - 1] == s[t[i] - 1] for i in range(n)):  # tau sigma = sigma tau
-                moves.setdefault(_act_plan(t, s)[1], tau)
+                moves.setdefault(_act_plan(t, s)[1], t)
         k = len(_perm_orbit_blocks(s))
         for factors in iproduct(range(ring.size), repeat=k):
-            x = WreathElement(n=n, sigma=sigma, factors=factors)
             minimal = True
             survives = True
-            for tau in moves.values():
-                sign, moved = sn_act(ring, tau, x)
-                if moved < x:
+            for t in moves.values():
+                sign, _, moved = _transport(ring, t, s, factors)
+                if moved < factors:
                     minimal = False
                     break
-                if moved == x and sign == -1:
+                if moved == factors and sign == -1:
                     survives = False
             if minimal:
-                yield x, survives
+                yield WreathElement(n=n, sigma=sigma, factors=factors), survives
 
 
 # -- resource estimation -------------------------------------------------------
@@ -534,6 +582,8 @@ def _violating_triples(
     enumeration pruned by the degree capacity of the target component (below
     which both sides vanish)."""
     m = sigma.n
+    s, t, r = sigma.images, tau.images, rho.images
+    st, tr = _cup_plan(s, t)[0].images, _cup_plan(t, r)[0].images
     cap = max_degree(m, sigma.compose(tau).compose(rho))
     xs = _elements_by_degree(ring, sigma)
     ys = _elements_by_degree(ring, tau)
@@ -544,20 +594,20 @@ def _violating_triples(
     for dx, fx in xs:
         if dx + min_y + min_z > cap:
             break
-        x = WreathElement(m, sigma, fx)
         for dy, fy in ys:
             if dx + dy + min_z > cap:
                 break
-            y = WreathElement(m, tau, fy)
-            xy = cup(ring, x, y)
+            xy = _cup_factors(ring, s, t, fx, fy)
             for dz, fz in zs:
                 if dx + dy + dz > cap:
                     break
-                z = WreathElement(m, rho, fz)
-                yz = cup(ring, y, z)
+                yz = _cup_factors(ring, t, r, fy, fz)
                 # both sides vanish when x.y and y.z do
-                if (xy or yz) and cup_class(ring, xy, z) != cup_class(ring, x, yz):
-                    bad.append((x, y, z))
+                if not (xy or yz):
+                    continue
+                if _cup_linear(ring, st, r, xy, {fz: 1}) != _cup_linear(ring, s, tr, {fx: 1}, yz):
+                    triple = zip((sigma, tau, rho), (fx, fy, fz))
+                    bad.append(tuple(WreathElement(m, p, f) for p, f in triple))
     return bad
 
 
@@ -568,7 +618,7 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     subproblem, checked exhaustively with degree-capacity pruning; a local
     violation on m points lifts to a global one on n points, with the other
     points carrying the identity and units.  The local pass is exact for
-    every ring, Koszul signs included.  In `_cup_terms` each bracketing of
+    every ring, Koszul signs included.  In `_cup_factors` each bracketing of
     x.y.z is a composite of slot moves, each with its Koszul sign, and of
     even maps (the merged product, e^g, Delta_m), each acting only on the
     slots of one B.  An even map commutes without sign with a move of slots
@@ -588,7 +638,7 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     Each local problem is a triple (sigma, tau, rho) of S_m, m <= n, whose
     joint orbit is all of [m] (`_transitive_tuples`), and one is solved per
     class of such triples under simultaneous conjugation: the triple that
-    is its own least conjugate (`least_conjugate`).  That is exact when the
+    is its own least conjugate (`is_least_conjugate`).  That is exact when the
     cup product is S_n-equivariant: then t.((xy)z) and t.(x(yz)) carry the
     same sign against ((t x)(t y))(t z) and (t x)((t y)(t z)), so conjugate
     triples have conjugate violating sets, and either both are empty or
@@ -607,8 +657,7 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     equivariant = cup_equivariant(ring)
 
     def solved(triple) -> bool:
-        images = tuple(p.images for p in triple)
-        return not equivariant or least_conjugate(images) == images
+        return not equivariant or is_least_conjugate(tuple(p.images for p in triple))
 
     problems = [triple for triple in _transitive_tuples(n, 1, 3) if solved(triple)]
     found = (
@@ -627,35 +676,37 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
 
 
 def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
-    one = unit_element(ring, n)
+    identity = tuple(range(1, n + 1))
+    units = (ring.unit,) * n
 
-    def unital(x: WreathElement) -> dict | None:
-        expected = WreathClass.of(x)
-        if cup(ring, one, x) == expected and cup(ring, x, one) == expected:
-            return None
-        return {"x": render_element(ring, x), "excess": 1}
+    def found():
+        for sigma, f in _basis_tuples(ring, n):
+            s = sigma.images
+            expected = {f: 1}
+            if (
+                _cup_factors(ring, identity, s, units, f) != expected
+                or _cup_factors(ring, s, identity, f, units) != expected
+            ):
+                yield {"x": render_element(ring, WreathElement(n, sigma, f)), "excess": 1}
 
-    found = (unital(x) for x in enumerate_wreath_basis(ring, n))
-    return run_suite("unit-laws", {"ring": ring.name, "n": n}, found)
+    return run_suite("unit-laws", {"ring": ring.name, "n": n}, found())
 
 
 def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
-    """(x, y, |x||y| odd) for every basis pair over a transitive pair
-    (sigma, tau) of S_m, smallest <= m <= n (`_transitive_tuples`), pruned
-    by the degree capacity of sigma tau's component (above it both products
-    vanish, by degree additivity)."""
+    """(sigma, tau, fx, fy, |x||y| odd) for every basis pair x = fx.sigma,
+    y = fy.tau over a transitive pair (sigma, tau) of S_m, smallest <= m <=
+    n (`_transitive_tuples`), pruned by the degree capacity of sigma tau's
+    component (above it both products vanish, by degree additivity)."""
     for sigma, tau in _transitive_tuples(n, smallest, 2):
-        m = sigma.n
-        cap = max_degree(m, sigma.compose(tau))
+        cap = max_degree(sigma.n, sigma.compose(tau))
         ys = _elements_by_degree(ring, tau)
         for dx, fx in _elements_by_degree(ring, sigma):
             if dx + ys[0][0] > cap:
                 break
-            x = WreathElement(m, sigma, fx)
             for dy, fy in ys:
                 if dx + dy > cap:
                     break
-                yield x, WreathElement(m, tau, fy), dx % 2 and dy % 2
+                yield sigma, tau, fx, fy, dx % 2 and dy % 2
 
 
 def check_equivariance(
@@ -693,7 +744,7 @@ def check_equivariance(
     generators = [[Perm.from_cycles([(i, i + 1)], m) for i in range(1, m)] for m in range(n + 1)]
 
     def composes():
-        """The signed action law A(t2)A(t1) = A(t2 t1), A(t) = sn_act(t, .).
+        """The signed action law A(t2)A(t1) = A(t2 t1), A(t) = _transport(t, .).
 
         Checked are A(id) = 1 on every x and A(g)A(t) = A(g t) for every
         generator g and every t.  That is the full law: write t2 as a word
@@ -702,34 +753,43 @@ def check_equivariance(
         A(g w t1), by the generator check at t = w, induction on the word
         length and the generator check at t = w t1.
         """
-        identity = Perm.identity(n)
-        for x in enumerate_wreath_basis(ring, n):
-            if sn_act(ring, identity, x) != (1, x):
-                yield {"x": render_element(ring, x), "tau": "id",
-                       "detail": "action-identity", "excess": 1}
-            for t in perms:
-                s1, m1 = sn_act(ring, t, x)
-                for g in generators[n]:
-                    s2, m2 = sn_act(ring, g, m1)
-                    gt = g.compose(t)
-                    holds = (s1 * s2, m2) == sn_act(ring, gt, x)
-                    yield None if holds else {
-                        "x": render_element(ring, x),
-                        "tau": gt.cycle_string(),
-                        "detail": "action-composition",
-                        "excess": 1,
-                    }
+        identity = tuple(range(1, n + 1))
+        # per t: (g, g t) for every generator g
+        steps = [(t.images, [(g.images, g.compose(t)) for g in generators[n]]) for t in perms]
+
+        def witness(sigma: Perm, f: tuple[int, ...], tau: str, detail: str) -> dict:
+            x = render_element(ring, WreathElement(n, sigma, f))
+            return {"x": x, "tau": tau, "detail": detail, "excess": 1}
+
+        for sigma, f in _basis_tuples(ring, n):
+            s = sigma.images
+            if _transport(ring, identity, s, f) != (1, s, f):
+                yield witness(sigma, f, "id", "action-identity")
+            for t, gts in steps:
+                s1, ts, tf = _transport(ring, t, s, f)
+                for g, gt in gts:
+                    s2, gs, gf = _transport(ring, g, ts, tf)
+                    if (s1 * s2, gs, gf) != _transport(ring, gt.images, s, f):
+                        yield witness(sigma, f, gt.cycle_string(), "action-composition")
 
     def found():
         yield from composes()
-        for x, y, _ in _local_pairs(ring, n, 2):
-            xy = cup(ring, x, y)
+        for sigma, tau, fx, fy, _ in _local_pairs(ring, n, 2):
+            s, t = sigma.images, tau.images
+            xy = _cup_factors(ring, s, t, fx, fy)
             if not xy:
                 continue
-            for g in generators[x.n]:
-                sx, gx = sn_act(ring, g, x)
-                sy, gy = sn_act(ring, g, y)
-                if act_class(ring, g, xy) != cup(ring, gx, gy).scale(sx * sy):
+            st = _cup_plan(s, t)[0].images
+            for g in generators[sigma.n]:
+                sx, gs, gfx = _transport(ring, g.images, s, fx)
+                sy, gt, gfy = _transport(ring, g.images, t, fy)
+                moved: dict = {}  # g.(xy)
+                for f, c in xy.items():
+                    sign, _, gf = _transport(ring, g.images, st, f)
+                    _add_term(moved, gf, sign * c)
+                gxgy = _cup_factors(ring, gs, gt, gfx, gfy)
+                if moved != {f: sx * sy * c for f, c in gxgy.items()}:
+                    x, y = WreathElement(sigma.n, sigma, fx), WreathElement(sigma.n, tau, fy)
                     yield _lifted_witness(ring, n, x, y, tau=g.cycle_string())
 
     info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}
@@ -758,9 +818,13 @@ def check_graded_commutativity(ring: SurfaceRing, n: int, seed: int = 0) -> Chec
     _require_parity(ring, "graded-commutativity")
 
     def found():
-        for x, y, odd in _local_pairs(ring, n, 1):
-            sign, moved = sn_act(ring, x.sigma, y)
-            if cup(ring, x, y) != cup(ring, moved, x).scale(-sign if odd else sign):
+        for sigma, tau, fx, fy, odd in _local_pairs(ring, n, 1):
+            s = sigma.images
+            sign, moved, fm = _transport(ring, s, tau.images, fy)
+            yx = _cup_factors(ring, moved, s, fm, fx)
+            eps = -sign if odd else sign
+            if _cup_factors(ring, s, tau.images, fx, fy) != {f: eps * c for f, c in yx.items()}:
+                x, y = WreathElement(sigma.n, sigma, fx), WreathElement(sigma.n, tau, fy)
                 yield _lifted_witness(ring, n, x, y)
 
     info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}

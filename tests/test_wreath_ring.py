@@ -21,7 +21,6 @@ from hilb.surface_ring import (
 from hilb.symmetric_groups import (
     Perm,
     enumerate_sn,
-    least_conjugate,
     orbits,
     parse_cycles,
 )
@@ -30,6 +29,7 @@ from hilb.wreath_ring import (
     act_class,
     _lifted_witness,
     _mul_sequence,
+    _transport,
     _violating_triples,
     basis_count,
     check_associativity,
@@ -367,41 +367,48 @@ def test_asymmetric_product_fails_orbit_local(check):
 
 
 def _sign_mutant(flip):
-    """sn_act with its sign negated wherever flip(tau, x) holds."""
+    """_transport with its sign negated wherever flip(t, s, factors) holds."""
 
-    def mutant(ring, tau, x):
-        sign, moved = sn_act(ring, tau, x)
-        return (-sign if flip(tau, x) else sign), moved
+    def mutant(ring, t, s, factors):
+        sign, moved_s, moved = _transport(ring, t, s, factors)
+        return (-sign if flip(t, s, factors) else sign), moved_s, moved
 
     return mutant
 
 
-def _odd(tau: Perm) -> bool:
-    return sum(len(c) - 1 for c in tau.cycles()) % 2 == 1
+def _odd(images: tuple[int, ...]) -> bool:
+    return sum(len(c) - 1 for c in Perm(images).cycles()) % 2 == 1
 
 
-_T12, _T13, _C123 = (parse_cycles(c, 3) for c in ("(1 2)", "(1 3)", "(1 2 3)"))
+_ID3, _T12, _T13, _C123 = (parse_cycles(c, 3).images for c in ("id", "(1 2)", "(1 3)", "(1 2 3)"))
 
-# name -> (mutant on a ring, whether it is still a signed action)
+# name -> (mutant of _transport on a ring, whether it is still a signed
+# action); x0 is an element as (images, factors)
 _ACTION_MUTANTS = {
-    "none": (lambda ring, x0: sn_act, True),
+    "none": (lambda ring, x0: _transport, True),
     # twisting by the sign character, everywhere or on the invariant span of
     # the elements over transpositions, keeps the law
-    "sign-twist": (lambda ring, x0: _sign_mutant(lambda t, x: _odd(t)), True),
+    "sign-twist": (lambda ring, x0: _sign_mutant(lambda t, s, f: _odd(t)), True),
     "sign-twist-on-transpositions": (
-        lambda ring, x0: _sign_mutant(lambda t, x: _odd(t) and _odd(x.sigma)),
+        lambda ring, x0: _sign_mutant(lambda t, s, f: _odd(t) and _odd(s)),
         True,
     ),
-    "flip-13-at-x0": (lambda ring, x0: _sign_mutant(lambda t, x: t == _T13 and x == x0), False),
+    "flip-13-at-x0": (
+        lambda ring, x0: _sign_mutant(lambda t, s, f: t == _T13 and (s, f) == x0), False
+    ),
     "flip-12-on-unit": (
-        lambda ring, x0: _sign_mutant(lambda t, x: t == _T12 and x == unit_element(ring, 3)),
+        lambda ring, x0: _sign_mutant(
+            lambda t, s, f: t == _T12 and (s, f) == (_ID3, (ring.unit,) * 3)
+        ),
         False,
     ),
     "flip-id-at-x0": (
-        lambda ring, x0: _sign_mutant(lambda t, x: t == Perm.identity(3) and x == x0), False
+        lambda ring, x0: _sign_mutant(lambda t, s, f: t == _ID3 and (s, f) == x0), False
     ),
     "fix-x0-under-123": (
-        lambda ring, x0: lambda r, t, x: (1, x) if t == _C123 and x == x0 else sn_act(r, t, x),
+        lambda ring, x0: lambda r, t, s, f: (
+            (1, s, f) if t == _C123 and (s, f) == x0 else _transport(r, t, s, f)
+        ),
         False,
     ),
 }
@@ -415,20 +422,20 @@ def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
     # (t1, t2) of S_3.  Both sign twists keep the law; the twist on every
     # odd tau breaks equivariance, the one on transpositions only does not
     ring = preset(name)
-    elements = list(enumerate_wreath_basis(ring, 3))
-    x0 = next(x for x in elements if x.sigma == _T12 and len(set(x.factors)) == 2)
+    elements = [(x.sigma.images, x.factors) for x in enumerate_wreath_basis(ring, 3)]
+    x0 = next((s, f) for s, f in elements if s == _T12 and len(set(f)) == 2)
     make, is_action = _ACTION_MUTANTS[mutant]
     act = make(ring, x0)
-    perms = list(enumerate_sn(3))
+    perms = [p.images for p in enumerate_sn(3)]
     brute = all(
-        (s1 * s2, m2) == act(ring, t2.compose(t1), x)
-        for x in elements
+        (s1 * s2, *m2) == act(ring, tuple(t2[j - 1] for j in t1), s, f)
+        for s, f in elements
         for t1 in perms
-        for s1, m1 in [act(ring, t1, x)]
+        for s1, *m1 in [act(ring, t1, s, f)]
         for t2 in perms
-        for s2, m2 in [act(ring, t2, m1)]
+        for s2, *m2 in [act(ring, t2, *m1)]
     )
-    monkeypatch.setattr(wreath_ring, "sn_act", act)
+    monkeypatch.setattr(wreath_ring, "_transport", act)
     report = check_equivariance(ring, 3)
     law_holds = not any(w.get("detail", "").startswith("action-") for w in report.witnesses)
     assert law_holds == brute == is_action, report.render_text()
@@ -514,12 +521,12 @@ def _conjugated_violations(ring: SurfaceRing, triple, memo: dict) -> set:
     moved back along t^-1, for the first t of S_m that reaches it (the
     identity when the triple is its own least conjugate).  memo caches the
     least conjugates' violating triples."""
-    least = least_conjugate(tuple(p.images for p in triple))
-    t = next(
-        t
+    conjugates = {
+        t: tuple(t.compose(p).compose(t.inverse()).images for p in triple)
         for t in enumerate_sn(triple[0].n)
-        if tuple(t.compose(p).compose(t.inverse()).images for p in triple) == least
-    )
+    }
+    least = min(conjugates.values())
+    t = next(t for t, images in conjugates.items() if images == least)
     if least not in memo:
         memo[least] = _violating_triples(ring, *map(Perm, least))
     back = t.inverse()
@@ -582,6 +589,31 @@ def test_conjugation_key_matches_raw_triples(name, m):
     assert (violations > 0) == (name not in PRESET_NAMES)
 
 
+def _violations_by_api(ring: SurfaceRing, n: int) -> set:
+    """The rendered basis triples of A{S_n} with (x.y).z != x.(y.z), through
+    cup and cup_class, with raw keys and no split into joint orbits.  Triples
+    above the degree capacity of their target component are skipped: both
+    sides vanish there (test_degree_capacity_cuts_skip_only_zero_products)."""
+    by_sigma: dict = {}
+    for x in enumerate_wreath_basis(ring, n):
+        by_sigma.setdefault(x.sigma, []).append((element_degree(ring, x), x))
+    for elements in by_sigma.values():
+        elements.sort(key=lambda e: e[0])
+    bad = set()
+    for (sigma, xs), (tau, ys), (rho, zs) in product(by_sigma.items(), repeat=3):
+        cap = max_degree(n, sigma.compose(tau).compose(rho))
+        for dx, x in xs:
+            for dy, y in ys:
+                xy = cup(ring, x, y)
+                for dz, z in zs:
+                    if dx + dy + dz > cap:
+                        break
+                    if cup_class(ring, xy, z) != cup_class(ring, x, cup(ring, y, z)):
+                        bad.add((render_element(ring, x), render_element(ring, y),
+                                 render_element(ring, z)))
+    return bad
+
+
 @pytest.mark.parametrize(
     "name,n",
     [("a0", 2), ("a0", 3), ("abelian", 2), ("a0-odd-diagonal", 2), ("a0-odd-diagonal", 3)],
@@ -597,12 +629,7 @@ def test_orbit_local_associativity_matches_all_triples(name, n):
         ring = load_ring(save_ring(preset(name)))
     report = check_associativity(ring, n)
     assert report.info["mode"] == "orbit-local"
-    perms = list(enumerate_sn(n))
-    brute = {
-        tuple(render_element(ring, e) for e in bad)
-        for triple in product(perms, repeat=3)
-        for bad in _violating_triples(ring, *triple)
-    }
+    brute = _violations_by_api(ring, n)
     assert report.passed == (not brute)
     assert {(w["x"], w["y"], w["z"]) for w in report.witnesses} <= brute
     assert report.passed == (name in PRESET_NAMES)
@@ -748,6 +775,33 @@ def test_failing_associativity_reports_unchanged(left, right, n):
     count, digest = _PARENT_REPORTS[(left, right, n)]
     assert len(report.witnesses) == count
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+class _SizeLog(dict):
+    """A dict that records the most entries it ever held, and how often it
+    was emptied."""
+
+    peak = clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        super().clear()
+        self.clears += 1
+
+
+def test_cup_memo_stays_bounded(monkeypatch):
+    # a memo emptied many times over gives the same report, and never holds
+    # more entries than its bound
+    plain = check_associativity(load_ring(save_ring(preset("d4"))), 3).to_json()
+    monkeypatch.setattr(wreath_ring, "CUP_MEMO_BOUND", 50)
+    ring = load_ring(save_ring(preset("d4")))
+    memo = ring._caches["cup"] = _SizeLog()
+    assert check_associativity(ring, 3).to_json() == plain
+    assert memo.peak == 50
+    assert memo.clears > 1
 
 
 @pytest.mark.parametrize("name", ["a0", "d4"])
