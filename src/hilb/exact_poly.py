@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DivergenceError, UsageError
 
@@ -79,10 +79,6 @@ class TruncatedSeries:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_terms(self) -> Iterator[tuple[Exponent, Fraction]]:
-        for exp in sorted(self.terms):
-            yield exp, self.terms[exp]
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.render()!r}, s_bound={self.s_bound})"
 
@@ -90,7 +86,7 @@ class TruncatedSeries:
         if not self.terms:
             return "0"
         pieces = []
-        for (e_s, e_q, e_t), coeff in self.sorted_terms():
+        for (e_s, e_q, e_t), coeff in sorted(self.terms.items()):
             mono = "".join(
                 f"{var}^{e}" for var, e in (("s", e_s), ("q", e_q), ("t", e_t)) if e
             )
@@ -277,8 +273,9 @@ def euler_product(factors: Iterable[Factor], s_bound: int) -> TruncatedSeries:
 
 def to_text(series: TruncatedSeries) -> str:
     lines = [f"series s_bound={series.s_bound}"]
-    for (e_s, e_q, e_t), coeff in series.sorted_terms():
-        lines.append(f"{coeff.numerator}/{coeff.denominator} {e_s} {e_q} {e_t}")
+    for (e_s, e_q, e_t), coeff in sorted(series.terms.items()):
+        num, den = coeff.as_integer_ratio()
+        lines.append(f"{num}/{den} {e_s} {e_q} {e_t}")
     return "\n".join(lines) + "\n"
 
 

@@ -253,9 +253,8 @@ def poly_render(poly: QTPoly) -> str:
     if not poly:
         return "0"
     pieces = []
-    for (eq, et) in sorted(poly):
-        c = poly[(eq, et)]
-        mono = "".join(f"{v}^{e}" for v, e in (("q", eq), ("t", et)) if e)
+    for (eq, et), c in sorted(poly.items()):
+        mono = (f"q^{eq}" if eq else "") + (f"t^{et}" if et else "")
         if not mono:
             pieces.append(str(c))
         elif c == 1:

@@ -173,14 +173,16 @@ def _mult_witness(
     """
     px = perversity(ring, x)
     py = perversity(ring, y)
-    actual = perversity_class(ring, cup(ring, x, y))
+    st = x.sigma.compose(y.sigma)
+    terms = cup(ring, x.key, y.key)
+    actual = max((perversity(ring, WreathElement(x.n, st, f)) for f in terms), default=None)
     return {
         "x": render_element(ring, x),
         "y": render_element(ring, y),
         "perversity_x": px,
         "perversity_y": py,
         "bound": px + py,
-        "actual": None if isinstance(actual, _Bottom) else int(actual),
+        "actual": actual,
         "excess": excess,
     }
 

@@ -27,13 +27,10 @@ The three suites walk one generator of local problems, the transitive
 permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
 solves one triple per class under simultaneous conjugation when the cup
 product is S_n-equivariant.  Each violation is one witness, lifted onto
-points 1..m.
-
-The suites and the orbit-count oracle run on plain tuples: `_cup_factors`
-is the one cup kernel, from two image tuples and two factor tuples to
-{factor tuple over sigma tau: coeff}, and `_transport` is the one action
-on a factor tuple.  WreathElement and WreathClass exist for the API
-(`cup`, `cup_class`, `sn_act`), the CLI and witnesses.
+points 1..m.  The kernels `cup` and `sn_act`, the suites and the
+orbit-count oracle take a basis element as the pair (images of sigma,
+factors); WreathElement and WreathClass serve `cup_class`, `act_class`,
+the CLI and witnesses.
 """
 
 from __future__ import annotations
@@ -77,8 +74,13 @@ class WreathElement:
     sigma: Perm
     factors: tuple[int, ...]
 
+    @property
+    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(images of sigma, factors): the element as `cup` and `sn_act` take it."""
+        return self.sigma.images, self.factors
+
     def __lt__(self, other: "WreathElement") -> bool:
-        return (self.sigma.images, self.factors) < (other.sigma.images, other.factors)
+        return self.key < other.key
 
 
 def _add_term(terms: dict, key, coeff) -> None:
@@ -109,12 +111,6 @@ class WreathClass:
 
     def add_term(self, element: WreathElement, coeff: Fraction) -> None:
         _add_term(self.terms, element, coeff)
-
-    def __add__(self, other: "WreathClass") -> "WreathClass":
-        out = WreathClass(self.n, dict(self.terms))
-        for el, c in other.terms.items():
-            out.add_term(el, c)
-        return out
 
     def scale(self, coeff) -> "WreathClass":
         if coeff == 1:
@@ -156,19 +152,12 @@ def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> WreathEleme
     return WreathElement(n=n, sigma=sigma, factors=factors)
 
 
-def _basis_tuples(ring: SurfaceRing, n: int):
-    """(sigma, factors) per basis element a.sigma, sigma lexicographic,
-    factor tuples lexicographic."""
+def enumerate_wreath_basis(ring: SurfaceRing, n: int):
+    """All basis elements a.sigma, sigma lexicographic, factor tuples lexicographic."""
     for sigma in enumerate_sn(n):
         k = len(_perm_orbit_blocks(sigma.images))
         for factors in iproduct(range(ring.size), repeat=k):
-            yield sigma, factors
-
-
-def enumerate_wreath_basis(ring: SurfaceRing, n: int):
-    """All basis elements a.sigma, in `_basis_tuples` order."""
-    for sigma, factors in _basis_tuples(ring, n):
-        yield WreathElement(n=n, sigma=sigma, factors=factors)
+            yield WreathElement(n=n, sigma=sigma, factors=factors)
 
 
 def render_element(ring: SurfaceRing, x: WreathElement) -> str:
@@ -194,41 +183,36 @@ def render_class(ring: SurfaceRing, cls: WreathClass) -> str:
 
 @lru_cache(maxsize=None)
 def _act_plan(tau_images: tuple[int, ...], sigma_images: tuple[int, ...]):
-    """Conjugation transport: the new permutation, and the move of sigma's
-    orbits to their relabeled ranks, as target slots and inverted pairs."""
+    """Conjugation transport: the images of tau sigma tau^-1, and the move of
+    sigma's orbits to their relabeled ranks, as slots and inverted pairs."""
     tau = Perm(tau_images)
-    sigma = Perm(sigma_images)
-    new_sigma = tau.compose(sigma).compose(tau.inverse())
+    new_sigma = tau.compose(Perm(sigma_images)).compose(tau.inverse())
     old_blocks = _perm_orbit_blocks(sigma_images)
     image_mins = [min(tau(v) for v in block) for block in old_blocks]
     new_pos = tuple(sorted(image_mins).index(v) for v in image_mins)
-    return new_sigma, new_pos, inverted_pairs(new_pos)
+    return new_sigma.images, new_pos, inverted_pairs(new_pos)
 
 
-def _transport(ring: SurfaceRing, t, s, factors) -> tuple[int, tuple, tuple]:
-    """Transport the factors of a.sigma along tau, given by the image tuples
-    t, s; returns (Koszul sign, images of tau sigma tau^-1, moved factors)."""
-    new_sigma, new_pos, inverted = _act_plan(t, s)
+def sn_act(ring: SurfaceRing, t: tuple[int, ...], x) -> tuple[int, tuple]:
+    """Transport x = (images of sigma, factors) along tau, given by its image
+    tuple t; returns (Koszul sign, (images of tau sigma tau^-1, moved
+    factors)).  The one action kernel; act_class is its linear closure."""
+    s, factors = x
+    images, new_pos, inverted = _act_plan(t, s)
     moved = [0] * len(factors)
     for m, f in enumerate(factors):
         moved[new_pos[m]] = f
     sign = koszul_sign(ring.degrees, factors, inverted) if ring.has_odd else 1
-    return sign, new_sigma.images, tuple(moved)
-
-
-def sn_act(ring: SurfaceRing, tau: Perm, x: WreathElement) -> tuple[int, WreathElement]:
-    """Transport x along tau; returns (Koszul sign, transported element)."""
-    if tau.n != x.n:
-        raise UsageError("tau and x must live in the same S_n")
-    sign, images, factors = _transport(ring, tau.images, x.sigma.images, x.factors)
-    return sign, WreathElement(n=x.n, sigma=Perm(images), factors=factors)
+    return sign, (images, tuple(moved))
 
 
 def act_class(ring: SurfaceRing, tau: Perm, cls: WreathClass) -> WreathClass:
+    if tau.n != cls.n:
+        raise UsageError("tau and the class must live in the same S_n")
     out = WreathClass(cls.n)
     for el, c in cls.terms.items():
-        sign, moved = sn_act(ring, tau, el)
-        out.add_term(moved, sign * c)
+        sign, (images, factors) = sn_act(ring, tau.images, el.key)
+        out.add_term(WreathElement(cls.n, Perm(images), factors), sign * c)
     return out
 
 
@@ -311,13 +295,11 @@ def local_product(ring: SurfaceRing, mx: Vec, my: Vec, g: int, m: int) -> Tensor
 CUP_MEMO_BOUND = 2_000_000
 
 
-def _cup_factors(ring: SurfaceRing, s, t, fx, fy) -> dict[tuple[int, ...], Fraction]:
-    """The cup product of fx.sigma and fy.tau, given by the image tuples s, t
-    and factor tuples fx, fy, as {factors over sigma tau: coeff}; the one
-    kernel of `cup` and the ring-axiom suites.
-
-    It works joint orbit by joint orbit and assembles the result by two
-    slot moves.  `pull` brings x's and y's factors to joint-orbit order,
+def cup(ring: SurfaceRing, x, y) -> dict[tuple[int, ...], Fraction]:
+    """Lehn cup product of x = (images of sigma, factors) and y = (images of
+    tau, factors), as {factors over sigma tau: coeff}; bilinear closure is
+    cup_class.  It works joint orbit by joint orbit and assembles the result
+    by two slot moves.  `pull` brings x's and y's factors to joint-orbit order,
     where each joint orbit's factors are merged and multiplied
     (`local_product`); `push` takes each term's components to their slots
     `dst` of sigma tau.  Each move contributes its Koszul sign, taken only
@@ -325,10 +307,11 @@ def _cup_factors(ring: SurfaceRing, s, t, fx, fy) -> dict[tuple[int, ...], Fract
     CUP_MEMO_BOUND of them; callers must treat them as immutable.
     """
     cache = ring._caches.setdefault("cup", {})
-    key = (s, t, fx, fy)
+    key = x + y  # (s, fx, t, fy): one flat tuple per memo entry
     hit = cache.get(key)
     if hit is not None:
         return hit
+    (s, fx), (t, fy) = x, y
     _, local, pull, dst, push = _cup_plan(s, t)
     pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
     if not any(euler_vanishes(g) for _, _, g, _ in local):
@@ -362,31 +345,18 @@ def _cup_factors(ring: SurfaceRing, s, t, fx, fy) -> dict[tuple[int, ...], Fract
     return out
 
 
-def _cup_linear(ring: SurfaceRing, s, t, a: dict, b: dict) -> dict:
-    """Bilinear closure of `_cup_factors`: {factors: coeff} over sigma times
-    {factors: coeff} over tau."""
+def _cup_sum(ring: SurfaceRing, products) -> dict:
+    """The sum of c * cup(x, y) over (c, x, y) in products, all over one
+    permutation, as {factors: coeff}."""
     out: dict = {}
-    for fa, ca in a.items():
-        for fb, cb in b.items():
-            c = ca * cb
-            for f, cc in _cup_factors(ring, s, t, fa, fb).items():
-                _add_term(out, f, c * cc)
+    for c, x, y in products:
+        for f, cc in cup(ring, x, y).items():
+            _add_term(out, f, c * cc)
     return out
 
 
-def cup(ring: SurfaceRing, x: WreathElement, y: WreathElement) -> WreathClass:
-    """Lehn cup product of two basis elements (`_cup_factors`); bilinear
-    closure is cup_class."""
-    if x.n != y.n:
-        raise UsageError("cup factors must live in the same A{S_n}")
-    s, t = x.sigma.images, y.sigma.images
-    st = _cup_plan(s, t)[0]
-    terms = _cup_factors(ring, s, t, x.factors, y.factors)
-    return WreathClass(x.n, {WreathElement(x.n, st, f): c for f, c in terms.items()})
-
-
 def cup_class(ring: SurfaceRing, a, b) -> WreathClass:
-    """Bilinear extension of cup to classes (elements accepted on either side)."""
+    """Bilinear closure of cup on classes (elements accepted on either side)."""
     if isinstance(a, WreathElement):
         a = WreathClass.of(a)
     if isinstance(b, WreathElement):
@@ -396,10 +366,10 @@ def cup_class(ring: SurfaceRing, a, b) -> WreathClass:
     out = WreathClass(a.n)
     for xa, ca in a.terms.items():
         for xb, cb in b.terms.items():
-            part = cup(ring, xa, xb)
+            st = _cup_plan(xa.sigma.images, xb.sigma.images)[0]
             c = ca * cb
-            for el, cc in part.terms.items():
-                out.add_term(el, c * cc)
+            for f, cc in cup(ring, xa.key, xb.key).items():
+                out.add_term(WreathElement(a.n, st, f), c * cc)
     return out
 
 
@@ -422,9 +392,9 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
     centralizer Z(sigma) can move a.sigma to an element at most a.sigma: any
     other tau conjugates sigma to a larger permutation.  Centralizer elements
     with the same slot move act alike on every factor tuple, so one tau per
-    move is tested; it keeps sigma, so only the moved factor tuples are
-    compared.  The pairs come out as a scan of every basis element against
-    all of S_n would yield them, in the same order.
+    move is tested; it keeps sigma, so only factor tuples are compared.  The
+    pairs come out as a scan of every basis element against all of S_n
+    would yield them, in the same order.
     """
     taus = [tau.images for tau in enumerate_sn(n)]
     for sigma in class_representatives(n):
@@ -438,7 +408,7 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
             minimal = True
             survives = True
             for t in moves.values():
-                sign, _, moved = _transport(ring, t, s, factors)
+                sign, (_, moved) = sn_act(ring, t, (s, factors))
                 if moved < factors:
                     minimal = False
                     break
@@ -515,14 +485,15 @@ def _transitive_tuples(n: int, smallest: int, arity: int):
 
 
 def _lifted_witness(ring: SurfaceRing, n: int, *elements, **more) -> dict:
-    """A local violation on points 1..m, put on [n] with the identity and
-    units on the other points (their local products are units); the elements
-    are rendered as x, y and z."""
+    """A local violation on points 1..m, its elements given as (images,
+    factors) pairs, put on [n] with the identity and units on the other
+    points (their local products are units); rendered as x, y and z."""
 
-    def lift(e: WreathElement) -> str:
-        sigma = Perm(e.sigma.images + tuple(range(e.n + 1, n + 1)))
-        factors = e.factors + (ring.unit,) * (n - e.n)
-        return render_element(ring, WreathElement(n, sigma, factors))
+    def lift(e) -> str:
+        images, factors = e
+        m = len(images)
+        sigma = Perm(images + tuple(range(m + 1, n + 1)))
+        return render_element(ring, WreathElement(n, sigma, factors + (ring.unit,) * (n - m)))
 
     return {**dict(zip("xyz", map(lift, elements))), **more, "excess": 1}
 
@@ -575,16 +546,13 @@ def cup_equivariant(ring: SurfaceRing) -> bool:
     return not _failing_axioms(ring) & _EQUIVARIANCE_AXIOMS
 
 
-def _violating_triples(
-    ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm
-) -> list[tuple[WreathElement, WreathElement, WreathElement]]:
-    """Every basis triple over (sigma, tau, rho) with (x.y).z != x.(y.z),
-    enumeration pruned by the degree capacity of the target component (below
-    which both sides vanish)."""
-    m = sigma.n
+def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> list[tuple]:
+    """Every basis triple over (sigma, tau, rho) with (x.y).z != x.(y.z), as
+    (images, factors) pairs, enumeration pruned by the degree capacity of the
+    target component (below which both sides vanish)."""
     s, t, r = sigma.images, tau.images, rho.images
     st, tr = _cup_plan(s, t)[0].images, _cup_plan(t, r)[0].images
-    cap = max_degree(m, sigma.compose(tau).compose(rho))
+    cap = max_degree(sigma.n, sigma.compose(tau).compose(rho))
     xs = _elements_by_degree(ring, sigma)
     ys = _elements_by_degree(ring, tau)
     zs = _elements_by_degree(ring, rho)
@@ -594,20 +562,23 @@ def _violating_triples(
     for dx, fx in xs:
         if dx + min_y + min_z > cap:
             break
+        x = (s, fx)
         for dy, fy in ys:
             if dx + dy + min_z > cap:
                 break
-            xy = _cup_factors(ring, s, t, fx, fy)
+            y = (t, fy)
+            xy = cup(ring, x, y)
             for dz, fz in zs:
                 if dx + dy + dz > cap:
                     break
-                yz = _cup_factors(ring, t, r, fy, fz)
+                z = (r, fz)
+                yz = cup(ring, y, z)
                 # both sides vanish when x.y and y.z do
                 if not (xy or yz):
                     continue
-                if _cup_linear(ring, st, r, xy, {fz: 1}) != _cup_linear(ring, s, tr, {fx: 1}, yz):
-                    triple = zip((sigma, tau, rho), (fx, fy, fz))
-                    bad.append(tuple(WreathElement(m, p, f) for p, f in triple))
+                xy_z = _cup_sum(ring, ((c, (st, f), z) for f, c in xy.items()))
+                if xy_z != _cup_sum(ring, ((c, x, (tr, f)) for f, c in yz.items())):
+                    bad.append((x, y, z))
     return bad
 
 
@@ -618,7 +589,7 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     subproblem, checked exhaustively with degree-capacity pruning; a local
     violation on m points lifts to a global one on n points, with the other
     points carrying the identity and units.  The local pass is exact for
-    every ring, Koszul signs included.  In `_cup_factors` each bracketing of
+    every ring, Koszul signs included.  In `cup` each bracketing of
     x.y.z is a composite of slot moves, each with its Koszul sign, and of
     even maps (the merged product, e^g, Delta_m), each acting only on the
     slots of one B.  An even map commutes without sign with a move of slots
@@ -676,27 +647,23 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
 
 
 def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
-    identity = tuple(range(1, n + 1))
-    units = (ring.unit,) * n
+    one = unit_element(ring, n).key
 
     def found():
-        for sigma, f in _basis_tuples(ring, n):
-            s = sigma.images
-            expected = {f: 1}
-            if (
-                _cup_factors(ring, identity, s, units, f) != expected
-                or _cup_factors(ring, s, identity, f, units) != expected
-            ):
-                yield {"x": render_element(ring, WreathElement(n, sigma, f)), "excess": 1}
+        for x in enumerate_wreath_basis(ring, n):
+            expected = {x.factors: 1}
+            if cup(ring, one, x.key) != expected or cup(ring, x.key, one) != expected:
+                yield {"x": render_element(ring, x), "excess": 1}
 
     return run_suite("unit-laws", {"ring": ring.name, "n": n}, found())
 
 
 def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
-    """(sigma, tau, fx, fy, |x||y| odd) for every basis pair x = fx.sigma,
-    y = fy.tau over a transitive pair (sigma, tau) of S_m, smallest <= m <=
-    n (`_transitive_tuples`), pruned by the degree capacity of sigma tau's
-    component (above it both products vanish, by degree additivity)."""
+    """(sigma, tau, x, y, |x||y| odd) for every basis pair x = (images of
+    sigma, factors), y = (images of tau, factors) over a transitive pair
+    (sigma, tau) of S_m, smallest <= m <= n (`_transitive_tuples`), pruned by
+    the degree capacity of sigma tau's component (above it both products
+    vanish, by degree additivity)."""
     for sigma, tau in _transitive_tuples(n, smallest, 2):
         cap = max_degree(sigma.n, sigma.compose(tau))
         ys = _elements_by_degree(ring, tau)
@@ -706,7 +673,7 @@ def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
             for dy, fy in ys:
                 if dx + dy > cap:
                     break
-                yield sigma, tau, fx, fy, dx % 2 and dy % 2
+                yield sigma, tau, (sigma.images, fx), (tau.images, fy), dx % 2 and dy % 2
 
 
 def check_equivariance(
@@ -744,7 +711,7 @@ def check_equivariance(
     generators = [[Perm.from_cycles([(i, i + 1)], m) for i in range(1, m)] for m in range(n + 1)]
 
     def composes():
-        """The signed action law A(t2)A(t1) = A(t2 t1), A(t) = _transport(t, .).
+        """The signed action law A(t2)A(t1) = A(t2 t1), A(t) = sn_act(t, .).
 
         Checked are A(id) = 1 on every x and A(g)A(t) = A(g t) for every
         generator g and every t.  That is the full law: write t2 as a word
@@ -753,43 +720,36 @@ def check_equivariance(
         A(g w t1), by the generator check at t = w, induction on the word
         length and the generator check at t = w t1.
         """
-        identity = tuple(range(1, n + 1))
+        identity = unit_element(ring, n).sigma.images
         # per t: (g, g t) for every generator g
         steps = [(t.images, [(g.images, g.compose(t)) for g in generators[n]]) for t in perms]
-
-        def witness(sigma: Perm, f: tuple[int, ...], tau: str, detail: str) -> dict:
-            x = render_element(ring, WreathElement(n, sigma, f))
-            return {"x": x, "tau": tau, "detail": detail, "excess": 1}
-
-        for sigma, f in _basis_tuples(ring, n):
-            s = sigma.images
-            if _transport(ring, identity, s, f) != (1, s, f):
-                yield witness(sigma, f, "id", "action-identity")
+        for x in enumerate_wreath_basis(ring, n):
+            if sn_act(ring, identity, x.key) != (1, x.key):
+                yield {"x": render_element(ring, x), "tau": "id",
+                       "detail": "action-identity", "excess": 1}
             for t, gts in steps:
-                s1, ts, tf = _transport(ring, t, s, f)
+                s1, tx = sn_act(ring, t, x.key)
                 for g, gt in gts:
-                    s2, gs, gf = _transport(ring, g, ts, tf)
-                    if (s1 * s2, gs, gf) != _transport(ring, gt.images, s, f):
-                        yield witness(sigma, f, gt.cycle_string(), "action-composition")
+                    s2, gtx = sn_act(ring, g, tx)
+                    if (s1 * s2, gtx) != sn_act(ring, gt.images, x.key):
+                        yield {"x": render_element(ring, x), "tau": gt.cycle_string(),
+                               "detail": "action-composition", "excess": 1}
 
     def found():
         yield from composes()
-        for sigma, tau, fx, fy, _ in _local_pairs(ring, n, 2):
-            s, t = sigma.images, tau.images
-            xy = _cup_factors(ring, s, t, fx, fy)
+        for sigma, tau, x, y, _ in _local_pairs(ring, n, 2):
+            xy = cup(ring, x, y)
             if not xy:
                 continue
-            st = _cup_plan(s, t)[0].images
+            st = _cup_plan(x[0], y[0])[0].images
             for g in generators[sigma.n]:
-                sx, gs, gfx = _transport(ring, g.images, s, fx)
-                sy, gt, gfy = _transport(ring, g.images, t, fy)
-                moved: dict = {}  # g.(xy)
+                sx, gx = sn_act(ring, g.images, x)
+                sy, gy = sn_act(ring, g.images, y)
+                gxy: dict = {}  # g.(xy)
                 for f, c in xy.items():
-                    sign, _, gf = _transport(ring, g.images, st, f)
-                    _add_term(moved, gf, sign * c)
-                gxgy = _cup_factors(ring, gs, gt, gfx, gfy)
-                if moved != {f: sx * sy * c for f, c in gxgy.items()}:
-                    x, y = WreathElement(sigma.n, sigma, fx), WreathElement(sigma.n, tau, fy)
+                    sign, (_, gf) = sn_act(ring, g.images, (st, f))
+                    _add_term(gxy, gf, sign * c)
+                if gxy != {f: sx * sy * c for f, c in cup(ring, gx, gy).items()}:
                     yield _lifted_witness(ring, n, x, y, tau=g.cycle_string())
 
     info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}
@@ -818,13 +778,10 @@ def check_graded_commutativity(ring: SurfaceRing, n: int, seed: int = 0) -> Chec
     _require_parity(ring, "graded-commutativity")
 
     def found():
-        for sigma, tau, fx, fy, odd in _local_pairs(ring, n, 1):
-            s = sigma.images
-            sign, moved, fm = _transport(ring, s, tau.images, fy)
-            yx = _cup_factors(ring, moved, s, fm, fx)
+        for sigma, tau, x, y, odd in _local_pairs(ring, n, 1):
+            sign, moved = sn_act(ring, x[0], y)
             eps = -sign if odd else sign
-            if _cup_factors(ring, s, tau.images, fx, fy) != {f: eps * c for f, c in yx.items()}:
-                x, y = WreathElement(sigma.n, sigma, fx), WreathElement(sigma.n, tau, fy)
+            if cup(ring, x, y) != {f: eps * c for f, c in cup(ring, moved, x).items()}:
                 yield _lifted_witness(ring, n, x, y)
 
     info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}

@@ -37,7 +37,7 @@ from hilb.wreath_ring import (
     check_equivariance,
     check_graded_commutativity,
     check_unit_laws,
-    cup,
+    cup_class,
     make_element,
 )
 
@@ -168,10 +168,10 @@ def test_criterion_07_g1_branch():
     expected = WreathClass.of(
         make_element(k3, 3, parse_cycles("(1 3 2)", 3), (k3.top_index(),)), 24
     )
-    assert cup(k3, x, x) == expected
+    assert cup_class(k3, x, x) == expected
     d4 = preset("d4")
     y = make_element(d4, 2, parse_cycles("(1 2)", 2), (0,))
-    squared = cup(d4, y, y)
+    squared = cup_class(d4, y, y)
     expected_d4 = WreathClass(2)
     for i in range(1, 5):
         expected_d4.add_term(make_element(d4, 2, Perm.identity(2), (i, i)), -1)

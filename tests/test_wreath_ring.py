@@ -26,10 +26,10 @@ from hilb.symmetric_groups import (
 )
 from hilb.wreath_ring import (
     WreathClass,
+    WreathElement,
     act_class,
     _lifted_witness,
     _mul_sequence,
-    _transport,
     _violating_triples,
     basis_count,
     check_associativity,
@@ -53,6 +53,12 @@ from hilb.wreath_ring import (
 )
 
 
+def _act(ring: SurfaceRing, tau: Perm, x: WreathElement) -> tuple[int, WreathElement]:
+    """sn_act on an element: (Koszul sign, transported element)."""
+    sign, (images, factors) = sn_act(ring, tau.images, x.key)
+    return sign, WreathElement(x.n, Perm(images), factors)
+
+
 def test_element_shape_enforced():
     ring = preset("d4")
     with pytest.raises(UsageError):
@@ -72,11 +78,11 @@ def test_basis_enumeration_counts():
 def test_sn_act_identity_and_even_ring():
     ring = preset("d4")
     x = make_element(ring, 3, parse_cycles("(1 2)", 3), (1, 5))
-    sign, moved = sn_act(ring, Perm.identity(3), x)
+    sign, moved = _act(ring, Perm.identity(3), x)
     assert sign == 1 and moved == x
     # even ring: no sign can ever appear
     for tau in (parse_cycles("(1 3)", 3), parse_cycles("(1 2 3)", 3)):
-        sign, moved = sn_act(ring, tau, x)
+        sign, moved = _act(ring, tau, x)
         assert sign == 1
 
 
@@ -84,7 +90,7 @@ def test_sn_act_transports_factors():
     ring = preset("d4")
     x = make_element(ring, 3, parse_cycles("(1 2)", 3), (1, 5))  # E1 on {1,2}, S on {3}
     tau = parse_cycles("(2 3)", 3)
-    sign, moved = sn_act(ring, tau, x)
+    sign, moved = _act(ring, tau, x)
     assert moved.sigma == parse_cycles("(1 3)", 3)
     # orbits of (1 3): {1,3} and {2}; E1 rides to {1,3}, S to {2}
     assert moved.factors == (1, 5)
@@ -96,7 +102,7 @@ def test_sn_act_odd_transposition_sign():
     ring = preset("a0")
     a, b = ring.index("a"), ring.index("b")
     x = make_element(ring, 2, Perm.identity(2), (a, b))
-    sign, moved = sn_act(ring, parse_cycles("(1 2)", 2), x)
+    sign, moved = _act(ring, parse_cycles("(1 2)", 2), x)
     assert moved.factors == (b, a)
     assert sign == -1
 
@@ -137,7 +143,7 @@ def test_local_product_euler_insertion():
 def test_cup_d4_transposition_squares_to_diagonal():
     ring = preset("d4")
     x = make_element(ring, 2, parse_cycles("(1 2)", 2), (0,))
-    result = cup(ring, x, x)
+    result = cup_class(ring, x, x)
     expected = WreathClass(2)
     for i in range(1, 5):
         expected.add_term(
@@ -149,7 +155,7 @@ def test_cup_d4_transposition_squares_to_diagonal():
 def test_cup_k3_three_cycle_euler_branch():
     ring = preset("k3")
     x = make_element(ring, 3, parse_cycles("(1 2 3)", 3), (0,))
-    result = cup(ring, x, x)
+    result = cup_class(ring, x, x)
     expected = WreathClass.of(
         make_element(ring, 3, parse_cycles("(1 3 2)", 3), (ring.top_index(),)),
         Fraction(24),
@@ -163,7 +169,7 @@ def test_cup_open_ring_euler_branch_dies():
     # e = 0 on the open presets, so the g = 1 branch vanishes
     ring = preset("d4")
     x = make_element(ring, 3, parse_cycles("(1 2 3)", 3), (0,))
-    assert cup(ring, x, x) == WreathClass(3)
+    assert cup_class(ring, x, x) == WreathClass(3)
 
 
 # the one-class ring: H*(pt) = Q in degree 0, with no diagonal and no Euler class
@@ -194,7 +200,8 @@ def test_class_algebra_anchor_on_the_point():
                 z = ones[sigma.compose(tau)]
                 additive = degree[sigma] + degree[tau] == degree[z.sigma]
                 expected = WreathClass.of(z) if additive else WreathClass(n)
-                assert cup(ring, x, y) == expected, (n, sigma.cycle_string(), tau.cycle_string())
+                where = (n, sigma.cycle_string(), tau.cycle_string())
+                assert cup_class(ring, x, y) == expected, where
                 nonzero += additive and n == 5
     assert nonzero == 1809
 
@@ -214,7 +221,7 @@ def test_degree_additivity_exhaustive_n2():
             dx = element_degree(ring, x)
             for y in elements:
                 expected = dx + element_degree(ring, y)
-                for term in cup(ring, x, y).terms:
+                for term in cup_class(ring, x, y).terms:
                     assert element_degree(ring, term) == expected
 
 
@@ -228,7 +235,7 @@ def test_degree_additivity_n3_samples():
         for _ in range(300):
             x, y = rng.choice(elements), rng.choice(elements)
             expected = element_degree(ring, x) + element_degree(ring, y)
-            for term in cup(ring, x, y).terms:
+            for term in cup_class(ring, x, y).terms:
                 assert element_degree(ring, term) == expected
 
 
@@ -282,7 +289,7 @@ def _orbit_reps_by_full_scan(ring: SurfaceRing, n: int):
         minimal = True
         survives = True
         for tau in taus:
-            sign, moved = sn_act(ring, tau, x)
+            sign, moved = _act(ring, tau, x)
             if moved < x:
                 minimal = False
                 break
@@ -367,11 +374,11 @@ def test_asymmetric_product_fails_orbit_local(check):
 
 
 def _sign_mutant(flip):
-    """_transport with its sign negated wherever flip(t, s, factors) holds."""
+    """sn_act with its sign negated wherever flip(t, s, factors) holds."""
 
-    def mutant(ring, t, s, factors):
-        sign, moved_s, moved = _transport(ring, t, s, factors)
-        return (-sign if flip(t, s, factors) else sign), moved_s, moved
+    def mutant(ring, t, x):
+        sign, moved = sn_act(ring, t, x)
+        return (-sign if flip(t, *x) else sign), moved
 
     return mutant
 
@@ -382,10 +389,10 @@ def _odd(images: tuple[int, ...]) -> bool:
 
 _ID3, _T12, _T13, _C123 = (parse_cycles(c, 3).images for c in ("id", "(1 2)", "(1 3)", "(1 2 3)"))
 
-# name -> (mutant of _transport on a ring, whether it is still a signed
+# name -> (mutant of sn_act on a ring, whether it is still a signed
 # action); x0 is an element as (images, factors)
 _ACTION_MUTANTS = {
-    "none": (lambda ring, x0: _transport, True),
+    "none": (lambda ring, x0: sn_act, True),
     # twisting by the sign character, everywhere or on the invariant span of
     # the elements over transpositions, keeps the law
     "sign-twist": (lambda ring, x0: _sign_mutant(lambda t, s, f: _odd(t)), True),
@@ -406,9 +413,7 @@ _ACTION_MUTANTS = {
         lambda ring, x0: _sign_mutant(lambda t, s, f: t == _ID3 and (s, f) == x0), False
     ),
     "fix-x0-under-123": (
-        lambda ring, x0: lambda r, t, s, f: (
-            (1, s, f) if t == _C123 and (s, f) == x0 else _transport(r, t, s, f)
-        ),
+        lambda ring, x0: lambda r, t, x: (1, x) if t == _C123 and x == x0 else sn_act(r, t, x),
         False,
     ),
 }
@@ -428,14 +433,14 @@ def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
     act = make(ring, x0)
     perms = [p.images for p in enumerate_sn(3)]
     brute = all(
-        (s1 * s2, *m2) == act(ring, tuple(t2[j - 1] for j in t1), s, f)
-        for s, f in elements
+        (s1 * s2, m2) == act(ring, tuple(t2[j - 1] for j in t1), x)
+        for x in elements
         for t1 in perms
-        for s1, *m1 in [act(ring, t1, s, f)]
+        for s1, m1 in [act(ring, t1, x)]
         for t2 in perms
-        for s2, *m2 in [act(ring, t2, *m1)]
+        for s2, m2 in [act(ring, t2, m1)]
     )
-    monkeypatch.setattr(wreath_ring, "_transport", act)
+    monkeypatch.setattr(wreath_ring, "sn_act", act)
     report = check_equivariance(ring, 3)
     law_holds = not any(w.get("detail", "").startswith("action-") for w in report.witnesses)
     assert law_holds == brute == is_action, report.render_text()
@@ -530,7 +535,7 @@ def _conjugated_violations(ring: SurfaceRing, triple, memo: dict) -> set:
     if least not in memo:
         memo[least] = _violating_triples(ring, *map(Perm, least))
     back = t.inverse()
-    return {tuple(sn_act(ring, back, e)[1] for e in bad) for bad in memo[least]}
+    return {tuple(sn_act(ring, back.images, e)[1] for e in bad) for bad in memo[least]}
 
 
 def test_conjugation_key_without_coassociativity_would_change_the_report():
@@ -604,11 +609,11 @@ def _violations_by_api(ring: SurfaceRing, n: int) -> set:
         cap = max_degree(n, sigma.compose(tau).compose(rho))
         for dx, x in xs:
             for dy, y in ys:
-                xy = cup(ring, x, y)
+                xy = cup_class(ring, x, y)
                 for dz, z in zs:
                     if dx + dy + dz > cap:
                         break
-                    if cup_class(ring, xy, z) != cup_class(ring, x, cup(ring, y, z)):
+                    if cup_class(ring, xy, z) != cup_class(ring, x, cup_class(ring, y, z)):
                         bad.add((render_element(ring, x), render_element(ring, y),
                                  render_element(ring, z)))
     return bad
@@ -675,11 +680,11 @@ def test_orbit_local_equivariance_matches_all_pairs(name, n):
     generators = [Perm.from_cycles([(i, i + 1)], n) for i in range(1, n)]
     brute = set()
     for x, y in product(basis, repeat=2):
-        xy = cup(ring, x, y)
+        xy = cup_class(ring, x, y)
         for g in generators:
-            sx, gx = sn_act(ring, g, x)
-            sy, gy = sn_act(ring, g, y)
-            if act_class(ring, g, xy) != cup(ring, gx, gy).scale(sx * sy):
+            sx, gx = _act(ring, g, x)
+            sy, gy = _act(ring, g, y)
+            if act_class(ring, g, xy) != cup_class(ring, gx, gy).scale(sx * sy):
                 brute.add((render_element(ring, x), render_element(ring, y), g.cycle_string()))
     assert report.passed == (not brute) == passes
     assert {(w["x"], w["y"], w["tau"]) for w in report.witnesses} <= brute
@@ -711,10 +716,10 @@ def test_orbit_local_commutativity_matches_all_pairs(name, n):
     assert report.info["mode"] == "orbit-local"
     twisted = set()
     for x, y in product(basis, repeat=2):
-        sign, moved = sn_act(ring, x.sigma, y)
+        sign, moved = _act(ring, x.sigma, y)
         if element_degree(ring, x) % 2 and element_degree(ring, y) % 2:
             sign = -sign
-        if cup(ring, x, y) != cup(ring, moved, x).scale(sign):
+        if cup_class(ring, x, y) != cup_class(ring, moved, x).scale(sign):
             twisted.add((render_element(ring, x), render_element(ring, y)))
     invariant = _invariant_basis(ring, n)
     invariant_commutes = all(
@@ -813,13 +818,13 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
     for x, y in product(elements, repeat=2):
         # the degree cut of the equivariance and commutativity local pairs
         if degree[x] + degree[y] > max_degree(n, x.sigma.compose(y.sigma)):
-            assert not cup(ring, x, y)
+            assert not cup_class(ring, x, y)
     for x, y, z in product(elements, repeat=3):
         # _violating_triples' cut on the target component
         cap = max_degree(n, x.sigma.compose(y.sigma).compose(z.sigma))
         if degree[x] + degree[y] + degree[z] > cap:
-            assert not cup_class(ring, cup(ring, x, y), z)
-            assert not cup_class(ring, x, cup(ring, y, z))
+            assert not cup_class(ring, cup_class(ring, x, y), z)
+            assert not cup_class(ring, x, cup_class(ring, y, z))
 
 
 # sha256 over every render_class(cup(x, y)) (x, y in basis order) and then
@@ -847,9 +852,9 @@ def test_every_product_and_action_image_unchanged(name, n, only):
         basis = [x for x in basis if x.sigma == parse_cycles(only, n)]
     digest = hashlib.sha256()
     for x, y in product(basis, repeat=2):
-        digest.update(render_class(ring, cup(ring, x, y)).encode() + b"\n")
+        digest.update(render_class(ring, cup_class(ring, x, y)).encode() + b"\n")
     for tau in enumerate_sn(n):
         for x in basis:
-            sign, moved = sn_act(ring, tau, x)
+            sign, moved = _act(ring, tau, x)
             digest.update(f"{sign} {render_element(ring, moved)}\n".encode())
     assert digest.hexdigest() == _PRODUCT_AND_ACTION_SHA256[(name, n, only)]
