@@ -659,11 +659,10 @@ def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
 
 
 def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
-    """(sigma, tau, x, y, |x||y| odd) for every basis pair x = (images of
-    sigma, factors), y = (images of tau, factors) over a transitive pair
-    (sigma, tau) of S_m, smallest <= m <= n (`_transitive_tuples`), pruned by
-    the degree capacity of sigma tau's component (above it both products
-    vanish, by degree additivity)."""
+    """(x, y, |x||y| odd) for every basis pair, as (images, factors) pairs,
+    over a transitive pair (sigma, tau) of S_m, smallest <= m <= n
+    (`_transitive_tuples`), pruned by the degree capacity of sigma tau's
+    component (above it both products vanish, by degree additivity)."""
     for sigma, tau in _transitive_tuples(n, smallest, 2):
         cap = max_degree(sigma.n, sigma.compose(tau))
         ys = _elements_by_degree(ring, tau)
@@ -673,7 +672,7 @@ def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
             for dy, fy in ys:
                 if dx + dy > cap:
                     break
-                yield sigma, tau, (sigma.images, fx), (tau.images, fy), dx % 2 and dy % 2
+                yield (sigma.images, fx), (tau.images, fy), dx % 2 and dy % 2
 
 
 def check_equivariance(
@@ -737,12 +736,12 @@ def check_equivariance(
 
     def found():
         yield from composes()
-        for sigma, tau, x, y, _ in _local_pairs(ring, n, 2):
+        for x, y, _ in _local_pairs(ring, n, 2):
             xy = cup(ring, x, y)
             if not xy:
                 continue
             st = _cup_plan(x[0], y[0])[0].images
-            for g in generators[sigma.n]:
+            for g in generators[len(x[0])]:
                 sx, gx = sn_act(ring, g.images, x)
                 sy, gy = sn_act(ring, g.images, y)
                 gxy: dict = {}  # g.(xy)
@@ -778,7 +777,7 @@ def check_graded_commutativity(ring: SurfaceRing, n: int, seed: int = 0) -> Chec
     _require_parity(ring, "graded-commutativity")
 
     def found():
-        for sigma, tau, x, y, odd in _local_pairs(ring, n, 1):
+        for x, y, odd in _local_pairs(ring, n, 1):
             sign, moved = sn_act(ring, x[0], y)
             eps = -sign if odd else sign
             if cup(ring, x, y) != {f: eps * c for f, c in cup(ring, moved, x).items()}:
