@@ -26,6 +26,7 @@ from .exact_poly import from_text as series_from_text
 from .exact_poly import to_text as series_to_text
 from .generating_series import (
     CASE_NAMES,
+    DEFAULT_LIMIT,
     SeriesSpec,
     brute_force_poincare,
     closed_form,
@@ -45,7 +46,6 @@ from .report import CheckReport
 from .surface_ring import PRESET_NAMES, SurfaceRing, load_ring, preset, validate
 from .symmetric_groups import orbits, parse_cycles
 from .wreath_ring import (
-    DEFAULT_LIMIT,
     check_associativity,
     check_equivariance,
     cup_class,

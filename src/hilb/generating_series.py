@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 from .exact_poly import TruncatedSeries, euler_product, multichoose
 from .surface_ring import SurfaceRing
-from .wreath_ring import (
-    DEFAULT_LIMIT,
-    check_resource,
-    element_degree,
-    iter_orbit_reps,
-)
+from .symmetric_groups import ENUMERATE_LIMIT
+from .wreath_ring import element_degree, iter_orbit_reps
 from .perverse_filtration import perversity
+
+DEFAULT_LIMIT = 10**8
 
 BigradedDims = dict[tuple[int, int], int]
 QTPoly = dict[tuple[int, int], Fraction]
@@ -222,6 +220,48 @@ def partition_sum(dims: BigradedDims, n: int) -> QTPoly:
     return total
 
 
+def orbit_scan_cost(ring: SurfaceRing, n: int) -> int:
+    """The steps `iter_orbit_reps` takes at most on A{S_n}: the factor tuples
+    it generates, plus its sign tests on rings with odd classes.
+
+    For a cycle type with a_i cycles of length i it generates the tuples
+    sorted along each group of equal-length cycles, prod_i C(size + a_i - 1,
+    a_i) of them.  On a group of a slots, the sorted tuples with equal values
+    at one adjacent pair of slots are the sorted tuples on a - 1 slots, so
+    the group's a - 1 pairs take at most (a - 1) C(size + a - 2, a - 1) sign
+    tests against the tuples of the other groups.  Summed over partitions,
+    so S_n is not enumerated.
+    """
+    size, total = ring.size, 0
+    for mults in partitions(n):
+        groups = [(a, multichoose(size, a)) for a in mults if a]
+        tuples = prod(count for _, count in groups)
+        total += tuples
+        if ring.has_odd:
+            # tuples // count: the tuples of the other groups
+            total += sum((a - 1) * multichoose(size, a - 1) * (tuples // count)
+                         for a, count in groups)
+    return total
+
+
+def check_resource(ring: SurfaceRing, n: int, limit: int) -> None:
+    """ResourceError when the orbit count at n costs more than limit steps
+    (`orbit_scan_cost`), or when n is past ENUMERATE_LIMIT, the largest S_n
+    whose conjugacy classes `iter_orbit_reps` lists: the gate of
+    `brute_force_poincare`.  The count is exact for the tuples and an upper
+    bound for the sign tests, which stop at the first -1."""
+    if n > ENUMERATE_LIMIT:
+        raise ResourceError(
+            f"n={n} on ring {ring.name}: the orbit count lists S_n only up to "
+            f"n={ENUMERATE_LIMIT}"
+        )
+    cost = orbit_scan_cost(ring, n)
+    if cost > limit:
+        raise ResourceError(
+            f"n={n} on ring {ring.name} needs ~{cost} orbit-scan steps, limit {limit}"
+        )
+
+
 def brute_force_poincare(
     ring: SurfaceRing, n: int, limit: int = DEFAULT_LIMIT
 ) -> QTPoly:
@@ -231,9 +271,11 @@ def brute_force_poincare(
     acts by -1 on the factor tensor, in which case its symmetrization
     vanishes and it is excluded.  This is the independent oracle for the
     product formulas: it only uses the S_n action and the abstract perversity.
-    The orbits come from `iter_orbit_reps`, which scans one permutation per
-    cycle type against its centralizer.  The resource gate `check_resource`
-    still prices the scan of all of S_n.
+    The orbits come from `iter_orbit_reps`, which generates, per cycle type,
+    the factor tuples sorted within each group of equal-length cycles and
+    tests stabilizer generators for the sign.  The resource gate
+    `check_resource` counts those tuples and sign tests from the partitions
+    of n (`orbit_scan_cost`).
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")

@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .errors import DataError, ResourceError, UsageError
+from .errors import DataError, UsageError
 from .report import CheckReport, run_suite
 from .surface_ring import (
     SurfaceRing,
@@ -62,8 +62,6 @@ from .symmetric_groups import (
     pair_orbits,
     signature_defect,
 )
-
-DEFAULT_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -380,6 +378,44 @@ def unit_element(ring: SurfaceRing, n: int) -> WreathElement:
 # -- orbit representatives of the invariant model ------------------------------
 
 
+def _sorted_tuples(size: int, prev: list[int]):
+    """Factor tuples over values 0..size-1 that are non-decreasing along each
+    group of slots, in lexicographic order.  prev[i] is the previous slot of
+    slot i's group, or -1 for the group's first slot.
+
+    An odometer: the successor raises the rightmost slot below size - 1 and
+    resets every later slot to its least value, the value at the previous
+    slot of its group (0 for a group's first slot).
+    """
+    k = len(prev)
+    factors = [0] * k
+    top = size - 1
+    while True:
+        yield tuple(factors)
+        i = k - 1
+        while i >= 0 and factors[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        factors[i] += 1
+        for j in range(i + 1, k):
+            p = prev[j]
+            factors[j] = factors[p] if p >= 0 else 0
+
+
+def _cycle_swap(s: tuple[int, ...], one: tuple[int, ...], other: tuple[int, ...]):
+    """The images of the involution in Z(sigma) that swaps two equal-length
+    cycles of sigma, given by their blocks: sigma^i(a) <-> sigma^i(b) for
+    their least points a and b; it fixes the other points, and its slot move
+    swaps the two cycles' slots."""
+    t = list(range(1, len(s) + 1))
+    a, b = one[0], other[0]
+    for _ in one:
+        t[a - 1], t[b - 1] = b, a
+        a, b = s[a - 1], s[b - 1]
+    return tuple(t)
+
+
 def iter_orbit_reps(ring: SurfaceRing, n: int):
     """Yield (representative, survives) per S_n-orbit of basis elements.
 
@@ -390,59 +426,51 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
     Only the least permutation sigma of each conjugacy class
     (`class_representatives`) can carry a representative, and only its
     centralizer Z(sigma) can move a.sigma to an element at most a.sigma: any
-    other tau conjugates sigma to a larger permutation.  Centralizer elements
-    with the same slot move act alike on every factor tuple, so one tau per
-    move is tested; it keeps sigma, so only factor tuples are compared.  The
-    pairs come out as a scan of every basis element against all of S_n
-    would yield them, in the same order.
+    other tau conjugates sigma to a larger permutation.  Z(sigma) keeps sigma
+    and acts on its slots as the product of the symmetric groups S_{a_i} on
+    the a_i cycles of each length i, each of them realized.  So a.sigma is
+    least in its orbit exactly when its factors are non-decreasing along the
+    slots of each group of equal-length cycles, and those tuples are the
+    only ones generated (`_sorted_tuples`), in lexicographic order.
+
+    The sign of sn_act depends on the slot move alone, and on the stabilizer
+    of a.sigma it is a character, so generators decide it.  The stabilizer's
+    slot moves are the permutations within runs of equal factors of a
+    group, generated by the transpositions of adjacent equal slots; each is
+    tested through sn_act with the swap of their two cycles
+    (`_cycle_swap`).  On rings without odd classes the sign is 1 and every
+    orbit survives.  The pairs come out as a scan of every basis element
+    against all of S_n would yield them, in the same order.
     """
-    taus = [tau.images for tau in enumerate_sn(n)]
     for sigma in class_representatives(n):
         s = sigma.images
-        moves: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for t in taus:
-            if all(t[s[i] - 1] == s[t[i] - 1] for i in range(n)):  # tau sigma = sigma tau
-                moves.setdefault(_act_plan(t, s)[1], t)
-        k = len(_perm_orbit_blocks(s))
-        for factors in iproduct(range(ring.size), repeat=k):
-            minimal = True
-            survives = True
-            for t in moves.values():
-                sign, (_, moved) = sn_act(ring, t, (s, factors))
-                if moved < factors:
-                    minimal = False
-                    break
-                if moved == factors and sign == -1:
-                    survives = False
-            if minimal:
-                yield WreathElement(n=n, sigma=sigma, factors=factors), survives
+        blocks = _perm_orbit_blocks(s)
+        latest: dict[int, int] = {}  # cycle length -> its latest slot so far
+        prev = []
+        for slot, block in enumerate(blocks):
+            prev.append(latest.get(len(block), -1))
+            latest[len(block)] = slot
+        swaps = [
+            (p, j, _cycle_swap(s, blocks[p], blocks[j]))
+            for j, p in enumerate(prev)
+            if p >= 0 and ring.has_odd
+        ]
+        for factors in _sorted_tuples(ring.size, prev):
+            survives = all(
+                sn_act(ring, t, (s, factors))[0] == 1
+                for p, j, t in swaps
+                if factors[p] == factors[j]
+            )
+            yield WreathElement(n=n, sigma=sigma, factors=factors), survives
 
 
-# -- resource estimation -------------------------------------------------------
+# -- basis size ----------------------------------------------------------------
 
 
 def basis_count(ring: SurfaceRing, n: int) -> int:
     return sum(
         ring.size ** len(_perm_orbit_blocks(s.images)) for s in enumerate_sn(n)
     )
-
-
-def check_resource(ring: SurfaceRing, n: int, limit: int) -> None:
-    """ResourceError when n! * (basis size)^n exceeds limit: the gate of
-    `brute_force_poincare`.
-
-    n! * size^n is no over-count: it is the worst case of the identity class
-    in `iter_orbit_reps`, whose size^n factor tuples may each be tested
-    against all n! slot moves of Z(id) = S_n.  Most tuples leave at the first
-    move with `moved < x`, which is what makes runs such as e6 at n = 6 fast,
-    but nothing bounds that in advance; a gate that admits them needs an
-    enumeration of sorted tuples first.
-    """
-    cost = factorial(n) * ring.size**n
-    if cost > limit:
-        raise ResourceError(
-            f"n={n} on ring {ring.name} needs ~{cost} elementary products, limit {limit}"
-        )
 
 
 # -- transitive local subproblems ----------------------------------------------

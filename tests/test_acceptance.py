@@ -72,7 +72,7 @@ def test_criterion_01_n1_perverse_numbers():
 
 def test_criterion_02_theorem_oracle_equivalence():
     start = time.time()
-    ranges = {"a0": 6, "d4": 5, "e6": 5, "e7": 4, "e8": 4}
+    ranges = {"a0": 8, "d4": 8, "e6": 8, "e7": 8, "e8": 8}
     for name, n_max in ranges.items():
         ring = preset(name)
         dims = ring_dims(ring)

@@ -312,6 +312,18 @@ def test_series_bruteforce_matches_closed_coefficient(capsys):
     assert series.coefficient_of_s(3) == expected
 
 
+def test_series_bruteforce_e6_n6_runs_at_the_default_limit(capsys):
+    # the gate prices the sorted-tuple enumeration (7,704 tuples), not the
+    # 8^6 * 6! scan of every tuple against every slot move
+    code, out, _ = run(capsys, "series", "bruteforce", "--preset", "e6", "-n", "6")
+    assert code == 0
+    from hilb.exact_poly import from_text
+    from hilb.generating_series import SeriesSpec, closed_form
+
+    expected = closed_form(SeriesSpec.parse("dynkin6", 6)).coefficient_of_s(6)
+    assert from_text(out).coefficient_of_s(6) == expected
+
+
 def test_series_closed_rejects_seed_flag(capsys):
     # series closed reads no seed, so the flag is not accepted
     code, _, err = run(
@@ -338,6 +350,10 @@ def test_resource_error_exits_3(capsys):
         capsys, "series", "bruteforce", "--preset", "k3", "-n", "3", "--limit", "10"
     )
     assert code == 3
+    assert "resource" in err
+    # the orbit count lists the classes of S_n only up to n = 8
+    code, out, err = run(capsys, "series", "bruteforce", "--preset", "a0", "-n", "9")
+    assert (code, out) == (3, "")
     assert "resource" in err
     # multiplicativity has no cost gate: enumerate_sn refuses S_9 before any
     # pair is checked

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from hilb.errors import UsageError
+from hilb.errors import ResourceError, UsageError
 from hilb.exact_poly import TruncatedSeries
 from hilb.generating_series import (
+    DEFAULT_LIMIT,
     SeriesSpec,
     betti_goettsche,
     brute_force_poincare,
+    check_resource,
     closed_form,
     compare_series,
+    orbit_scan_cost,
     partition_sum,
     partitions,
     poly_render,
@@ -20,6 +23,8 @@ from hilb.generating_series import (
     ring_dims,
 )
 from hilb.surface_ring import PRESET_NAMES, load_ring, preset, save_ring
+from hilb.symmetric_groups import _perm_orbit_blocks
+from hilb.wreath_ring import iter_orbit_reps
 
 FAMILY = {"a0": "a0", "d4": "dynkin4", "e6": "dynkin6", "e7": "dynkin7", "e8": "dynkin8"}
 
@@ -156,6 +161,52 @@ def test_relative_hard_lefschetz_catches_moved_class():
     dims[(1, 2)] -= 1
     dims[(0, 2)] = dims.get((0, 2), 0) + 1
     assert _relative_hard_lefschetz_breaks(dims, 3)[0] == 1
+
+
+@pytest.mark.parametrize("name", ["k3", "abelian"])
+def test_oracle_equivalence_compact_at_n5(name):
+    # the compact presets at the oracle's sorted-tuple reach; abelian's odd
+    # classes exercise the stabilizer-generator sign test
+    ring = preset(name)
+    assert brute_force_poincare(ring, 5) == partition_sum(ring_dims(ring), 5)
+
+
+def _equal_adjacent_pairs(rep) -> int:
+    """Pairs of adjacent slots of one group of equal-length cycles that hold
+    equal factors: the sign tests the orbit count makes at most for rep."""
+    lengths = [len(block) for block in _perm_orbit_blocks(rep.sigma.images)]
+    count = 0
+    for length in set(lengths):
+        slots = [i for i, l in enumerate(lengths) if l == length]
+        count += sum(rep.factors[a] == rep.factors[b] for a, b in zip(slots, slots[1:]))
+    return count
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_orbit_scan_cost_counts_the_enumeration(name):
+    # the gate's count, from partitions alone, against what iter_orbit_reps
+    # generates: one tuple per representative, plus one sign test per equal
+    # adjacent pair of a group on rings with odd classes
+    ring = preset(name)
+    for n in range(1, 5 if name != "k3" else 4):
+        reps = [rep for rep, _ in iter_orbit_reps(ring, n)]
+        tests = sum(map(_equal_adjacent_pairs, reps)) if ring.has_odd else 0
+        assert orbit_scan_cost(ring, n) == len(reps) + tests, (name, n)
+
+
+def test_resource_gate_admits_the_sorted_enumeration():
+    # sorted tuples at e6/e7/e8 n = 6, d4 n = 7, k3 n = 6; abelian n = 5 adds
+    # its sign tests to 33,440 tuples
+    costs = {("e6", 6): 7_704, ("e7", 6): 12_483, ("e8", 6): 19_415,
+             ("d4", 7): 6_372, ("k3", 6): 1_073_720, ("abelian", 5): 53_808}
+    for (name, n), cost in costs.items():
+        assert orbit_scan_cost(preset(name), n) == cost, name
+        check_resource(preset(name), n, DEFAULT_LIMIT)
+    with pytest.raises(ResourceError):
+        check_resource(preset("k3"), 3, 10)
+    # past enumerate_sn's cap, whatever the count
+    with pytest.raises(ResourceError):
+        check_resource(preset("a0"), 9, DEFAULT_LIMIT)
 
 
 @pytest.mark.parametrize(

@@ -282,8 +282,9 @@ def test_orbit_reps_super_dimension_count():
 
 
 def _orbit_reps_by_full_scan(ring: SurfaceRing, n: int):
-    """The reference for the centralizer scan: every basis element tested
-    against all of S_n, by the same minimality and stabilizer-sign test."""
+    """The reference for the sorted-tuple enumeration: every basis element
+    tested against all of S_n for minimality, and against its whole
+    stabilizer for the sign."""
     taus = list(enumerate_sn(n))
     for x in enumerate_wreath_basis(ring, n):
         minimal = True
@@ -300,10 +301,14 @@ def _orbit_reps_by_full_scan(ring: SurfaceRing, n: int):
 
 
 @pytest.mark.parametrize(
-    "name,n_max", [(name, 4 if name in ("a0", "d4", "e6") else 3) for name in PRESET_NAMES]
+    "name,n_max",
+    [(name, 4 if name in ("a0", "d4", "e6") else 3) for name in PRESET_NAMES]
+    + [("a0", 5), ("d4", 5), ("e7", 4), ("e8", 4), ("abelian", 4)],
 )
 def test_orbit_reps_match_the_full_scan(name, n_max):
-    # a0's odd classes exercise the sign test on the stabilizers
+    # a0's and abelian's odd classes exercise the sign test on the
+    # stabilizer generators; k3 stops at n = 3, as its n = 4 reference
+    # alone takes 4 s
     ring = preset(name)
     for n in range(n_max + 1):
         assert list(iter_orbit_reps(ring, n)) == list(_orbit_reps_by_full_scan(ring, n)), n
