@@ -23,6 +23,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .errors import DivergenceError, UsageError
+from .linalg import add_term
 
 Exponent = tuple[int, int, int]
 # a coefficient inside the product kernel: int while every operand is integral
@@ -73,9 +74,6 @@ class TruncatedSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.s_bound, frozenset(self.terms.items())))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -112,11 +110,7 @@ class TruncatedSeries:
         self._check_bound(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            acc = out.get(exp, _ZERO) + coeff
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
+            add_term(out, exp, coeff)
         return TruncatedSeries(out, self.s_bound)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -130,10 +124,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             _mul_terms(self.terms, other.terms, self.s_bound), self.s_bound
         )
-
-    def scale(self, coeff) -> "TruncatedSeries":
-        coeff = Fraction(coeff)
-        return TruncatedSeries({e: c * coeff for e, c in self.terms.items()}, self.s_bound)
 
     # -- queries ---------------------------------------------------------
 
@@ -156,14 +146,7 @@ class TruncatedSeries:
             if t_value is not None:
                 coeff = coeff * Fraction(t_value) ** e_t
                 e_t = 0
-            if coeff == 0:
-                continue
-            exp = (e_s, e_q, e_t)
-            acc = out.get(exp, _ZERO) + coeff
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
+            add_term(out, (e_s, e_q, e_t), coeff)
         return TruncatedSeries(out, self.s_bound)
 
 

@@ -21,8 +21,9 @@ from math import comb, prod
 
 from .errors import ResourceError, UsageError
 from .exact_poly import TruncatedSeries, euler_product, multichoose
+from .linalg import add_term
 from .surface_ring import SurfaceRing
-from .symmetric_groups import ENUMERATE_LIMIT
+from .symmetric_groups import ENUMERATE_LIMIT, partitions
 from .wreath_ring import element_degree, iter_orbit_reps
 from .perverse_filtration import perversity
 
@@ -132,35 +133,11 @@ def betti_goettsche(betti: dict[int, int], s_bound: int) -> TruncatedSeries:
 # -- partition sum ---------------------------------------------------------------
 
 
-def partitions(n: int):
-    """All partitions of n as multiplicity tuples (a_1, ..., a_n)."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, max_part: int, mults: list[int]):
-        if remaining == 0:
-            yield tuple(mults)
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            for count in range(remaining // part, 0, -1):
-                mults[part - 1] = count
-                yield from rec(remaining - part * count, part - 1, mults)
-                mults[part - 1] = 0
-
-    yield from rec(n, n, [0] * n)
-
-
 def _poly_mul(a: QTPoly, b: QTPoly) -> QTPoly:
     out: QTPoly = {}
     for (qa, ta), ca in a.items():
         for (qb, tb), cb in b.items():
-            key = (qa + qb, ta + tb)
-            acc = out.get(key, Fraction(0)) + ca * cb
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, (qa + qb, ta + tb), ca * cb)
     return out
 
 
@@ -189,11 +166,7 @@ def _cycle_slot_counts(dims: BigradedDims, i: int, a_max: int) -> list[QTPoly]:
                 if not piece[j] or not series[a - j]:
                     continue
                 for key, c in _poly_mul(series[a - j], piece[j]).items():
-                    acc = new[a].get(key, Fraction(0)) + c
-                    if acc:
-                        new[a][key] = acc
-                    else:
-                        new[a].pop(key, None)
+                    add_term(new[a], key, c)
         series = new
     return series
 
@@ -212,11 +185,7 @@ def partition_sum(dims: BigradedDims, n: int) -> QTPoly:
             if a:
                 term = _poly_mul(term, slot_counts[i][a])
         for key, c in term.items():
-            acc = total.get(key, Fraction(0)) + c
-            if acc:
-                total[key] = acc
-            else:
-                total.pop(key, None)
+            add_term(total, key, c)
     return total
 
 

@@ -1,8 +1,14 @@
-"""Small exact linear algebra over Fraction matrices.
+"""Small exact linear algebra over Fraction matrices, and the sum rule of
+every sparse vector in the package.
 
 Matrices are lists of lists of Fraction.  Everything here is plain Gaussian
 elimination; sizes in this package stay below ~25, so asymptotics are
 irrelevant but exactness is not negotiable.
+
+Sparse vectors (ring classes, tensors, wreath classes, series terms) are
+dicts from keys to exact coefficients that never store a zero, so equal
+vectors are equal dicts and an empty dict is the zero vector.  Every sum
+that runs key by key keeps that rule through `add_term`.
 """
 
 from __future__ import annotations
@@ -10,6 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+
+
+def add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff, keeping no zero coefficient."""
+    acc = terms.get(key, 0) + coeff
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 def identity(n: int) -> Matrix:

@@ -24,6 +24,7 @@ from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
+from .linalg import add_term
 from .errors import DataError, ModeError, UsageError
 from .report import CheckReport
 
@@ -84,10 +85,13 @@ class SurfaceRing:
         k = len(self.names)
         if len(set(self.names)) != k:
             raise UsageError("basis names must be distinct")
+        # basis names are also joined at `x` in diag2 entries, and `hilb mul`'s
+        # element spec splits at `,`, `;` and `@`
         for nm in self.names:
-            if not nm or any(ch.isspace() or ch in "x+=" for ch in nm):
+            if not nm or any(ch.isspace() or ch in "x+=,;@" for ch in nm):
                 raise UsageError(
-                    f"basis name {nm!r} invalid: no whitespace, no 'x', '+' or '='"
+                    f"basis name {nm!r} invalid: no whitespace, "
+                    "no 'x', '+', '=', ',', ';' or '@'"
                 )
         if not (len(self.degrees) == len(self.perversities) == k):
             raise UsageError("names/degrees/perversities length mismatch")
@@ -151,11 +155,7 @@ class SurfaceRing:
                     continue
                 c = ci * cj
                 for k, ck in entries:
-                    acc = out.get(k, 0) + c * ck
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
+                    add_term(out, k, c * ck)
         return out
 
     def top_index(self) -> int:
@@ -306,11 +306,7 @@ def validate(ring: SurfaceRing) -> CheckReport:
             right: Tensor = {}
             for (a, b), c in push.items():
                 for (b1, b2), c2 in _diag_push_basis(ring, 2, b).items():
-                    acc = right.get((a, b1, b2), 0) + c * c2
-                    if acc:
-                        right[(a, b1, b2)] = acc
-                    else:
-                        right.pop((a, b1, b2))
+                    add_term(right, (a, b1, b2), c * c2)
             if _diag_push_basis(ring, 3, g) != right:
                 w("diagonal-coassociativity", element=names[g])
 
@@ -753,11 +749,7 @@ def diagonal_push(ring: SurfaceRing, m: int, gamma: Vec | int) -> Tensor:
     out: Tensor = {}
     for g, coeff in gamma.items():
         for key, c in _diag_push_basis(ring, m, g).items():
-            acc = out.get(key, 0) + coeff * c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, key, coeff * c)
     return out
 
 
@@ -776,12 +768,7 @@ def _diag_push_basis(ring: SurfaceRing, m: int, g: int) -> Tensor:
                     continue
                 for a, ca in duals[i].items():
                     for b, cb in prod.items():
-                        c = sign * ca * cb
-                        acc = out.get((a, b), 0) + c
-                        if acc:
-                            out[(a, b)] = acc
-                        else:
-                            out.pop((a, b), None)
+                        add_term(out, (a, b), sign * ca * cb)
         else:
             if ring.diag2 is None:
                 raise ModeError(f"open ring {ring.name} carries no diag2 table")
@@ -791,12 +778,7 @@ def _diag_push_basis(ring: SurfaceRing, m: int, g: int) -> Tensor:
         for key, c in _diag_push_basis(ring, m - 1, g).items():
             head = _diag_push_basis(ring, 2, key[0])
             for (a, b), c2 in head.items():
-                new_key = (a, b) + key[1:]
-                acc = out.get(new_key, 0) + c * c2
-                if acc:
-                    out[new_key] = acc
-                else:
-                    out.pop(new_key, None)
+                add_term(out, (a, b) + key[1:], c * c2)
     ring._diag_cache[(m, g)] = out
     return out
 
@@ -867,11 +849,7 @@ def _add_scaled(u: Vec, terms) -> Vec:
         if not c:
             continue
         for i, x in v.items():
-            acc = out.get(i, Fraction(0)) + c * x
-            if acc:
-                out[i] = acc
-            else:
-                out.pop(i, None)
+            add_term(out, i, c * x)
     return out
 
 

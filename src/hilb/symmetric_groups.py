@@ -244,6 +244,25 @@ def cycle_type(sigma: Perm) -> Partition:
     return Partition(tuple(mults))
 
 
+def partitions(n: int):
+    """All partitions of n as multiplicity tuples (a_1, ..., a_n)."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining: int, max_part: int, mults: list[int]):
+        if remaining == 0:
+            yield tuple(mults)
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            for count in range(remaining // part, 0, -1):
+                mults[part - 1] = count
+                yield from rec(remaining - part * count, part - 1, mults)
+                mults[part - 1] = 0
+
+    yield from rec(n, n, [0] * n)
+
+
 @lru_cache(maxsize=None)
 def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The canonical orbit blocks of one permutation, cached by its images."""
@@ -348,15 +367,24 @@ def graph_defect(sigma: Perm, tau: Perm) -> dict[tuple[int, ...], int]:
 
 
 def class_representatives(n: int) -> list[Perm]:
-    """One permutation per cycle type: the first of each in enumerate_sn order.
+    """One permutation per cycle type, the lexicographically least element of
+    its conjugacy class, in increasing order.
 
-    That is the lexicographically least element of each conjugacy class, and
-    the list is increasing.
+    The least permutation of a cycle type has its cycles in ascending length
+    on consecutive points, each cycle being (k k+1 ... k+l-1): position by
+    position it takes the smallest image the remaining cycles allow.  It is
+    built from `partitions(n)`, without listing S_n.
     """
-    reps: dict[Partition, Perm] = {}
-    for sigma in enumerate_sn(n):
-        reps.setdefault(cycle_type(sigma), sigma)
-    return list(reps.values())
+    reps = []
+    for mults in partitions(n):
+        images: list[int] = []
+        for length, count in enumerate(mults, start=1):
+            for _ in range(count):
+                k = len(images) + 1
+                images.extend(range(k + 1, k + length))
+                images.append(k)
+        reps.append(Perm(images))
+    return sorted(reps)
 
 
 # the largest n whose symmetric group enumerate_sn lists

@@ -42,6 +42,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from .errors import DataError, UsageError
+from .linalg import add_term
 from .report import CheckReport, run_suite
 from .surface_ring import (
     SurfaceRing,
@@ -81,15 +82,6 @@ class WreathElement:
         return self.key < other.key
 
 
-def _add_term(terms: dict, key, coeff) -> None:
-    """terms[key] += coeff, keeping no zero coefficient."""
-    acc = terms.get(key, 0) + coeff
-    if acc:
-        terms[key] = acc
-    else:
-        terms.pop(key, None)
-
-
 class WreathClass:
     """Exact rational linear combination of WreathElements of one A{S_n}."""
 
@@ -108,7 +100,7 @@ class WreathClass:
         return cls(element.n, {element: coeff})
 
     def add_term(self, element: WreathElement, coeff: Fraction) -> None:
-        _add_term(self.terms, element, coeff)
+        add_term(self.terms, element, coeff)
 
     def scale(self, coeff) -> "WreathClass":
         if coeff == 1:
@@ -336,7 +328,7 @@ def cup(ring: SurfaceRing, x, y) -> dict[tuple[int, ...], Fraction]:
             factors = [0] * len(dst)
             for slot, f in zip(dst, flat):
                 factors[slot] = f
-            _add_term(out, tuple(factors), coeff)
+            add_term(out, tuple(factors), coeff)
     if len(cache) >= CUP_MEMO_BOUND:
         cache.clear()
     cache[key] = out
@@ -349,7 +341,7 @@ def _cup_sum(ring: SurfaceRing, products) -> dict:
     out: dict = {}
     for c, x, y in products:
         for f, cc in cup(ring, x, y).items():
-            _add_term(out, f, c * cc)
+            add_term(out, f, c * cc)
     return out
 
 
@@ -751,14 +743,15 @@ def check_equivariance(
         # per t: (g, g t) for every generator g
         steps = [(t.images, [(g.images, g.compose(t)) for g in generators[n]]) for t in perms]
         for x in enumerate_wreath_basis(ring, n):
-            if sn_act(ring, identity, x.key) != (1, x.key):
+            acts = {t.images: sn_act(ring, t.images, x.key) for t in perms}
+            if acts[identity] != (1, x.key):
                 yield {"x": render_element(ring, x), "tau": "id",
                        "detail": "action-identity", "excess": 1}
             for t, gts in steps:
-                s1, tx = sn_act(ring, t, x.key)
+                s1, tx = acts[t]
                 for g, gt in gts:
                     s2, gtx = sn_act(ring, g, tx)
-                    if (s1 * s2, gtx) != sn_act(ring, gt.images, x.key):
+                    if (s1 * s2, gtx) != acts[gt.images]:
                         yield {"x": render_element(ring, x), "tau": gt.cycle_string(),
                                "detail": "action-composition", "excess": 1}
 
@@ -775,7 +768,7 @@ def check_equivariance(
                 gxy: dict = {}  # g.(xy)
                 for f, c in xy.items():
                     sign, (_, gf) = sn_act(ring, g.images, (st, f))
-                    _add_term(gxy, gf, sign * c)
+                    add_term(gxy, gf, sign * c)
                 if gxy != {f: sx * sy * c for f, c in cup(ring, gx, gy).items()}:
                     yield _lifted_witness(ring, n, x, y, tau=g.cycle_string())
 

@@ -48,6 +48,26 @@ def test_ring_show_bad_ring_exits_2(tmp_path, capsys):
     assert "validation" in err or "error" in err
 
 
+@pytest.mark.parametrize("name", ["a@1", "a,b", "a;b"])
+def test_ring_show_basis_name_the_element_spec_splits_exits_2(tmp_path, capsys, name):
+    # `hilb mul` could not name such an element: 'a@1;id' reads as a@{1}
+    path = tmp_path / "spec.ring"
+    path.write_text(
+        "ring name=r mode=open\n"
+        "basis 1 degree=0 perversity=0\n"
+        f"basis {name} degree=2 perversity=2\n"
+        "unit 1\n"
+        "mul 1 1 = 1*1\n"
+        f"mul 1 {name} = 1*{name}\n"
+        f"mul {name} 1 = 1*{name}\n"
+        "euler =\n"
+    )
+    code, out, err = run(capsys, "ring", "show", "--ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"basis name {name!r} invalid" in err
+
+
 def test_mul_d4(capsys):
     code, out, _ = run(
         capsys, "mul", "--preset", "d4", "-n", "2", "1;(1 2)", "1;(1 2)"

@@ -8,6 +8,7 @@ from hilb.errors import UsageError
 from hilb.exact_poly import TruncatedSeries
 from hilb.generating_series import (
     DEFAULT_LIMIT,
+    _poly_mul,
     SeriesSpec,
     betti_goettsche,
     brute_force_poincare,
@@ -16,14 +17,13 @@ from hilb.generating_series import (
     compare_series,
     orbit_scan_cost,
     partition_sum,
-    partitions,
     poly_render,
     refined_goettsche,
     ring_betti,
     ring_dims,
 )
 from hilb.surface_ring import PRESET_NAMES, load_ring, preset, save_ring
-from hilb.symmetric_groups import _perm_orbit_blocks
+from hilb.symmetric_groups import _perm_orbit_blocks, partitions
 from hilb.wreath_ring import iter_orbit_reps
 
 FAMILY = {"a0": "a0", "d4": "dynkin4", "e6": "dynkin6", "e7": "dynkin7", "e8": "dynkin8"}
@@ -68,6 +68,13 @@ def test_partition_sum_examples():
     assert partition_sum(d4, 1) == {(0, 0): 1, (1, 2): 4, (2, 2): 1}
     cf = closed_form(SeriesSpec.parse("dynkin4", 2))
     assert partition_sum(d4, 2) == cf.coefficient_of_s(2)
+
+
+def test_cancelling_sums_store_no_zero_key():
+    # (1 + qt)(1 - qt) = 1 - q^2 t^2: the two cross terms cancel
+    assert _poly_mul({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (1, 1): -1}) == {(0, 0): 1, (2, 2): -1}
+    x = closed_form(SeriesSpec.parse("dynkin4", 3))
+    assert (x + (-x)).terms == {}
 
 
 def test_brute_force_examples():

@@ -47,6 +47,14 @@ def test_a0_perverse_dims():
     assert sum(1 for d, p in zip(ring.degrees, ring.perversities) if (p, d) == (1, 1)) == 2
 
 
+def test_cancelling_product_stores_no_zero_key():
+    # a.b + b.a = w - w: equal classes must be equal dicts, so the cancelled
+    # w leaves no zero entry behind
+    ring = preset("a0")
+    a, b = ring.index("a"), ring.index("b")
+    assert ring.mul_class({a: 1, b: 1}, {a: 1, b: 1}) == {}
+
+
 def test_unknown_preset():
     with pytest.raises(UsageError):
         preset("k3-but-wrong")
@@ -317,7 +325,10 @@ def test_names_survive_save_and_load():
 
 @pytest.mark.parametrize(
     "ring_name, basis_name",
-    [("a b", "v"), ("a=b", "v"), ("r", "a+"), ("r", "a="), ("r", "a b"), ("r", "ax")],
+    [
+        ("a b", "v"), ("a=b", "v"), ("r", "a+"), ("r", "a="), ("r", "a b"), ("r", "ax"),
+        ("r", "a@1"), ("r", "a,b"), ("r", "a;b"),
+    ],
 )
 def test_names_a_document_cannot_carry_are_rejected(ring_name, basis_name):
     with pytest.raises(UsageError):

@@ -166,6 +166,21 @@ def test_class_representatives_are_conjugation_minima(n):
     assert len(covered) == len(perms)
 
 
+def _class_representatives_by_scan(n):
+    """The reference: the first permutation of each cycle type in enumerate_sn order."""
+    reps = {}
+    for sigma in enumerate_sn(n):
+        reps.setdefault(cycle_type(sigma), sigma)
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_class_representatives_match_the_scan(n):
+    # the representatives are built from the partitions of n; the scan of all
+    # of S_n finds the same permutations in the same order
+    assert class_representatives(n) == _class_representatives_by_scan(n)
+
+
 def test_partition_bookkeeping():
     part = cycle_type(parse_cycles("(1 2)(3 4 5)", 5))
     assert part.n == 5
