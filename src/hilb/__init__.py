@@ -28,7 +28,6 @@ from .surface_ring import (
 from .symmetric_groups import Perm, cycle_type, enumerate_sn, graph_defect, orbits
 from .wreath_ring import (
     WreathClass,
-    WreathElement,
     cup,
     cup_class,
     invariant_project,
@@ -62,7 +61,6 @@ __all__ = [
     "SurfaceRing",
     "TruncatedSeries",
     "WreathClass",
-    "WreathElement",
     "brute_force_poincare",
     "check_diagonal_bound",
     "check_intersection_nondegenerate",

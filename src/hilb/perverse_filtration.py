@@ -39,8 +39,8 @@ from .symmetric_groups import (
     signature_defect,
 )
 from .wreath_ring import (
+    Element,
     WreathClass,
-    WreathElement,
     cup,
     euler_vanishes,
     local_product,
@@ -48,40 +48,19 @@ from .wreath_ring import (
 )
 
 
-class _Bottom:
-    """Sentinel below every integer; the perversity of the zero class."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, _Bottom)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _Bottom)
-
-    def __repr__(self):
-        return "-inf"
+# The perversity of the zero class, below every integer.  It is an order
+# bound only, compared and never added or multiplied into a coefficient, so
+# exact arithmetic never meets a float.
+BOTTOM = float("-inf")
 
 
-BOTTOM = _Bottom()
-
-PerversityValue = int | _Bottom
-
-
-def perversity(ring: SurfaceRing, x: WreathElement) -> int:
+def perversity(ring: SurfaceRing, x: Element) -> int:
     """Sum of factor perversities plus the cycle-type shift n - #orbits."""
-    blocks = _perm_orbit_blocks(x.sigma.images)
-    value = sum(ring.perversities[f] for f in x.factors) + (x.n - len(blocks))
-    return value
+    s, factors = x
+    return sum(ring.perversities[f] for f in factors) + (len(s) - len(factors))
 
 
-def perversity_class(ring: SurfaceRing, cls: WreathClass) -> PerversityValue:
+def perversity_class(ring: SurfaceRing, cls: WreathClass) -> int | float:
     if not cls.terms:
         return BOTTOM
     return max(perversity(ring, el) for el in cls.terms)
@@ -163,9 +142,7 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     return result
 
 
-def _mult_witness(
-    ring: SurfaceRing, x: WreathElement, y: WreathElement, excess: int
-) -> dict:
+def _mult_witness(ring: SurfaceRing, x: Element, y: Element, excess: int) -> dict:
     """The witness for the pair (x, y), whose local search predicts `excess`.
 
     The witness is built whatever the product turns out to be, so a
@@ -173,9 +150,9 @@ def _mult_witness(
     """
     px = perversity(ring, x)
     py = perversity(ring, y)
-    st = x.sigma.compose(y.sigma)
-    terms = cup(ring, x.key, y.key)
-    actual = max((perversity(ring, WreathElement(x.n, st, f)) for f in terms), default=None)
+    st = pair_orbits(x[0], y[0])[0]
+    terms = cup(ring, x, y)
+    actual = max((perversity(ring, (st, f)) for f in terms), default=None)
     return {
         "x": render_element(ring, x),
         "y": render_element(ring, y),
@@ -187,7 +164,7 @@ def _mult_witness(
     }
 
 
-def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> WreathElement:
+def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> Element:
     """Lift per-joint-orbit local factor tuples back onto sigma's orbits.
 
     local_factors[k] holds the factors of the orbits of sigma whose ranks
@@ -197,7 +174,7 @@ def lift_element(ring: SurfaceRing, sigma: Perm, rank_lists, local_factors) -> W
     for ranks, local in zip(rank_lists, local_factors):
         for m, f in zip(ranks, local):
             factors[m] = f
-    return WreathElement(n=sigma.n, sigma=sigma, factors=tuple(factors))
+    return sigma.images, tuple(factors)
 
 
 def _mult_pair_check(ring: SurfaceRing, sigma: Perm, tau: Perm) -> dict | None:

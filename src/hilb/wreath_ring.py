@@ -27,15 +27,14 @@ The three suites walk one generator of local problems, the transitive
 permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
 solves one triple per class under simultaneous conjugation when the cup
 product is S_n-equivariant.  Each violation is one witness, lifted onto
-points 1..m.  The kernels `cup` and `sn_act`, the suites and the
-orbit-count oracle take a basis element as the pair (images of sigma,
-factors); WreathElement and WreathClass serve `cup_class`, `act_class`,
-the CLI and witnesses.
+points 1..m.  Every function takes a basis element as the pair
+`Element` = (images of sigma, factors), and n is the length of the
+images; `WreathClass` is the class-level type, a linear combination of
+such pairs, taken by `cup_class` and `act_class`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -65,41 +64,29 @@ from .symmetric_groups import (
 )
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    """Basis element a.sigma: factors are indexed by canonical <sigma>-orbits."""
-
-    n: int
-    sigma: Perm
-    factors: tuple[int, ...]
-
-    @property
-    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(images of sigma, factors): the element as `cup` and `sn_act` take it."""
-        return self.sigma.images, self.factors
-
-    def __lt__(self, other: "WreathElement") -> bool:
-        return self.key < other.key
+# Basis element a.sigma: the images of sigma and one factor per canonical
+# <sigma>-orbit
+Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class WreathClass:
-    """Exact rational linear combination of WreathElements of one A{S_n}."""
+    """Exact rational linear combination of basis elements of one A{S_n}."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[WreathElement, Fraction] | None = None):
+    def __init__(self, n: int, terms: dict[Element, Fraction] | None = None):
         self.n = n
-        self.terms: dict[WreathElement, Fraction] = {}
+        self.terms: dict[Element, Fraction] = {}
         if terms:
             for el, c in terms.items():
                 if c:
                     self.terms[el] = c
 
     @classmethod
-    def of(cls, element: WreathElement, coeff=1) -> "WreathClass":
-        return cls(element.n, {element: coeff})
+    def of(cls, element: Element, coeff=1) -> "WreathClass":
+        return cls(len(element[0]), {element: coeff})
 
-    def add_term(self, element: WreathElement, coeff: Fraction) -> None:
+    def add_term(self, element: Element, coeff: Fraction) -> None:
         add_term(self.terms, element, coeff)
 
     def scale(self, coeff) -> "WreathClass":
@@ -124,12 +111,14 @@ class WreathClass:
 # -- orbit bookkeeping -------------------------------------------------------
 
 
-def element_degree(ring: SurfaceRing, x: WreathElement) -> int:
-    blocks = _perm_orbit_blocks(x.sigma.images)
-    return sum(ring.degrees[f] for f in x.factors) + 2 * (x.n - len(blocks))
+def element_degree(ring: SurfaceRing, x: Element) -> int:
+    s, factors = x
+    return sum(ring.degrees[f] for f in factors) + 2 * (len(s) - len(factors))
 
 
-def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> WreathElement:
+def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> Element:
+    if sigma.n != n:
+        raise UsageError(f"{sigma.cycle_string()} lies in S_{sigma.n}, not in S_{n}")
     blocks = _perm_orbit_blocks(sigma.images)
     factors = tuple(factors)
     if len(factors) != len(blocks):
@@ -139,24 +128,24 @@ def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> WreathEleme
     for f in factors:
         if not 0 <= f < ring.size:
             raise UsageError(f"factor index {f} out of range")
-    return WreathElement(n=n, sigma=sigma, factors=factors)
+    return sigma.images, factors
 
 
 def enumerate_wreath_basis(ring: SurfaceRing, n: int):
     """All basis elements a.sigma, sigma lexicographic, factor tuples lexicographic."""
     for sigma in enumerate_sn(n):
-        k = len(_perm_orbit_blocks(sigma.images))
-        for factors in iproduct(range(ring.size), repeat=k):
-            yield WreathElement(n=n, sigma=sigma, factors=factors)
+        s = sigma.images
+        for factors in iproduct(range(ring.size), repeat=len(_perm_orbit_blocks(s))):
+            yield s, factors
 
 
-def render_element(ring: SurfaceRing, x: WreathElement) -> str:
-    blocks = _perm_orbit_blocks(x.sigma.images)
+def render_element(ring: SurfaceRing, x: Element) -> str:
+    s, factors = x
     inner = " ⊗ ".join(
         f"{ring.names[f]}@{{{','.join(str(v) for v in block)}}}"
-        for f, block in zip(x.factors, blocks)
+        for f, block in zip(factors, _perm_orbit_blocks(s))
     )
-    return f"[{inner}] * {x.sigma.cycle_string()}"
+    return f"[{inner}] * {Perm(s).cycle_string()}"
 
 
 def render_class(ring: SurfaceRing, cls: WreathClass) -> str:
@@ -201,8 +190,8 @@ def act_class(ring: SurfaceRing, tau: Perm, cls: WreathClass) -> WreathClass:
         raise UsageError("tau and the class must live in the same S_n")
     out = WreathClass(cls.n)
     for el, c in cls.terms.items():
-        sign, (images, factors) = sn_act(ring, tau.images, el.key)
-        out.add_term(WreathElement(cls.n, Perm(images), factors), sign * c)
+        sign, moved = sn_act(ring, tau.images, el)
+        out.add_term(moved, sign * c)
     return out
 
 
@@ -222,10 +211,10 @@ def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
 
 @lru_cache(maxsize=None)
 def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
-    """sigma tau; per joint orbit of <sigma, tau>, the ranks of sigma's and
-    tau's orbits inside it, its graph defect g and its number m_res of
-    orbits of sigma tau; and the product's two moves, each by its inverted
-    slot pairs.
+    """The images of sigma tau; per joint orbit of <sigma, tau>, the ranks
+    of sigma's and tau's orbits inside it, its graph defect g and its number
+    m_res of orbits of sigma tau; and the product's two moves, each by its
+    inverted slot pairs.
 
     `pull` moves x's slots, then y's slots, to joint-orbit order, x's before
     y's on each joint orbit.  `push` moves the product's components, read in
@@ -242,7 +231,7 @@ def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
     order = [s for xg, yg, *_ in local for s in (*xg, *(kx + m for m in yg))]
     dst = tuple(m for *_, dg in ranks for m in dg)
     pull = inverted_pairs([order.index(s) for s in range(len(order))])
-    return Perm(st_images), local, pull, dst, inverted_pairs(dst)
+    return st_images, local, pull, dst, inverted_pairs(dst)
 
 
 def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
@@ -347,24 +336,24 @@ def _cup_sum(ring: SurfaceRing, products) -> dict:
 
 def cup_class(ring: SurfaceRing, a, b) -> WreathClass:
     """Bilinear closure of cup on classes (elements accepted on either side)."""
-    if isinstance(a, WreathElement):
+    if isinstance(a, tuple):
         a = WreathClass.of(a)
-    if isinstance(b, WreathElement):
+    if isinstance(b, tuple):
         b = WreathClass.of(b)
     if a.n != b.n:
         raise UsageError("cup factors must live in the same A{S_n}")
     out = WreathClass(a.n)
     for xa, ca in a.terms.items():
         for xb, cb in b.terms.items():
-            st = _cup_plan(xa.sigma.images, xb.sigma.images)[0]
+            st = _cup_plan(xa[0], xb[0])[0]
             c = ca * cb
-            for f, cc in cup(ring, xa.key, xb.key).items():
-                out.add_term(WreathElement(a.n, st, f), c * cc)
+            for f, cc in cup(ring, xa, xb).items():
+                out.add_term((st, f), c * cc)
     return out
 
 
-def unit_element(ring: SurfaceRing, n: int) -> WreathElement:
-    return WreathElement(n=n, sigma=Perm.identity(n), factors=(ring.unit,) * n)
+def unit_element(ring: SurfaceRing, n: int) -> Element:
+    return tuple(range(1, n + 1)), (ring.unit,) * n
 
 
 # -- orbit representatives of the invariant model ------------------------------
@@ -453,7 +442,7 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
                 for p, j, t in swaps
                 if factors[p] == factors[j]
             )
-            yield WreathElement(n=n, sigma=sigma, factors=factors), survives
+            yield (s, factors), survives
 
 
 # -- basis size ----------------------------------------------------------------
@@ -468,25 +457,27 @@ def basis_count(ring: SurfaceRing, n: int) -> int:
 # -- transitive local subproblems ----------------------------------------------
 
 
-def _elements_by_degree(ring: SurfaceRing, sigma: Perm) -> list[tuple[int, tuple[int, ...]]]:
-    """(degree, factors) for all factor tuples of sigma, ascending by degree."""
+def _elements_by_degree(ring: SurfaceRing, s: tuple[int, ...]) -> list[tuple[int, tuple]]:
+    """(degree, factors) for all factor tuples of the permutation with images
+    s, ascending by degree."""
     cache = ring._caches.setdefault("local_elems", {})
-    hit = cache.get(sigma.images)
+    hit = cache.get(s)
     if hit is not None:
         return hit
-    blocks = _perm_orbit_blocks(sigma.images)
-    shift = 2 * (sigma.n - len(blocks))
+    blocks = _perm_orbit_blocks(s)
+    shift = 2 * (len(s) - len(blocks))
     out = []
     for factors in iproduct(range(ring.size), repeat=len(blocks)):
         out.append((sum(ring.degrees[f] for f in factors) + shift, factors))
     out.sort()
-    cache[sigma.images] = out
+    cache[s] = out
     return out
 
 
-def max_degree(n: int, perm: Perm) -> int:
-    """Largest degree supported on the A{S_n}-component of a permutation."""
-    return 2 * n + 2 * len(_perm_orbit_blocks(perm.images))
+def max_degree(images: tuple[int, ...]) -> int:
+    """Largest degree supported on the A{S_n}-component of a permutation,
+    given by its images."""
+    return 2 * len(images) + 2 * len(_perm_orbit_blocks(images))
 
 
 def _transitive_tuples(n: int, smallest: int, arity: int):
@@ -512,8 +503,8 @@ def _lifted_witness(ring: SurfaceRing, n: int, *elements, **more) -> dict:
     def lift(e) -> str:
         images, factors = e
         m = len(images)
-        sigma = Perm(images + tuple(range(m + 1, n + 1)))
-        return render_element(ring, WreathElement(n, sigma, factors + (ring.unit,) * (n - m)))
+        lifted = images + tuple(range(m + 1, n + 1)), factors + (ring.unit,) * (n - m)
+        return render_element(ring, lifted)
 
     return {**dict(zip("xyz", map(lift, elements))), **more, "excess": 1}
 
@@ -571,11 +562,11 @@ def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> 
     (images, factors) pairs, enumeration pruned by the degree capacity of the
     target component (below which both sides vanish)."""
     s, t, r = sigma.images, tau.images, rho.images
-    st, tr = _cup_plan(s, t)[0].images, _cup_plan(t, r)[0].images
-    cap = max_degree(sigma.n, sigma.compose(tau).compose(rho))
-    xs = _elements_by_degree(ring, sigma)
-    ys = _elements_by_degree(ring, tau)
-    zs = _elements_by_degree(ring, rho)
+    st, tr = _cup_plan(s, t)[0], _cup_plan(t, r)[0]
+    cap = max_degree(_cup_plan(st, r)[0])
+    xs = _elements_by_degree(ring, s)
+    ys = _elements_by_degree(ring, t)
+    zs = _elements_by_degree(ring, r)
     bad = []
     min_y = ys[0][0]
     min_z = zs[0][0]
@@ -667,12 +658,12 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
 
 
 def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
-    one = unit_element(ring, n).key
+    one = unit_element(ring, n)
 
     def found():
         for x in enumerate_wreath_basis(ring, n):
-            expected = {x.factors: 1}
-            if cup(ring, one, x.key) != expected or cup(ring, x.key, one) != expected:
+            expected = {x[1]: 1}
+            if cup(ring, one, x) != expected or cup(ring, x, one) != expected:
                 yield {"x": render_element(ring, x), "excess": 1}
 
     return run_suite("unit-laws", {"ring": ring.name, "n": n}, found())
@@ -684,15 +675,16 @@ def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
     (`_transitive_tuples`), pruned by the degree capacity of sigma tau's
     component (above it both products vanish, by degree additivity)."""
     for sigma, tau in _transitive_tuples(n, smallest, 2):
-        cap = max_degree(sigma.n, sigma.compose(tau))
-        ys = _elements_by_degree(ring, tau)
-        for dx, fx in _elements_by_degree(ring, sigma):
+        s, t = sigma.images, tau.images
+        cap = max_degree(_cup_plan(s, t)[0])
+        ys = _elements_by_degree(ring, t)
+        for dx, fx in _elements_by_degree(ring, s):
             if dx + ys[0][0] > cap:
                 break
             for dy, fy in ys:
                 if dx + dy > cap:
                     break
-                yield (sigma.images, fx), (tau.images, fy), dx % 2 and dy % 2
+                yield (s, fx), (t, fy), dx % 2 and dy % 2
 
 
 def check_equivariance(
@@ -739,12 +731,12 @@ def check_equivariance(
         A(g w t1), by the generator check at t = w, induction on the word
         length and the generator check at t = w t1.
         """
-        identity = unit_element(ring, n).sigma.images
+        identity = unit_element(ring, n)[0]
         # per t: (g, g t) for every generator g
         steps = [(t.images, [(g.images, g.compose(t)) for g in generators[n]]) for t in perms]
         for x in enumerate_wreath_basis(ring, n):
-            acts = {t.images: sn_act(ring, t.images, x.key) for t in perms}
-            if acts[identity] != (1, x.key):
+            acts = {t.images: sn_act(ring, t.images, x) for t in perms}
+            if acts[identity] != (1, x):
                 yield {"x": render_element(ring, x), "tau": "id",
                        "detail": "action-identity", "excess": 1}
             for t, gts in steps:
@@ -761,7 +753,7 @@ def check_equivariance(
             xy = cup(ring, x, y)
             if not xy:
                 continue
-            st = _cup_plan(x[0], y[0])[0].images
+            st = _cup_plan(x[0], y[0])[0]
             for g in generators[len(x[0])]:
                 sx, gx = sn_act(ring, g.images, x)
                 sy, gy = sn_act(ring, g.images, y)

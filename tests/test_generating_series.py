@@ -181,11 +181,12 @@ def test_oracle_equivalence_compact_at_n5(name):
 def _equal_adjacent_pairs(rep) -> int:
     """Pairs of adjacent slots of one group of equal-length cycles that hold
     equal factors: the sign tests the orbit count makes at most for rep."""
-    lengths = [len(block) for block in _perm_orbit_blocks(rep.sigma.images)]
+    s, factors = rep
+    lengths = [len(block) for block in _perm_orbit_blocks(s)]
     count = 0
     for length in set(lengths):
         slots = [i for i, l in enumerate(lengths) if l == length]
-        count += sum(rep.factors[a] == rep.factors[b] for a, b in zip(slots, slots[1:]))
+        count += sum(factors[a] == factors[b] for a, b in zip(slots, slots[1:]))
     return count
 
 

@@ -26,7 +26,6 @@ from hilb.symmetric_groups import (
 )
 from hilb.wreath_ring import (
     WreathClass,
-    WreathElement,
     act_class,
     _lifted_witness,
     _mul_sequence,
@@ -53,16 +52,21 @@ from hilb.wreath_ring import (
 )
 
 
-def _act(ring: SurfaceRing, tau: Perm, x: WreathElement) -> tuple[int, WreathElement]:
-    """sn_act on an element: (Koszul sign, transported element)."""
-    sign, (images, factors) = sn_act(ring, tau.images, x.key)
-    return sign, WreathElement(x.n, Perm(images), factors)
+def _act(ring: SurfaceRing, tau: Perm, x: tuple) -> tuple[int, tuple]:
+    """sn_act along a Perm: (Koszul sign, transported element)."""
+    return sn_act(ring, tau.images, x)
 
 
 def test_element_shape_enforced():
     ring = preset("d4")
     with pytest.raises(UsageError):
         make_element(ring, 2, parse_cycles("(1 2)", 2), (0, 0))  # one orbit only
+    # sigma must lie in the S_n the element is made for, even where its
+    # orbit count matches the factors
+    with pytest.raises(UsageError, match="S_2, not in S_3"):
+        make_element(ring, 3, Perm.identity(2), (0, 0))
+    with pytest.raises(UsageError):
+        make_element(ring, 2, parse_cycles("(1 2)", 3), (0, 0))
     x = make_element(ring, 2, parse_cycles("(1 2)", 2), (0,))
     assert element_degree(ring, x) == 2  # deg(1) + 2*(2-1)
 
@@ -91,9 +95,9 @@ def test_sn_act_transports_factors():
     x = make_element(ring, 3, parse_cycles("(1 2)", 3), (1, 5))  # E1 on {1,2}, S on {3}
     tau = parse_cycles("(2 3)", 3)
     sign, moved = _act(ring, tau, x)
-    assert moved.sigma == parse_cycles("(1 3)", 3)
+    assert moved[0] == parse_cycles("(1 3)", 3).images
     # orbits of (1 3): {1,3} and {2}; E1 rides to {1,3}, S to {2}
-    assert moved.factors == (1, 5)
+    assert moved[1] == (1, 5)
     assert sign == 1
 
 
@@ -103,7 +107,7 @@ def test_sn_act_odd_transposition_sign():
     a, b = ring.index("a"), ring.index("b")
     x = make_element(ring, 2, Perm.identity(2), (a, b))
     sign, moved = _act(ring, parse_cycles("(1 2)", 2), x)
-    assert moved.factors == (b, a)
+    assert moved[1] == (b, a)
     assert sign == -1
 
 
@@ -197,8 +201,9 @@ def test_class_algebra_anchor_on_the_point():
         degree = {s: element_degree(ring, x) for s, x in ones.items()}
         for sigma, x in ones.items():
             for tau, y in ones.items():
-                z = ones[sigma.compose(tau)]
-                additive = degree[sigma] + degree[tau] == degree[z.sigma]
+                st = sigma.compose(tau)
+                z = ones[st]
+                additive = degree[sigma] + degree[tau] == degree[st]
                 expected = WreathClass.of(z) if additive else WreathClass(n)
                 where = (n, sigma.cycle_string(), tau.cycle_string())
                 assert cup_class(ring, x, y) == expected, where
@@ -432,7 +437,7 @@ def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
     # (t1, t2) of S_3.  Both sign twists keep the law; the twist on every
     # odd tau breaks equivariance, the one on transpositions only does not
     ring = preset(name)
-    elements = [(x.sigma.images, x.factors) for x in enumerate_wreath_basis(ring, 3)]
+    elements = list(enumerate_wreath_basis(ring, 3))
     x0 = next((s, f) for s, f in elements if s == _T12 and len(set(f)) == 2)
     make, is_action = _ACTION_MUTANTS[mutant]
     act = make(ring, x0)
@@ -606,12 +611,12 @@ def _violations_by_api(ring: SurfaceRing, n: int) -> set:
     sides vanish there (test_degree_capacity_cuts_skip_only_zero_products)."""
     by_sigma: dict = {}
     for x in enumerate_wreath_basis(ring, n):
-        by_sigma.setdefault(x.sigma, []).append((element_degree(ring, x), x))
+        by_sigma.setdefault(Perm(x[0]), []).append((element_degree(ring, x), x))
     for elements in by_sigma.values():
         elements.sort(key=lambda e: e[0])
     bad = set()
     for (sigma, xs), (tau, ys), (rho, zs) in product(by_sigma.items(), repeat=3):
-        cap = max_degree(n, sigma.compose(tau).compose(rho))
+        cap = max_degree(sigma.compose(tau).compose(rho).images)
         for dx, x in xs:
             for dy, y in ys:
                 xy = cup_class(ring, x, y)
@@ -721,7 +726,7 @@ def test_orbit_local_commutativity_matches_all_pairs(name, n):
     assert report.info["mode"] == "orbit-local"
     twisted = set()
     for x, y in product(basis, repeat=2):
-        sign, moved = _act(ring, x.sigma, y)
+        sign, moved = sn_act(ring, x[0], y)
         if element_degree(ring, x) % 2 and element_degree(ring, y) % 2:
             sign = -sign
         if cup_class(ring, x, y) != cup_class(ring, moved, x).scale(sign):
@@ -822,11 +827,11 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
     degree = {x: element_degree(ring, x) for x in elements}
     for x, y in product(elements, repeat=2):
         # the degree cut of the equivariance and commutativity local pairs
-        if degree[x] + degree[y] > max_degree(n, x.sigma.compose(y.sigma)):
+        if degree[x] + degree[y] > max_degree(Perm(x[0]).compose(Perm(y[0])).images):
             assert not cup_class(ring, x, y)
     for x, y, z in product(elements, repeat=3):
         # _violating_triples' cut on the target component
-        cap = max_degree(n, x.sigma.compose(y.sigma).compose(z.sigma))
+        cap = max_degree(Perm(x[0]).compose(Perm(y[0])).compose(Perm(z[0])).images)
         if degree[x] + degree[y] + degree[z] > cap:
             assert not cup_class(ring, cup_class(ring, x, y), z)
             assert not cup_class(ring, x, cup_class(ring, y, z))
@@ -854,7 +859,7 @@ def test_every_product_and_action_image_unchanged(name, n, only):
     ring = preset(name)
     basis = list(enumerate_wreath_basis(ring, n))
     if only is not None:
-        basis = [x for x in basis if x.sigma == parse_cycles(only, n)]
+        basis = [x for x in basis if x[0] == parse_cycles(only, n).images]
     digest = hashlib.sha256()
     for x, y in product(basis, repeat=2):
         digest.update(render_class(ring, cup_class(ring, x, y)).encode() + b"\n")
