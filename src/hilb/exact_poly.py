@@ -12,6 +12,11 @@ integral (every factor of the Goettsche products) runs on Python ints, and
 `Fraction`s are made once per term of the result, when `euler_product`
 wraps it in a `TruncatedSeries`.
 
+`euler_product` folds its factors by descending s-exponent.  A factor in
+s^e has about s_bound / e terms, all on multiples of e, so the factors in
+large e barely fill the accumulator, and the dense m = 1 factors come last,
+when only a few multiplications are left to pay for a dense accumulator.
+
 Canonical term order is lexicographic in (e_s, e_q, e_t); serialization and
 rendering always follow it, so identical series produce identical bytes.
 """
@@ -237,14 +242,24 @@ def geometric_factor(
 def euler_product(factors: Iterable[Factor], s_bound: int) -> TruncatedSeries:
     """The product of `geometric_factor(*factor, s_bound)` over `factors`.
 
-    Each factor is a tuple `(coeff, e_s, e_q, e_t, sign, exponent)`.  The
-    product is folded with `_mul_terms` on plain term dicts, so integral
-    factors multiply as ints, and is wrapped in one `TruncatedSeries` at the
-    end: `Fraction`s are made once per term of the result.
+    Each factor is a tuple `(coeff, e_s, e_q, e_t, sign, exponent)`.  Every
+    factor is expanded first, in the order given, so an invalid one raises
+    before any product is taken.  The expansions are then folded with
+    `_mul_terms` on plain term dicts by descending e_s (a stable sort): the
+    accumulator stays sparse until the last, low-e_s factors, and since the
+    product is commutative and exact the result does not depend on the
+    order.  Integral factors multiply as ints, and the product is wrapped in
+    one `TruncatedSeries` at the end: `Fraction`s are made once per term of
+    the result.
     """
+    expanded = sorted(
+        ((factor[1], _factor_terms(*factor, s_bound)) for factor in factors),
+        key=lambda pair: pair[0],
+        reverse=True,
+    )
     terms: dict[Exponent, Coeff] = {(0, 0, 0): 1}
-    for factor in factors:
-        terms = _mul_terms(terms, _factor_terms(*factor, s_bound), s_bound)
+    for _, factor_terms in expanded:
+        terms = _mul_terms(terms, factor_terms, s_bound)
     return TruncatedSeries(terms, s_bound)
 
 

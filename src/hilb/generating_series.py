@@ -31,6 +31,8 @@ DEFAULT_LIMIT = 10**8
 
 BigradedDims = dict[tuple[int, int], int]
 QTPoly = dict[tuple[int, int], Fraction]
+# a q,t polynomial with int coefficients: the oracles count in these
+QTCounts = dict[tuple[int, int], int]
 
 CASE_NAMES = ("a0", "dynkin4", "dynkin6", "dynkin7", "dynkin8")
 
@@ -133,34 +135,38 @@ def betti_goettsche(betti: dict[int, int], s_bound: int) -> TruncatedSeries:
 # -- partition sum ---------------------------------------------------------------
 
 
-def _poly_mul(a: QTPoly, b: QTPoly) -> QTPoly:
-    out: QTPoly = {}
+def _to_fractions(counts: QTCounts) -> QTPoly:
+    return {key: Fraction(c) for key, c in counts.items()}
+
+
+def _poly_mul(a: QTCounts, b: QTCounts) -> QTCounts:
+    out: QTCounts = {}
     for (qa, ta), ca in a.items():
         for (qb, tb), cb in b.items():
             add_term(out, (qa + qb, ta + tb), ca * cb)
     return out
 
 
-def _cycle_slot_counts(dims: BigradedDims, i: int, a_max: int) -> list[QTPoly]:
+def _cycle_slot_counts(dims: BigradedDims, i: int, a_max: int) -> list[QTCounts]:
     """G_i(a) for a = 0..a_max: the weighted count of unordered assignments of
     a surface classes to a cycles of length i, symmetric in even degrees and
     exterior in odd degrees, each class from piece (p, d) weighing
     q^(p+i-1) t^(d+2i-2)."""
-    series: list[QTPoly] = [{(0, 0): Fraction(1)}] + [dict() for _ in range(a_max)]
+    series: list[QTCounts] = [{(0, 0): 1}] + [dict() for _ in range(a_max)]
     for (p, d), count in sorted(dims.items()):
         if not count:
             continue
         weight = (p + i - 1, d + 2 * i - 2)
-        piece: list[QTPoly] = []
+        piece: list[QTCounts] = []
         for j in range(a_max + 1):
             if d % 2 == 0:
                 coeff = multichoose(count, j)
             else:
                 coeff = comb(count, j)
             piece.append(
-                {(weight[0] * j, weight[1] * j): Fraction(coeff)} if coeff else {}
+                {(weight[0] * j, weight[1] * j): coeff} if coeff else {}
             )
-        new: list[QTPoly] = [dict() for _ in range(a_max + 1)]
+        new: list[QTCounts] = [dict() for _ in range(a_max + 1)]
         for a in range(a_max + 1):
             for j in range(a + 1):
                 if not piece[j] or not series[a - j]:
@@ -172,21 +178,25 @@ def _cycle_slot_counts(dims: BigradedDims, i: int, a_max: int) -> list[QTPoly]:
 
 
 def partition_sum(dims: BigradedDims, n: int) -> QTPoly:
-    """The s^n coefficient by explicit summation over partitions of n."""
+    """The s^n coefficient by explicit summation over partitions of n.
+
+    Every count is an int; the coefficients become `Fraction`s once, at the
+    return.
+    """
     if n == 0:
         return {(0, 0): Fraction(1)}
     slot_counts = {
         i: _cycle_slot_counts(dims, i, n // i) for i in range(1, n + 1)
     }
-    total: QTPoly = {}
+    total: QTCounts = {}
     for mults in partitions(n):
-        term: QTPoly = {(0, 0): Fraction(1)}
+        term: QTCounts = {(0, 0): 1}
         for i, a in enumerate(mults, start=1):
             if a:
                 term = _poly_mul(term, slot_counts[i][a])
         for key, c in term.items():
             add_term(total, key, c)
-    return total
+    return _to_fractions(total)
 
 
 def orbit_scan_cost(ring: SurfaceRing, n: int) -> int:
@@ -244,20 +254,21 @@ def brute_force_poincare(
     the factor tuples sorted within each group of equal-length cycles and
     tests stabilizer generators for the sign.  The resource gate
     `check_resource` counts those tuples and sign tests from the partitions
-    of n (`orbit_scan_cost`).
+    of n (`orbit_scan_cost`).  The orbits are counted in ints, made
+    `Fraction`s once, at the return.
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
     check_resource(ring, n, limit)
     if n == 0:
         return {(0, 0): Fraction(1)}
-    out: QTPoly = {}
+    counts: QTCounts = {}
     for rep, survives in iter_orbit_reps(ring, n):
         if not survives:
             continue
         key = (perversity(ring, rep), element_degree(ring, rep))
-        out[key] = out.get(key, Fraction(0)) + 1
-    return out
+        counts[key] = counts.get(key, 0) + 1
+    return _to_fractions(counts)
 
 
 def poly_render(poly: QTPoly) -> str:

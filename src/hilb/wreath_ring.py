@@ -69,8 +69,23 @@ from .symmetric_groups import (
 Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _is_element(n: int, el) -> bool:
+    """Whether el is a basis element of A{S_n}: the images of a permutation
+    of [n], and one factor per orbit of it."""
+    try:
+        images, factors = el
+        return (sorted(images) == list(range(1, n + 1))
+                and len(factors) == len(_perm_orbit_blocks(tuple(images))))
+    except (TypeError, ValueError):
+        return False
+
+
 class WreathClass:
-    """Exact rational linear combination of basis elements of one A{S_n}."""
+    """Exact rational linear combination of basis elements of one A{S_n}.
+
+    The given terms' keys are checked once, here: a key outside A{S_n} is a
+    UsageError.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -79,6 +94,8 @@ class WreathClass:
         self.terms: dict[Element, Fraction] = {}
         if terms:
             for el, c in terms.items():
+                if not _is_element(n, el):
+                    raise UsageError(f"{el!r} is not a basis element of A{{S_{n}}}")
                 if c:
                     self.terms[el] = c
 

@@ -254,6 +254,21 @@ def test_bilinearity_of_cup_class():
     assert cup_class(ring, u, c) == c
 
 
+def test_wreath_class_rejects_keys_outside_the_model():
+    ring = preset("d4")
+    for key in (
+        ((1, 2), (0, 0)),  # images of S_2 in A{S_3}
+        ((1, 1, 3), (0, 0, 0)),  # not a permutation
+        ((1, 2, 3), (0, 0)),  # three orbits, two factors
+        ((2, 3, 1), (0, 0)),  # one orbit, two factors
+        "x",
+    ):
+        with pytest.raises(UsageError, match="not a basis element"):
+            WreathClass(3, {key: Fraction(1)})
+    valid = WreathClass(3, {((2, 3, 1), (1,)): Fraction(1)})
+    assert cup_class(ring, valid, unit_element(ring, 3)) == valid
+
+
 def test_invariant_project_examples():
     ring = preset("d4")
     u = unit_element(ring, 2)
