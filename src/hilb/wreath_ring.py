@@ -26,7 +26,11 @@ x.y = (-1)^(|x||y|) sigma_x(y).x), over the joint orbits of <sigma, tau>.
 The three suites walk one generator of local problems, the transitive
 permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
 solves one triple per class under simultaneous conjugation when the cup
-product is S_n-equivariant.  Each violation is one witness, lifted onto
+product is S_n-equivariant, pruned by the degree capacity of the target
+component.  On a transitive pair the cup product reads each factor tuple
+only through its merged product, so the pair suites visit only the pairs
+with a nonzero product (`_nonzero_pairs`), found per pair of factor groups
+with one merged product each.  Each violation is one witness, lifted onto
 points 1..m.  Every function takes a basis element as the pair
 `Element` = (images of sigma, factors), and n is the length of the
 images; `WreathClass` is the class-level type, a linear combination of
@@ -133,6 +137,20 @@ def element_degree(ring: SurfaceRing, x: Element) -> int:
     return sum(ring.degrees[f] for f in factors) + 2 * (len(s) - len(factors))
 
 
+def _require_factors(ring: SurfaceRing, factors) -> None:
+    """UsageError unless every factor index names a basis class of the ring."""
+    for f in factors:
+        if not 0 <= f < ring.size:
+            raise UsageError(f"factor index {f} out of range")
+
+
+def _require_class(ring: SurfaceRing, cls: WreathClass) -> None:
+    """UsageError unless every factor of the class's terms lies in the ring:
+    WreathClass has no ring, so its own key check cannot see them."""
+    for _, factors in cls.terms:
+        _require_factors(ring, factors)
+
+
 def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> Element:
     if sigma.n != n:
         raise UsageError(f"{sigma.cycle_string()} lies in S_{sigma.n}, not in S_{n}")
@@ -142,9 +160,7 @@ def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> Element:
         raise UsageError(
             f"{len(blocks)} orbit factors required for {sigma.cycle_string()}, got {len(factors)}"
         )
-    for f in factors:
-        if not 0 <= f < ring.size:
-            raise UsageError(f"factor index {f} out of range")
+    _require_factors(ring, factors)
     return sigma.images, factors
 
 
@@ -189,22 +205,30 @@ def _act_plan(tau_images: tuple[int, ...], sigma_images: tuple[int, ...]):
     return new_sigma.images, new_pos, inverted_pairs(new_pos)
 
 
-def sn_act(ring: SurfaceRing, t: tuple[int, ...], x) -> tuple[int, tuple]:
-    """Transport x = (images of sigma, factors) along tau, given by its image
-    tuple t; returns (Koszul sign, (images of tau sigma tau^-1, moved
-    factors)).  The one action kernel; act_class is its linear closure."""
+def _transport(t: tuple[int, ...], x) -> tuple[Element, tuple]:
+    """x moved along tau, given by its image tuple t, without its sign, and
+    the inverted slot pairs of the move."""
     s, factors = x
     images, new_pos, inverted = _act_plan(t, s)
     moved = [0] * len(factors)
     for m, f in enumerate(factors):
         moved[new_pos[m]] = f
-    sign = koszul_sign(ring.degrees, factors, inverted) if ring.has_odd else 1
-    return sign, (images, tuple(moved))
+    return (images, tuple(moved)), inverted
+
+
+def sn_act(ring: SurfaceRing, t: tuple[int, ...], x) -> tuple[int, tuple]:
+    """Transport x = (images of sigma, factors) along tau, given by its image
+    tuple t; returns (Koszul sign, (images of tau sigma tau^-1, moved
+    factors)).  The one action kernel; act_class is its linear closure."""
+    moved, inverted = _transport(t, x)
+    sign = koszul_sign(ring.degrees, x[1], inverted) if ring.has_odd else 1
+    return sign, moved
 
 
 def act_class(ring: SurfaceRing, tau: Perm, cls: WreathClass) -> WreathClass:
     if tau.n != cls.n:
         raise UsageError("tau and the class must live in the same S_n")
+    _require_class(ring, cls)
     out = WreathClass(cls.n)
     for el, c in cls.terms.items():
         sign, moved = sn_act(ring, tau.images, el)
@@ -359,6 +383,8 @@ def cup_class(ring: SurfaceRing, a, b) -> WreathClass:
         b = WreathClass.of(b)
     if a.n != b.n:
         raise UsageError("cup factors must live in the same A{S_n}")
+    _require_class(ring, a)
+    _require_class(ring, b)
     out = WreathClass(a.n)
     for xa, ca in a.terms.items():
         for xb, cb in b.terms.items():
@@ -414,6 +440,22 @@ def _cycle_swap(s: tuple[int, ...], one: tuple[int, ...], other: tuple[int, ...]
     return tuple(t)
 
 
+def _class_slots(n: int):
+    """(images, orbit blocks, prev) per least permutation of a conjugacy
+    class of S_n (`class_representatives`), where prev[i] is the previous
+    slot of slot i's group of equal-length cycles, or -1, as
+    `_sorted_tuples` takes it."""
+    for sigma in class_representatives(n):
+        s = sigma.images
+        blocks = _perm_orbit_blocks(s)
+        latest: dict[int, int] = {}  # cycle length -> its latest slot so far
+        prev = []
+        for slot, block in enumerate(blocks):
+            prev.append(latest.get(len(block), -1))
+            latest[len(block)] = slot
+        yield s, blocks, prev
+
+
 def iter_orbit_reps(ring: SurfaceRing, n: int):
     """Yield (representative, survives) per S_n-orbit of basis elements.
 
@@ -440,14 +482,7 @@ def iter_orbit_reps(ring: SurfaceRing, n: int):
     orbit survives.  The pairs come out as a scan of every basis element
     against all of S_n would yield them, in the same order.
     """
-    for sigma in class_representatives(n):
-        s = sigma.images
-        blocks = _perm_orbit_blocks(s)
-        latest: dict[int, int] = {}  # cycle length -> its latest slot so far
-        prev = []
-        for slot, block in enumerate(blocks):
-            prev.append(latest.get(len(block), -1))
-            latest[len(block)] = slot
+    for s, blocks, prev in _class_slots(n):
         swaps = [
             (p, j, _cycle_swap(s, blocks[p], blocks[j]))
             for j, p in enumerate(prev)
@@ -510,6 +545,86 @@ def _transitive_tuples(n: int, smallest: int, arity: int):
         for perm_tuple in iproduct(perms, repeat=arity):
             if len(joint_orbits(*(p.images for p in perm_tuple))[0]) == 1:
                 yield perm_tuple
+
+
+def _factor_members(ring: SurfaceRing, k: int) -> list[tuple[Vec, list[tuple[int, ...]]]]:
+    """Factor tuples of length k grouped by merged product: (merged product,
+    member tuples) per group whose product is nonzero.
+
+    The merged product is the left fold from the unit of `_mul_sequence`, so
+    level k is built from level k - 1 with one more factor; a tuple whose
+    prefix folds to zero folds to zero and is in no group.
+    """
+    cache = ring._caches.setdefault("factor_members", {})
+    hit = cache.get(k)
+    if hit is not None:
+        return hit
+    if k == 0:
+        groups = [({ring.unit: 1}, [()])]
+    else:
+        by_product: dict = {}
+        for vec, members in _factor_members(ring, k - 1):
+            for f in range(ring.size):
+                merged = ring.mul_class(vec, {f: 1})
+                if merged:
+                    _, extended = by_product.setdefault(frozenset(merged.items()), (merged, []))
+                    extended.extend(m + (f,) for m in members)
+        groups = list(by_product.values())
+    cache[k] = groups
+    return groups
+
+
+def _product_groups(ring: SurfaceRing, a: int, b: int, g: int, m_res: int) -> list[tuple]:
+    """(x's member tuples, y's member tuples) per pair of factor groups of
+    lengths a and b (`_factor_members`) whose local product on a joint orbit
+    with graph defect g and m_res orbits of sigma tau is nonzero."""
+    cache = ring._caches.setdefault("product_groups", {})
+    key = (a, b, g, m_res)
+    hit = cache.get(key)
+    if hit is None:
+        ys = _factor_members(ring, b)
+        hit = cache[key] = [
+            (fxs, fys)
+            for mx, fxs in _factor_members(ring, a)
+            for my, fys in ys
+            if local_product(ring, mx, my, g, m_res)
+        ]
+    return hit
+
+
+def _nonzero_pairs(ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...]):
+    """(x, y) for every basis pair with x.y != 0 over a transitive pair
+    (sigma, tau), given by their images, as (images, factors) pairs.
+
+    On the one joint orbit, `cup` reads each side's factor tuple only through
+    its merged product, and x.y = 0 exactly when the local product of the
+    two is 0: then it has no component to push to sigma tau, and otherwise
+    its one component's terms land on distinct factor tuples.  So the pairs
+    are those of members of factor groups with a nonzero local product
+    (`_product_groups`), each yielded once.
+    """
+    ((xg, yg, g, m_res),) = _cup_plan(s, t)[1]
+    for fxs, fys in _product_groups(ring, len(xg), len(yg), g, m_res):
+        for fx in fxs:
+            x = (s, fx)
+            for fy in fys:
+                yield x, (t, fy)
+
+
+def _commutativity_pairs(ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...]) -> set:
+    """The basis pairs (x, y) over a transitive pair (sigma, tau), given by
+    their images, with x.y != 0 or sigma_x(y).x != 0.
+
+    sigma_x(y) is sn_act(sigma, y), a signed bijective slot move from the
+    elements over tau onto those over rho = sigma tau sigma^-1; so the pairs
+    with sigma_x(y).x != 0 are (v, sigma^-1 u) for the pairs (u, v) over
+    (rho, sigma) with u.v != 0.
+    """
+    inverse = Perm(s).inverse().images
+    rho = _act_plan(s, t)[0]
+    pairs = set(_nonzero_pairs(ring, s, t))
+    pairs.update((v, _transport(inverse, u)[0]) for u, v in _nonzero_pairs(ring, rho, s))
+    return pairs
 
 
 def _lifted_witness(ring: SurfaceRing, n: int, *elements, **more) -> dict:
@@ -686,24 +801,6 @@ def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
     return run_suite("unit-laws", {"ring": ring.name, "n": n}, found())
 
 
-def _local_pairs(ring: SurfaceRing, n: int, smallest: int):
-    """(x, y, |x||y| odd) for every basis pair, as (images, factors) pairs,
-    over a transitive pair (sigma, tau) of S_m, smallest <= m <= n
-    (`_transitive_tuples`), pruned by the degree capacity of sigma tau's
-    component (above it both products vanish, by degree additivity)."""
-    for sigma, tau in _transitive_tuples(n, smallest, 2):
-        s, t = sigma.images, tau.images
-        cap = max_degree(_cup_plan(s, t)[0])
-        ys = _elements_by_degree(ring, t)
-        for dx, fx in _elements_by_degree(ring, s):
-            if dx + ys[0][0] > cap:
-                break
-            for dy, fy in ys:
-                if dx + dy > cap:
-                    break
-                yield (s, fx), (t, fy), dx % 2 and dy % 2
-
-
 def check_equivariance(
     ring: SurfaceRing, n: int, seed: int = 0, sample_size: int = 0
 ) -> CheckReport:
@@ -713,10 +810,10 @@ def check_equivariance(
     (i) sn_act is a group action with signs, checked on generators (see
     composes), and (ii) the identity holds for every adjacent transposition
     g = (i i+1); together they give it for every tau.  (ii) is checked on
-    every local pair (`_local_pairs`, m >= 2) under every adjacent
-    transposition of S_m, which is exact by the move argument of
-    `check_associativity`.  If i and i+1 lie in one joint orbit B of
-    <sigma, tau>, they are adjacent in B, so g restricts to an adjacent
+    every transitive pair (sigma, tau) of S_m, m >= 2 (`_transitive_tuples`),
+    under every adjacent transposition of S_m, which is exact by the move
+    argument of `check_associativity`.  If i and i+1 lie in one joint orbit
+    B of <sigma, tau>, they are adjacent in B, so g restricts to an adjacent
     transposition of B's order-preserving relabelling and fixes the other
     joint orbits.  Otherwise g carries each joint orbit onto one in the same
     relative order: it changes no local problem and only moves slots across
@@ -725,13 +822,14 @@ def check_equivariance(
     M_out o (tensor over B of L_B) o M_in with the same M_in and M_out; L_B
     is g_B.(x_B y_B) against (g_B x_B)(g_B y_B) where g acts inside B, and
     x_B y_B on both sides elsewhere.  So the identity holds iff it holds on
-    every joint orbit.  Pairs with x.y = 0 are skipped: x -> gx is an
-    involution of the local basis that keeps degrees, so g permutes the local
-    pairs.  Where the identity holds and x.y != 0, (gx)(gy) != 0; if it holds
-    on every such pair, g maps them into, hence onto, themselves, so it maps
-    the pairs with x.y = 0 to pairs with (gx)(gy) = 0.  A violation at a
-    pair with x.y = 0 shows at its image (gx, gy).  Odd rings are gated by
-    `_require_parity`.  `seed` is only echoed; `sample_size` is unread.
+    every joint orbit.  Only the local pairs with x.y != 0 are visited
+    (`_nonzero_pairs`): x -> gx is an involution of the local basis, so g
+    permutes the local pairs.  Where the identity holds and x.y != 0,
+    (gx)(gy) != 0; if it holds on every such pair, g maps them into, hence
+    onto, themselves, so it maps the pairs with x.y = 0 to pairs with
+    (gx)(gy) = 0.  A violation at a pair with x.y = 0 shows at its image
+    (gx, gy).  Odd rings are gated by `_require_parity`.  `seed` is only
+    echoed; `sample_size` is unread.
     """
     _require_parity(ring, "equivariance")
     perms = list(enumerate_sn(n))
@@ -747,39 +845,50 @@ def check_equivariance(
         and for t2 = g w, A(g w)A(t1) = A(g)A(w)A(t1) = A(g)A(w t1) =
         A(g w t1), by the generator check at t = w, induction on the word
         length and the generator check at t = w t1.
+
+        The basis is walked one S_n-orbit at a time, each orbit the images
+        of its least element under the transport of `sn_act` without its
+        signs (`_transport`), so the orbits cover the basis whatever sn_act
+        returns.  Each element's row A(t)y over every t is computed once,
+        and A(g)(A(t)x) is read from the row of A(t)x; sn_act is called
+        for it only when A(t)x lies outside the orbit.
         """
         identity = unit_element(ring, n)[0]
+        images = [t.images for t in perms]
         # per t: (g, g t) for every generator g
         steps = [(t.images, [(g.images, g.compose(t)) for g in generators[n]]) for t in perms]
-        for x in enumerate_wreath_basis(ring, n):
-            acts = {t.images: sn_act(ring, t.images, x) for t in perms}
-            if acts[identity] != (1, x):
-                yield {"x": render_element(ring, x), "tau": "id",
-                       "detail": "action-identity", "excess": 1}
-            for t, gts in steps:
-                s1, tx = acts[t]
-                for g, gt in gts:
-                    s2, gtx = sn_act(ring, g, tx)
-                    if (s1 * s2, gtx) != acts[gt.images]:
-                        yield {"x": render_element(ring, x), "tau": gt.cycle_string(),
-                               "detail": "action-composition", "excess": 1}
+        for s, _, prev in _class_slots(n):
+            for factors in _sorted_tuples(ring.size, prev):
+                orbit = {_transport(t, (s, factors))[0] for t in images}
+                rows = {y: {t: sn_act(ring, t, y) for t in images} for y in orbit}
+                for x, acts in rows.items():
+                    if acts[identity] != (1, x):
+                        yield {"x": render_element(ring, x), "tau": "id",
+                               "detail": "action-identity", "excess": 1}
+                    for t, gts in steps:
+                        s1, tx = acts[t]
+                        row = rows.get(tx)
+                        for g, gt in gts:
+                            s2, gtx = row[g] if row is not None else sn_act(ring, g, tx)
+                            if (s1 * s2, gtx) != acts[gt.images]:
+                                yield {"x": render_element(ring, x), "tau": gt.cycle_string(),
+                                       "detail": "action-composition", "excess": 1}
 
     def found():
         yield from composes()
-        for x, y, _ in _local_pairs(ring, n, 2):
-            xy = cup(ring, x, y)
-            if not xy:
-                continue
-            st = _cup_plan(x[0], y[0])[0]
-            for g in generators[len(x[0])]:
-                sx, gx = sn_act(ring, g.images, x)
-                sy, gy = sn_act(ring, g.images, y)
-                gxy: dict = {}  # g.(xy)
-                for f, c in xy.items():
-                    sign, (_, gf) = sn_act(ring, g.images, (st, f))
-                    add_term(gxy, gf, sign * c)
-                if gxy != {f: sx * sy * c for f, c in cup(ring, gx, gy).items()}:
-                    yield _lifted_witness(ring, n, x, y, tau=g.cycle_string())
+        for sigma, tau in _transitive_tuples(n, 2, 2):
+            st = _cup_plan(sigma.images, tau.images)[0]
+            for x, y in _nonzero_pairs(ring, sigma.images, tau.images):
+                xy = cup(ring, x, y)
+                for g in generators[sigma.n]:
+                    sx, gx = sn_act(ring, g.images, x)
+                    sy, gy = sn_act(ring, g.images, y)
+                    gxy: dict = {}  # g.(xy)
+                    for f, c in xy.items():
+                        sign, (_, gf) = sn_act(ring, g.images, (st, f))
+                        add_term(gxy, gf, sign * c)
+                    if gxy != {f: sx * sy * c for f, c in cup(ring, gx, gy).items()}:
+                        yield _lifted_witness(ring, n, x, y, tau=g.cycle_string())
 
     info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}
     return run_suite("equivariance", info, found())
@@ -794,24 +903,31 @@ def check_graded_commutativity(ring: SurfaceRing, n: int, seed: int = 0) -> Chec
     sigma_x(y) is sn_act(sigma, y) with its sign.  The twist gives graded
     commutativity on the invariant model: for S_n-invariant homogeneous
     X = sum c_x x and Y, sigma_x(Y) = Y, so X.Y = sum c_x eps sigma_x(Y).x =
-    eps Y.X with eps = (-1)^(|X||Y|).  It is checked on every local pair
-    (`_local_pairs`, m >= 1), which is exact by the move argument of
-    `check_associativity`: <sigma, sigma tau sigma^-1> = <sigma, tau>, so
-    both sides have the same joint orbits and sigma maps each one to itself;
-    the swap of x past y (sign eps) and sigma's move of y's slots are Koszul
-    moves, so both sides read M_out o (tensor over B of L_B) o M_in with the
-    same M_in and M_out, and L_B is x_B y_B against eps_B sigma_B(y_B) x_B.
-    So the identity holds iff it holds on every joint orbit.  Odd rings are
-    gated by `_require_parity`.  `seed` is only echoed.
+    eps Y.X with eps = (-1)^(|X||Y|).  It is checked on every transitive
+    pair (sigma, tau) of S_m, m >= 1 (`_transitive_tuples`), which is exact
+    by the move argument of `check_associativity`: <sigma, sigma tau
+    sigma^-1> = <sigma, tau>, so both sides have the same joint orbits and
+    sigma maps each one to itself; the swap of x past y (sign eps) and
+    sigma's move of y's slots are Koszul moves, so both sides read
+    M_out o (tensor over B of L_B) o M_in with the same M_in and M_out, and
+    L_B is x_B y_B against eps_B sigma_B(y_B) x_B.  So the identity holds
+    iff it holds on every joint orbit.  Where both sides vanish it holds,
+    so only the pairs with x.y != 0 or sigma_x(y).x != 0 are checked, each
+    once (`_commutativity_pairs`): the first from `_nonzero_pairs`, the
+    second the sigma^-1 preimages of the nonzero pairs over
+    (sigma tau sigma^-1, sigma).  Odd rings are gated by `_require_parity`.
+    `seed` is only echoed.
     """
     _require_parity(ring, "graded-commutativity")
 
     def found():
-        for x, y, odd in _local_pairs(ring, n, 1):
-            sign, moved = sn_act(ring, x[0], y)
-            eps = -sign if odd else sign
-            if cup(ring, x, y) != {f: eps * c for f, c in cup(ring, moved, x).items()}:
-                yield _lifted_witness(ring, n, x, y)
+        for sigma, tau in _transitive_tuples(n, 1, 2):
+            for x, y in _commutativity_pairs(ring, sigma.images, tau.images):
+                sign, moved = sn_act(ring, x[0], y)
+                odd = element_degree(ring, x) % 2 and element_degree(ring, y) % 2
+                eps = -sign if odd else sign
+                if cup(ring, x, y) != {f: eps * c for f, c in cup(ring, moved, x).items()}:
+                    yield _lifted_witness(ring, n, x, y)
 
     info = {"ring": ring.name, "n": n, "mode": "orbit-local", "seed": seed}
     return run_suite("graded-commutativity", info, found())

@@ -27,8 +27,11 @@ from hilb.symmetric_groups import (
 from hilb.wreath_ring import (
     WreathClass,
     act_class,
+    _commutativity_pairs,
     _lifted_witness,
     _mul_sequence,
+    _nonzero_pairs,
+    _transitive_tuples,
     _violating_triples,
     basis_count,
     check_associativity,
@@ -267,6 +270,20 @@ def test_wreath_class_rejects_keys_outside_the_model():
             WreathClass(3, {key: Fraction(1)})
     valid = WreathClass(3, {((2, 3, 1), (1,)): Fraction(1)})
     assert cup_class(ring, valid, unit_element(ring, 3)) == valid
+
+
+@pytest.mark.parametrize("factor", [99, -1])
+def test_class_factors_outside_the_ring_are_rejected(factor):
+    # WreathClass has no ring, so its key check cannot see a factor index;
+    # cup_class and act_class range-check it, as make_element does
+    ring = preset("d4")
+    bad = WreathClass(1, {((1,), (factor,)): Fraction(1)})
+    unit = unit_element(ring, 1)
+    for a, b in ((bad, bad), (unit, bad), (bad, unit), (((1,), (factor,)), unit)):
+        with pytest.raises(UsageError, match="out of range"):
+            cup_class(ring, a, b)
+    with pytest.raises(UsageError, match="out of range"):
+        act_class(ring, Perm.identity(1), bad)
 
 
 def test_invariant_project_examples():
@@ -807,6 +824,39 @@ def test_failing_associativity_reports_unchanged(left, right, n):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
+_PAIR_CHECKS = {"equivariance": check_equivariance, "graded-commutativity": check_graded_commutativity}
+
+# witness counts and sha256 of the JSON reports of the pair suites on the
+# failing rings of their references, pinned while every local pair under the
+# degree cut still reached cup
+_PARENT_PAIR_REPORTS = {
+    ("equivariance", "a0-ba", 2): (4, "0129c40b44f5a424621b5277a81c4da739d097f80c1b4f52be2dec32ccd2ee23"),
+    ("equivariance", "a0-ba", 3): (36, "3ce92a6262fe364415d33db84117e7e921e5f2c5a80d0f9a89834f371755d28c"),
+    ("equivariance", "a0-diagonal-ab", 2): (1, "34767c50169aaa116afb43dd884e51328986e8088531888fb02f43cf3b6a37bd"),
+    ("equivariance", "a0-diagonal-ab", 3): (9, "8f83baee51a47c20f65ac16229e361cfa4f384b5a786dddb2e368500c3265bbd"),
+    ("equivariance", "d4-E1E2", 2): (2, "e0e7abc5e2dd3e553f02debc502a121ed662526ce485992a4dfc5412fe88a0be"),
+    ("equivariance", "d4-E1E2", 3): (18, "0937cb0bd77df39b6e6e0723b36d9735c7faa0ecf1c369737d0cd94138ccee82"),
+    ("equivariance", "d4-scaled-unit", 2): (0, "150242ef3d95e167e28c58bc85278619e675ca77e9620044e64416176f788488"),
+    ("equivariance", "d4-scaled-unit", 3): (0, "ef303ff3d45e2fe180b910d2a895178c268e3b02d5007a249336fb435fb79957"),
+    ("graded-commutativity", "a0-ba", 2): (12, "8f151c3c4482467bc1b0d564fdb49bfc98c7d57b1d2e216ae1270ac0c161c3c3"),
+    ("graded-commutativity", "a0-ba", 3): (100, "4c437c1986b713a3b4295746d7b74e79cd79b5f9731bd14fe94caaf29276f45c"),
+    ("graded-commutativity", "a0-diagonal-ab", 2): (0, "26f6b0ca6bc744effeb4174180cb75a2b92b97e523aaddf089864c9a02995a85"),
+    ("graded-commutativity", "a0-diagonal-ab", 3): (0, "5ac4d2d47f5453f90c15b319cfd7833c5d0382ab5fbcb045962fb456214ac86a"),
+    ("graded-commutativity", "d4-E1E2", 2): (12, "1022f5509cf836a4d2fd1c54b483a8214991422541ee9e2b0bb69dc556b136f3"),
+    ("graded-commutativity", "d4-E1E2", 3): (100, "3c51b54de345df076bdaad80518717d5a796fa92e529e9011e53e102a8979282"),
+    ("graded-commutativity", "d4-scaled-unit", 2): (8, "4c9fa423242c1d9a2fc31839aae4815a269a61e7589943b9532c024b25354ab5"),
+    ("graded-commutativity", "d4-scaled-unit", 3): (48, "165660e79419e5525285a53528ea3771593fe70541be863835af4080df12214b"),
+}
+
+
+@pytest.mark.parametrize("suite,name,n", sorted(_PARENT_PAIR_REPORTS))
+def test_failing_pair_reports_unchanged(suite, name, n):
+    report = _PAIR_CHECKS[suite](_PAIR_MUTANTS[name][0](), n)
+    count, digest = _PARENT_PAIR_REPORTS[(suite, name, n)]
+    assert len(report.witnesses) == count
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 class _SizeLog(dict):
     """A dict that records the most entries it ever held, and how often it
     was emptied."""
@@ -841,7 +891,8 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
     elements = list(enumerate_wreath_basis(ring, n))
     degree = {x: element_degree(ring, x) for x in elements}
     for x, y in product(elements, repeat=2):
-        # the degree cut of the equivariance and commutativity local pairs
+        # degree additivity: no pair above the capacity of its target
+        # component has a nonzero product
         if degree[x] + degree[y] > max_degree(Perm(x[0]).compose(Perm(y[0])).images):
             assert not cup_class(ring, x, y)
     for x, y, z in product(elements, repeat=3):
@@ -850,6 +901,58 @@ def test_degree_capacity_cuts_skip_only_zero_products(name):
         if degree[x] + degree[y] + degree[z] > cap:
             assert not cup_class(ring, cup_class(ring, x, y), z)
             assert not cup_class(ring, x, cup_class(ring, y, z))
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, 2) for name in PRESET_NAMES]
+    + [("a0", 3), ("d4", 3), ("e8", 3)]
+    + [(name, n) for name in _PAIR_MUTANTS for n in (2, 3)],
+)
+def test_pair_suites_visit_exactly_the_pairs_with_a_nonzero_product(name, n):
+    # the pruning of the pair suites against every basis pair over every
+    # transitive (sigma, tau) of S_m, m <= n: equivariance visits the pairs
+    # with x.y != 0, each once, and graded commutativity also the pairs with
+    # only sigma_x(y).x != 0, which d4-E1E2 alone has (E2.E1 = 0 != E1.E2)
+    ring = _PAIR_MUTANTS[name][0]() if name in _PAIR_MUTANTS else preset(name)
+    one_sided = 0
+    for m in range(1, n + 1):
+        by_perm: dict = {}
+        for x in enumerate_wreath_basis(ring, m):
+            by_perm.setdefault(x[0], []).append(x)
+        for sigma, tau in _transitive_tuples(m, m, 2):
+            s, t = sigma.images, tau.images
+            pairs = [(x, y) for x in by_perm[s] for y in by_perm[t]]
+            nonzero = {(x, y) for x, y in pairs if cup(ring, x, y)}
+            visited = list(_nonzero_pairs(ring, s, t))
+            assert len(visited) == len(nonzero) and set(visited) == nonzero, (s, t)
+            either = {(x, y) for x, y in pairs if cup(ring, sn_act(ring, s, y)[1], x)} | nonzero
+            assert _commutativity_pairs(ring, s, t) == either, (s, t)
+            one_sided += len(either - nonzero)
+    assert (one_sided > 0) == (name == "d4-E1E2")
+
+
+def test_equivariance_work_counts(monkeypatch):
+    # cup runs on the local pairs with x.y != 0 only (10,147 calls when every
+    # pair under the degree cut reached it), and the action law reads each
+    # A(t)x from one row per basis element (26,398 sn_act calls when every
+    # element acted again under each generator)
+    calls = {"cup": 0, "sn_act": 0}
+
+    def counting(name):
+        kernel = getattr(wreath_ring, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(wreath_ring, name, counting(name))
+    assert check_equivariance(preset("e8"), 3).passed
+    assert calls["cup"] <= 1_300
+    assert calls["sn_act"] <= 10_600
 
 
 # sha256 over every render_class(cup(x, y)) (x, y in basis order) and then
