@@ -18,9 +18,10 @@ orbit-count signature (m, a, b, m_res), and sigma's and tau's ranks lift a
 local witness back to the pair.
 A local subproblem depends only on that signature, which keys its memo,
 and its search runs over groups of factor tuples with equal merged product
-and perversity sum.  Since a pair (sigma, tau) is read only through the
-multiset of its signatures, which simultaneous conjugation keeps, the run
-takes one sigma per cycle type and every tau, and is always exhaustive.
+and perversity sum, pushing each distinct product of two groups once.
+Since a pair (sigma, tau) is read only through the multiset of its
+signatures, which simultaneous conjugation keeps, the run takes one sigma
+per cycle type and every tau, and is always exhaustive.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .wreath_ring import (
     Element,
     WreathClass,
     cup,
-    euler_vanishes,
-    local_product,
+    local_push,
     render_element,
 )
 
@@ -100,6 +100,39 @@ def _factor_groups(ring: SurfaceRing, k: int) -> list[tuple[tuple[int, ...], Vec
     return groups
 
 
+def _product_table(ring: SurfaceRing, a: int, b: int) -> list[tuple[Vec, int, tuple]]:
+    """The pairs of factor groups of lengths a and b, one entry per distinct
+    nonzero product mx.my.
+
+    An entry is (product, least perversity sum px + py over the pairs with
+    that product, the factor tuples of the first such pair in the search's
+    loop order: x's groups outer, y's inner).  Entries are in the loop order
+    of those pairs.  The frozenset key is exact because no vector stores a
+    zero.  The table does not depend on the defect or on m_res, so it is
+    built once per (a, b) and shared by every signature with those counts.
+    """
+    cache = ring._caches.setdefault("mult_products", {})
+    hit = cache.get((a, b))
+    if hit is not None:
+        return hit
+    least: dict[frozenset, tuple] = {}
+    ys = _factor_groups(ring, b)
+    order = 0
+    for fx, mx, px in _factor_groups(ring, a):
+        for fy, my, py in ys:
+            prod = ring.mul_class(mx, my)
+            if not prod:
+                continue
+            key = frozenset(prod.items())
+            entry = least.get(key)
+            if entry is None or px + py < entry[1]:
+                least[key] = (order, px + py, (fx, fy), prod)
+            order += 1
+    ordered = sorted(least.values(), key=lambda entry: entry[0])
+    table = cache[(a, b)] = [(prod, psum, pair) for _, psum, pair, prod in ordered]
+    return table
+
+
 def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     """Worst perversity excess on one transitive joint orbit.
 
@@ -110,7 +143,11 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     search runs over pairs of factor groups (_factor_groups): the excess
     depends only on the two merged products and perversity sums, and the
     lexicographically first maximizing pair of factor tuples is a pair of
-    representatives.
+    representatives.  Pairs with the same product mx.my share the pushed
+    split and its top perversity, so the search pushes each distinct product
+    once (_product_table) and charges it the least perversity sum among its
+    pairs; scanning the products in the loop order of their least pairs keeps
+    the first maximizing pair.
 
     Returns (best_excess, argmax factor tuples) over all local factor
     assignments; both are None when every local product vanishes, in which
@@ -124,20 +161,17 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     g = signature_defect(m, a, b, m_res)
     best = None
     arg = None
-    if not euler_vanishes(g):
-        perv = ring.perversities
-        shift = a + b - m - m_res  # the three cycle-type shifts
-        ys = _factor_groups(ring, b)
-        for fx, mx, px in _factor_groups(ring, a):
-            for fy, my, py in ys:
-                split = local_product(ring, mx, my, g, m_res)
-                if not split:
-                    continue
-                top = max(sum(perv[f] for f in k2) for k2 in split)
-                excess = top - px - py + shift
-                if best is None or excess > best:
-                    best = excess
-                    arg = (fx, fy)
+    perv = ring.perversities
+    shift = a + b - m - m_res  # the three cycle-type shifts
+    for prod, psum, pair in _product_table(ring, a, b):
+        split = local_push(ring, prod, g, m_res)
+        if not split:
+            continue
+        top = max(sum(perv[f] for f in k2) for k2 in split)
+        excess = top - psum + shift
+        if best is None or excess > best:
+            best = excess
+            arg = pair
     result = cache[key] = (best, arg)
     return result
 
@@ -305,7 +339,11 @@ TRIANGLE_MATRIX: tuple[tuple[int, int, int], ...] = (
 def _int_det(m) -> int:
     from . import linalg
 
-    return int(linalg.det([[Fraction(x) for x in row] for row in m]))
+    rows = [[Fraction(x) for x in row] for row in m]
+    bad = next((x for row in rows for x in row if x.denominator != 1), None)
+    if bad is not None:
+        raise UsageError(f"determinant check expects an integer matrix, found entry {bad}")
+    return linalg.det(rows)
 
 
 def check_monodromy_vanishing(matrix) -> CheckReport:

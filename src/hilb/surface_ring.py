@@ -182,11 +182,13 @@ class SurfaceRing:
         if self._dual_rows is None:
             if self.pairing is None:
                 raise ModeError(f"ring {self.name} carries no pairing (open mode)")
-            inv = linalg.inverse([[Fraction(x) for x in row] for row in self.pairing])
-            self._dual_rows = [
-                {j: norm_coeff(c) for j, c in enumerate(row) if c}
-                for j, row in enumerate(inv)
-            ]
+            try:
+                inv = linalg.inverse(self.pairing)
+            except ValueError:
+                raise DataError(
+                    f"ring {self.name} fails pairing-nondegenerate: its pairing is singular"
+                ) from None
+            self._dual_rows = [{j: c for j, c in enumerate(row) if c} for row in inv]
         return self._dual_rows
 
     def render_class(self, vec: Vec) -> str:

@@ -12,7 +12,8 @@ relabeling; the cup product pulls both factor tensors back to the joint
 orbits of <sigma, tau>, multiplies there, inserts Euler-class powers e^g
 prescribed by the graph defect (with e^g = 0 for g >= 2, since e sits in top
 degree), and pushes forward to the orbits of <sigma tau>; `local_product` is
-that step on one joint orbit, shared with the multiplicativity checker.
+that step on one joint orbit, and `local_push` its second half (e^g and the
+push), which the multiplicativity checker calls once per distinct product.
 Odd-degree factors give the Koszul sign (`surface_ring.koszul_sign`) of
 each move of tensor factors, planned once per permutation pair.  The action
 moves sigma's orbits to their relabeled ranks.  The cup product makes two
@@ -298,12 +299,18 @@ def local_product(ring: SurfaceRing, mx: Vec, my: Vec, g: int, m: int) -> Tensor
     """The product on one transitive joint orbit of <sigma, tau>.
 
     mx and my are the two sides' factors already merged onto the joint orbit
-    (by _mul_sequence); their product, times e^g for the graph defect g, is
-    pushed along the small diagonal into the m orbits of sigma tau there.
+    (by _mul_sequence); their product goes through `local_push`.
     """
     if euler_vanishes(g):
         return {}
-    prod = ring.mul_class(mx, my)
+    return local_push(ring, ring.mul_class(mx, my), g, m)
+
+
+def local_push(ring: SurfaceRing, prod: Vec, g: int, m: int) -> Tensor:
+    """prod times e^g, for the graph defect g, pushed along the small
+    diagonal into the m orbits of sigma tau on one joint orbit."""
+    if euler_vanishes(g):
+        return {}
     if g == 1:
         prod = ring.mul_class(prod, ring.euler)
     if not prod:

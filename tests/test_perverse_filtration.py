@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from hilb import perverse_filtration, surface_ring, wreath_ring
 from hilb.errors import UsageError
 from hilb.perverse_filtration import (
     BOTTOM,
@@ -279,14 +280,29 @@ _UNEQUAL = ((0, 0, 0, 2), {(1, 2): {3: 1}})
 
 
 @pytest.mark.parametrize(
-    "name", ["a0", "d4", "e6", "e7", "e8", "k3", "abelian", "corrupted", "signed", "unequal"]
+    "name",
+    [
+        "a0",
+        "d4",
+        "e6",
+        "e7",
+        "e8",
+        "k3",
+        "abelian",
+        "corrupted",
+        "corrupted-E1",
+        "signed",
+        "unequal",
+    ],
 )
 def test_signature_memo_matches_tuple_search(name):
     # every transitive (sigma, tau) on at most 3 points gets from the memo,
-    # keyed by its signature and searching factor groups, the worst excess
-    # and the worst pair that the search over all factor tuples finds
+    # keyed by its signature and pushing each distinct product of factor
+    # groups once, the worst excess and the worst pair that the search over
+    # all factor tuples finds
     rings = {
         "corrupted": _corrupted_d4,
+        "corrupted-E1": _corrupted_d4_e1,
         "signed": lambda: _small_open_ring(*_SIGNED),
         "unequal": lambda: _small_open_ring(*_UNEQUAL),
     }
@@ -360,6 +376,25 @@ def test_multiplicativity_exhaustive_reach(name, n):
     # search never fills the per-tuple product memo
     assert len(ring._caches["mult_local"]) <= _SIGNATURES[n]
     assert not ring._caches.get("mul_seq")
+
+
+@pytest.mark.parametrize("name,most", [("k3", 550), ("abelian", 600)])
+def test_multiplicativity_work_counts(monkeypatch, name, most):
+    # the local search pushes each distinct product of two factor groups once
+    # per signature: 504 and 540 pushes, against 2,004 and 2,304 when every
+    # pair of factor groups was pushed
+    calls = 0
+    push = surface_ring.diagonal_push
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return push(*args)
+
+    for module in (surface_ring, wreath_ring, perverse_filtration):
+        monkeypatch.setattr(module, "diagonal_push", counted)
+    assert check_multiplicativity(load_ring(save_ring(preset(name))), 4).passed
+    assert 0 < calls <= most
 
 
 def test_multiplicativity_accepts_the_benchmark_keywords():
@@ -463,6 +498,15 @@ def test_intersection_matrix():
     assert report.info["determinant"] == 4
     assert not check_intersection_nondegenerate(((0,),)).passed
     assert check_intersection_nondegenerate(((-2,),)).passed
+
+
+def test_determinant_checks_reject_non_integral_entries():
+    # det [[1/2]] = 1/2 is not zero, and the checks take integer matrices
+    with pytest.raises(UsageError, match="integer matrix"):
+        check_intersection_nondegenerate([[Fraction(1, 2)]])
+    with pytest.raises(UsageError, match="integer matrix"):
+        check_monodromy_vanishing([[Fraction(3, 2), 0], [0, 1]])
+    assert check_intersection_nondegenerate([[Fraction(4, 2)]]).info["determinant"] == 2
 
 
 def test_monodromy_suite():

@@ -220,6 +220,23 @@ def test_load_rejects_compact_without_usable_pairing():
         load_ring(stripped)
 
 
+def test_singular_pairing_raises_data_error_on_first_push():
+    # the constructor checks shapes only, so a compact ring built directly
+    # reaches Delta_2 with a singular pairing; the dual basis does not exist
+    ring = SurfaceRing(
+        name="flat",
+        mode="compact",
+        names=("1", "pt"),
+        degrees=(0, 4),
+        perversities=(0, 2),
+        unit=0,
+        mul={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+        pairing=[[0, 1], [0, 0]],
+    )
+    with pytest.raises(DataError, match="ring flat fails pairing-nondegenerate"):
+        diagonal_push(ring, 2, 0)
+
+
 A0_DOCUMENT = save_ring(preset("a0"))
 
 
