@@ -27,15 +27,18 @@ x.y = (-1)^(|x||y|) sigma_x(y).x), over the joint orbits of <sigma, tau>.
 The three suites walk one generator of local problems, the transitive
 permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
 solves one triple per class under simultaneous conjugation when the cup
-product is S_n-equivariant, pruned by the degree capacity of the target
-component.  On a transitive pair the cup product reads each factor tuple
-only through its merged product, so the pair suites visit only the pairs
-with a nonzero product (`_nonzero_pairs`), found per pair of factor groups
-with one merged product each.  Each violation is one witness, lifted onto
-points 1..m.  Every function takes a basis element as the pair
-`Element` = (images of sigma, factors), and n is the length of the
-images; `WreathClass` is the class-level type, a linear combination of
-such pairs, taken by `cup_class` and `act_class`.
+product is S_n-equivariant.  The cup product reads each factor tuple only
+through its merged product on each joint orbit, and it vanishes exactly
+when one joint orbit's product does, so every suite multiplies only pairs
+with a nonzero product, found per pair of factor groups with one merged
+product each: the pair suites visit those pairs (`_nonzero_pairs`), and
+associativity walks, for each middle element, the partners of each
+element it meets (`_partners`), cut by the degree capacity of the target
+component.  Each violation is one witness, lifted onto points 1..m.
+Every function takes a basis element as the pair `Element` = (images of
+sigma, factors), and n is the length of the images; `WreathClass` is the
+class-level type, a linear combination of such pairs, taken by
+`cup_class` and `act_class`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
+from operator import itemgetter
 
 from .errors import DataError, UsageError
 from .linalg import add_term
@@ -255,8 +259,9 @@ def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
 def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
     """The images of sigma tau; per joint orbit of <sigma, tau>, the ranks
     of sigma's and tau's orbits inside it, its graph defect g and its number
-    m_res of orbits of sigma tau; and the product's two moves, each by its
-    inverted slot pairs.
+    m_res of orbits of sigma tau; the product's two moves, each by its
+    inverted slot pairs; and whether some joint orbit has e^g = 0, which
+    makes every product over the pair vanish.
 
     `pull` moves x's slots, then y's slots, to joint-orbit order, x's before
     y's on each joint orbit.  `push` moves the product's components, read in
@@ -267,13 +272,14 @@ def _cup_plan(sigma_images: tuple[int, ...], tau_images: tuple[int, ...]):
         (xg, yg, signature_defect(len(b), len(xg), len(yg), len(dg)), len(dg))
         for b, (xg, yg, dg) in zip(blocks, ranks)
     )
+    vanishes = any(euler_vanishes(g) for _, _, g, _ in local)
     # x's slot m is pull slot m and y's slot m is pull slot kx + m; `order`
     # lists the pull slots in joint-orbit order
     kx = sum(len(xg) for xg, *_ in local)
     order = [s for xg, yg, *_ in local for s in (*xg, *(kx + m for m in yg))]
     dst = tuple(m for *_, dg in ranks for m in dg)
     pull = inverted_pairs([order.index(s) for s in range(len(order))])
-    return st_images, local, pull, dst, inverted_pairs(dst)
+    return st_images, local, pull, dst, inverted_pairs(dst), vanishes
 
 
 def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
@@ -318,8 +324,33 @@ def local_push(ring: SurfaceRing, prod: Vec, g: int, m: int) -> Tensor:
     return diagonal_push(ring, m, prod)
 
 
-# the most entries the cup memo holds; it is emptied when full
+# the most entries each memo of the cup product (and of its partner lists)
+# holds; a full memo is emptied
 CUP_MEMO_BOUND = 2_000_000
+
+
+def _memo_put(memo: dict, key, value) -> None:
+    """Store value under key, emptying memo first if it holds CUP_MEMO_BOUND
+    entries."""
+    if len(memo) >= CUP_MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
+
+
+def _local_terms(ring: SurfaceRing, lx: tuple[int, ...], ly: tuple[int, ...], g: int, m_res: int):
+    """The sorted terms of the product on one joint orbit with graph defect g
+    and m_res orbits of sigma tau, x's factors there lx and y's ly
+    (`local_product` of their merged products); memoized per ring under
+    CUP_MEMO_BOUND, so a cup miss recomputes no local product."""
+    memo = ring._caches.setdefault("cup_local", {})
+    key = (lx, ly, g, m_res)
+    hit = memo.get(key)
+    if hit is None:
+        mx = _mul_sequence(ring, lx)
+        my = _mul_sequence(ring, ly) if mx else {}
+        hit = sorted(local_product(ring, mx, my, g, m_res).items()) if my else []
+        _memo_put(memo, key, hit)
+    return hit
 
 
 def cup(ring: SurfaceRing, x, y) -> dict[tuple[int, ...], Fraction]:
@@ -328,10 +359,11 @@ def cup(ring: SurfaceRing, x, y) -> dict[tuple[int, ...], Fraction]:
     cup_class.  It works joint orbit by joint orbit and assembles the result
     by two slot moves.  `pull` brings x's and y's factors to joint-orbit order,
     where each joint orbit's factors are merged and multiplied
-    (`local_product`); `push` takes each term's components to their slots
-    `dst` of sigma tau.  Each move contributes its Koszul sign, taken only
-    on rings with odd classes.  Results are memoized per ring, at most
-    CUP_MEMO_BOUND of them; callers must treat them as immutable.
+    (`local_product`, through `_local_terms`); `push` takes each term's
+    components to their slots `dst` of sigma tau.  Each move contributes its
+    Koszul sign, taken only on rings with odd classes.  Results are memoized
+    per ring, at most CUP_MEMO_BOUND of them; callers must treat them as
+    immutable.
     """
     cache = ring._caches.setdefault("cup", {})
     key = x + y  # (s, fx, t, fy): one flat tuple per memo entry
@@ -339,16 +371,15 @@ def cup(ring: SurfaceRing, x, y) -> dict[tuple[int, ...], Fraction]:
     if hit is not None:
         return hit
     (s, fx), (t, fy) = x, y
-    _, local, pull, dst, push = _cup_plan(s, t)
+    _, local, pull, dst, push, vanishes = _cup_plan(s, t)
     pushed: list[list[tuple[tuple[int, ...], Fraction]]] = []
-    if not any(euler_vanishes(g) for _, _, g, _ in local):
+    if not vanishes:
         for xg, yg, g, m_res in local:
-            mx = _mul_sequence(ring, tuple(fx[m] for m in xg))
-            my = _mul_sequence(ring, tuple(fy[m] for m in yg)) if mx else {}
-            split = local_product(ring, mx, my, g, m_res) if my else {}
+            lx, ly = tuple(fx[m] for m in xg), tuple(fy[m] for m in yg)
+            split = _local_terms(ring, lx, ly, g, m_res)
             if not split:
                 break
-            pushed.append(sorted(split.items()))
+            pushed.append(split)
     out: dict[tuple[int, ...], Fraction] = {}
     # the product vanishes unless every joint orbit has a nonzero local one
     if len(pushed) == len(local):
@@ -366,19 +397,7 @@ def cup(ring: SurfaceRing, x, y) -> dict[tuple[int, ...], Fraction]:
             for slot, f in zip(dst, flat):
                 factors[slot] = f
             add_term(out, tuple(factors), coeff)
-    if len(cache) >= CUP_MEMO_BOUND:
-        cache.clear()
-    cache[key] = out
-    return out
-
-
-def _cup_sum(ring: SurfaceRing, products) -> dict:
-    """The sum of c * cup(x, y) over (c, x, y) in products, all over one
-    permutation, as {factors: coeff}."""
-    out: dict = {}
-    for c, x, y in products:
-        for f, cc in cup(ring, x, y).items():
-            add_term(out, f, c * cc)
+    _memo_put(cache, key, out)
     return out
 
 
@@ -581,22 +600,127 @@ def _factor_members(ring: SurfaceRing, k: int) -> list[tuple[Vec, list[tuple[int
     return groups
 
 
-def _product_groups(ring: SurfaceRing, a: int, b: int, g: int, m_res: int) -> list[tuple]:
-    """(x's member tuples, y's member tuples) per pair of factor groups of
-    lengths a and b (`_factor_members`) whose local product on a joint orbit
-    with graph defect g and m_res orbits of sigma tau is nonzero."""
+def _group_products(ring: SurfaceRing, a: int, b: int) -> list[tuple[Vec, list[tuple[int, int]]]]:
+    """The distinct nonzero products mx.my of factor groups of lengths a and
+    b (`_factor_members`), each with the index pairs (i, j) of the groups
+    whose product it is, in loop order (x's groups outer).  Each mx.my is
+    computed once per (a, b); the frozenset key is exact because no vector
+    stores a zero."""
+    cache = ring._caches.setdefault("group_products", {})
+    hit = cache.get((a, b))
+    if hit is None:
+        by_product: dict = {}
+        ys = _factor_members(ring, b)
+        for i, (mx, _) in enumerate(_factor_members(ring, a)):
+            for j, (my, _) in enumerate(ys):
+                prod = ring.mul_class(mx, my)
+                if prod:
+                    by_product.setdefault(frozenset(prod.items()), (prod, []))[1].append((i, j))
+        hit = cache[(a, b)] = list(by_product.values())
+    return hit
+
+
+def _product_groups(
+    ring: SurfaceRing, a: int, b: int, g: int, m_res: int
+) -> list[tuple[int, int]]:
+    """The index pairs (i, j), ascending, of the factor groups of lengths a
+    and b (`_factor_members`) whose local product on a joint orbit with
+    graph defect g and m_res orbits of sigma tau is nonzero.  Each distinct
+    product of two groups is pushed once per (g, m_res) (`_group_products`,
+    `local_push`)."""
     cache = ring._caches.setdefault("product_groups", {})
     key = (a, b, g, m_res)
     hit = cache.get(key)
     if hit is None:
-        ys = _factor_members(ring, b)
-        hit = cache[key] = [
-            (fxs, fys)
-            for mx, fxs in _factor_members(ring, a)
-            for my, fys in ys
-            if local_product(ring, mx, my, g, m_res)
-        ]
+        hit = cache[key] = sorted(
+            ij
+            for prod, ijs in _group_products(ring, a, b)
+            if local_push(ring, prod, g, m_res)
+            for ij in ijs
+        )
     return hit
+
+
+def _local_partners(ring: SurfaceRing, a: int, b: int, g: int, m_res: int, side: int) -> dict:
+    """{member tuple: its partner tuples by degree} on a joint orbit with a
+    orbits of sigma, b of tau, graph defect g and m_res orbits of sigma tau:
+    for side 0 the tuples of y's factors there whose local product with the
+    key (x's factors) is nonzero, for side 1 those of x's factors against
+    the key (y's), as (degree, partner tuples of that degree) pairs,
+    ascending by degree.  The members of one factor group share one such
+    list, built from the members of their nonzero partner groups
+    (`_product_groups`)."""
+    cache = ring._caches.setdefault("local_partners", {})
+    key = (a, b, g, m_res, side)
+    hit = cache.get(key)
+    if hit is None:
+        groups = (_factor_members(ring, a), _factor_members(ring, b))
+        degs = ring.degrees
+        found: dict[int, dict] = {}  # group index on the key's side -> {degree: partners}
+        for ij in _product_groups(ring, a, b, g, m_res):
+            by_degree = found.setdefault(ij[side], {})
+            for member in groups[1 - side][ij[1 - side]][1]:
+                by_degree.setdefault(sum(degs[v] for v in member), []).append(member)
+        hit = cache[key] = {}
+        for i, by_degree in found.items():
+            levels = sorted(by_degree.items())
+            for member in groups[side][i][1]:
+                hit[member] = levels
+    return hit
+
+
+def _concat(parts) -> tuple:
+    """The tuples in parts, joined."""
+    return sum(parts, ())
+
+
+def _partners(
+    ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...], side: int, f: tuple,
+    low: int, high: float,
+):
+    """Yield (degree, factors) for every basis element w with low < degree
+    <= high and a nonzero product against the one with factors f, ascending
+    by degree: x.w != 0 for w over tau and x = (sigma, f) when side is 0,
+    w.y != 0 for w over sigma and y = (tau, f) when side is 1.  sigma and
+    tau are given by their images and need not be transitive.
+
+    cup(x, y) != 0 exactly when no joint orbit of <sigma, tau> has g >= 2
+    and every one has a nonzero local product: its terms are the products
+    of one pushed term per joint orbit, placed in disjoint slots, so they
+    cannot cancel.  A joint orbit's local product reads each side only
+    through its merged product, so the partners are the members of the
+    factor groups whose local product with f's group is nonzero
+    (`_local_partners`), chosen independently per joint orbit and placed
+    into their slots.  Only the choices within the degree bounds are built.
+    """
+    _, local, _, _, _, vanishes = _cup_plan(s, t)
+    if vanishes:
+        return
+    choices, slots = [], []
+    for xg, yg, g, m_res in local:
+        mine, theirs = (xg, yg) if side == 0 else (yg, xg)
+        levels = _local_partners(ring, len(xg), len(yg), g, m_res, side).get(
+            tuple(f[m] for m in mine)
+        )
+        if levels is None:
+            return
+        choices.append(levels)
+        slots += theirs
+    shift = 2 * (len(s) - len(slots))
+    by_degree: dict[int, list] = {}  # degree -> per-orbit lists of choices
+    for combo in iproduct(*choices):
+        d = shift + sum(local_degree for local_degree, _ in combo)
+        if low < d <= high:
+            by_degree.setdefault(d, []).append([parts for _, parts in combo])
+    # a partner's factors read in joint-orbit order, its slot j at position
+    # pos[j] of them
+    pos = sorted(range(len(slots)), key=slots.__getitem__)
+    place = itemgetter(*pos) if pos != list(range(len(pos))) else None
+    for d in sorted(by_degree):
+        for parts in by_degree[d]:
+            flats = parts[0] if len(parts) == 1 else map(_concat, iproduct(*parts))
+            for flat in flats if place is None else map(place, flats):
+                yield d, flat
 
 
 def _nonzero_pairs(ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...]):
@@ -611,10 +735,11 @@ def _nonzero_pairs(ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...]):
     (`_product_groups`), each yielded once.
     """
     ((xg, yg, g, m_res),) = _cup_plan(s, t)[1]
-    for fxs, fys in _product_groups(ring, len(xg), len(yg), g, m_res):
-        for fx in fxs:
+    xs, ys = _factor_members(ring, len(xg)), _factor_members(ring, len(yg))
+    for i, j in _product_groups(ring, len(xg), len(yg), g, m_res):
+        for fx in xs[i][1]:
             x = (s, fx)
-            for fy in fys:
+            for fy in ys[j][1]:
                 yield x, (t, fy)
 
 
@@ -696,39 +821,96 @@ def cup_equivariant(ring: SurfaceRing) -> bool:
     return not _failing_axioms(ring) & _EQUIVARIANCE_AXIOMS
 
 
+def _partner_products(
+    ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...], side: int, f: tuple, bound: int
+) -> list:
+    """(degree, factors, product) for the partners of f (`_partners`, same
+    first arguments) ascending by degree, at least up to degree bound: the
+    product is x.w for x = (sigma, f) when side is 0, w.y for y = (tau, f)
+    when side is 1; entries past the bound may follow.  The list grows
+    lazily, one degree range at a time, to the largest bound asked for, so
+    each product is taken once while it is held.  Memoized per ring under
+    CUP_MEMO_BOUND.
+    """
+    memo = ring._caches.setdefault("partners", {})
+    key = (s, t, side, f)
+    hit = memo.get(key)
+    if hit is None:
+        hit = [-1, []]  # the degree reached, the products so far
+        _memo_put(memo, key, hit)
+    reached, done = hit
+    if bound > reached:
+        for d, g in _partners(ring, s, t, side, f, reached, bound):
+            prod = cup(ring, (s, f), (t, g)) if side == 0 else cup(ring, (s, g), (t, f))
+            done.append((d, g, prod))
+        hit[0] = bound
+    return done
+
+
+def _bracket(ring: SurfaceRing, inner: tuple, outer: tuple, room: int, least: int) -> dict:
+    """One bracketing of the basis triples with a fixed middle element y,
+    as {(x's factors, z's factors): value}, over the triples whose outer
+    elements a and b have deg a + deg b <= room.
+
+    The inner product pairs y with its partners a (`_partner_products` of
+    inner = (sigma, tau, side, y's factors)); each term w of it, with its
+    coefficient c, meets its own partners b (those of outer = (sigma', tau',
+    side'), the pair and side w and b lie on), and c times that outer
+    product is added at (a, b).  For (x.y).z, a = x and b = z; for x.(y.z),
+    a = z and b = x.  least is the least degree of any b.  Each outer
+    product is taken once for all the a whose inner product has the term w.
+    """
+    made: dict = {}  # term w -> (deg a, a's factors, coefficient of w)
+    for da, fa, prod in _partner_products(ring, *inner, room - least):
+        if da + least > room:
+            break
+        for w, c in prod.items():
+            made.setdefault(w, []).append((da, fa, c))
+    out: dict = {}
+    for w, makers in made.items():
+        first = makers[0][0]
+        for db, fb, prod in _partner_products(ring, *outer, w, room - first):
+            if first + db > room:
+                break
+            for da, fa, c in makers:
+                if da + db > room:
+                    break
+                acc = out.setdefault((fa, fb) if outer[2] == 0 else (fb, fa), {})
+                for f, cc in prod.items():
+                    add_term(acc, f, c * cc)
+    return out
+
+
 def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> list[tuple]:
     """Every basis triple over (sigma, tau, rho) with (x.y).z != x.(y.z), as
-    (images, factors) pairs, enumeration pruned by the degree capacity of the
-    target component (below which both sides vanish)."""
+    (images, factors) pairs, among the triples within the degree capacity of
+    the target component (above it both sides vanish).
+
+    Only products that are nonzero are taken.  Where both bracketings vanish
+    the identity holds; (x.y).z != 0 needs a term u of x.y with u.z != 0,
+    and x.(y.z) != 0 a term v of y.z with x.v != 0.  So for each y the left
+    side is summed over the x with x.y != 0, the terms u of x.y and the z
+    with u.z != 0, the right side over the z with y.z != 0, the terms v of
+    y.z and the x with x.v != 0 (`_partners`, ascending by degree, so the
+    capacity cuts each walk short; `_bracket`), and the two are compared key
+    by key: a triple missing from one side is 0 there.  One y is held at a
+    time.
+    """
     s, t, r = sigma.images, tau.images, rho.images
     st, tr = _cup_plan(s, t)[0], _cup_plan(t, r)[0]
     cap = max_degree(_cup_plan(st, r)[0])
-    xs = _elements_by_degree(ring, s)
-    ys = _elements_by_degree(ring, t)
-    zs = _elements_by_degree(ring, r)
+    min_x = _elements_by_degree(ring, s)[0][0]
+    min_z = _elements_by_degree(ring, r)[0][0]
     bad = []
-    min_y = ys[0][0]
-    min_z = zs[0][0]
-    for dx, fx in xs:
-        if dx + min_y + min_z > cap:
+    for dy, fy in _elements_by_degree(ring, t):
+        room = cap - dy
+        if min_x + min_z > room:
             break
-        x = (s, fx)
-        for dy, fy in ys:
-            if dx + dy + min_z > cap:
-                break
-            y = (t, fy)
-            xy = cup(ring, x, y)
-            for dz, fz in zs:
-                if dx + dy + dz > cap:
-                    break
-                z = (r, fz)
-                yz = cup(ring, y, z)
-                # both sides vanish when x.y and y.z do
-                if not (xy or yz):
-                    continue
-                xy_z = _cup_sum(ring, ((c, (st, f), z) for f, c in xy.items()))
-                if xy_z != _cup_sum(ring, ((c, x, (tr, f)) for f, c in yz.items())):
-                    bad.append((x, y, z))
+        left = _bracket(ring, (s, t, 1, fy), (st, r, 0), room, min_z)
+        right = _bracket(ring, (t, r, 0, fy), (s, tr, 1), room, min_x)
+        for fx, fz in sorted(left.keys() | right.keys()):
+            if left.get((fx, fz), {}) != right.get((fx, fz), {}):
+                bad.append(((s, fx), (t, fy), (r, fz)))
     return bad
 
 
@@ -736,10 +918,12 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     """(x.y).z = x.(y.z) over basis triples, one joint orbit at a time.
 
     Each joint orbit B of <sigma, tau, rho> is an independent transitive
-    subproblem, checked exhaustively with degree-capacity pruning; a local
-    violation on m points lifts to a global one on n points, with the other
-    points carrying the identity and units.  The local pass is exact for
-    every ring, Koszul signs included.  In `cup` each bracketing of
+    subproblem, checked exhaustively over the triples within the degree
+    capacity of the target component, multiplying only pairs whose product
+    is nonzero (`_violating_triples`); a local violation on m points lifts
+    to a global one on n points, with the other points carrying the
+    identity and units.  The local pass is exact for every ring, Koszul
+    signs included.  In `cup` each bracketing of
     x.y.z is a composite of slot moves, each with its Koszul sign, and of
     even maps (the merged product, e^g, Delta_m), each acting only on the
     slots of one B.  An even map commutes without sign with a move of slots

@@ -155,9 +155,10 @@ def test_joint_signatures_match_restricted_orbit_counts(n):
             assert ranks == [
                 tuple(_ranks_inside(p, block) for p in (sigma, tau, st)) for block in blocks
             ], context
-            plan_st, local, pull, dst, push = _cup_plan(sigma.images, tau.images)
+            plan_st, local, pull, dst, push, vanishes = _cup_plan(sigma.images, tau.images)
             assert plan_st == st.images, context
             assert [g for _, _, g, _ in local] == list(defects.values()), context
+            assert vanishes == any(g >= 2 for g in defects.values()), context
             groups = [
                 tuple(ranks_in(block, _perm_orbit_blocks(p.images)) for block in blocks)
                 for p in (sigma, tau, st)

@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction
 from itertools import product
+from math import inf
 
 import pytest
 
@@ -28,9 +29,12 @@ from hilb.wreath_ring import (
     WreathClass,
     act_class,
     _commutativity_pairs,
+    _cup_plan,
     _lifted_witness,
     _mul_sequence,
     _nonzero_pairs,
+    _partners,
+    _product_groups,
     _transitive_tuples,
     _violating_triples,
     basis_count,
@@ -46,6 +50,7 @@ from hilb.wreath_ring import (
     invariant_project,
     iter_orbit_reps,
     local_product,
+    local_push,
     make_element,
     max_degree,
     render_class,
@@ -873,15 +878,111 @@ class _SizeLog(dict):
 
 
 def test_cup_memo_stays_bounded(monkeypatch):
-    # a memo emptied many times over gives the same report, and never holds
-    # more entries than its bound
+    # memos emptied many times over give the same report, and never hold
+    # more entries than their bound: the cup memo, its memo of products on
+    # one joint orbit, and the partner lists of the associativity walk
     plain = check_associativity(load_ring(save_ring(preset("d4"))), 3).to_json()
     monkeypatch.setattr(wreath_ring, "CUP_MEMO_BOUND", 50)
     ring = load_ring(save_ring(preset("d4")))
-    memo = ring._caches["cup"] = _SizeLog()
+    memos = {name: _SizeLog() for name in ("cup", "cup_local", "partners")}
+    ring._caches.update(memos)
     assert check_associativity(ring, 3).to_json() == plain
-    assert memo.peak == 50
-    assert memo.clears > 1
+    for memo in memos.values():
+        assert memo.peak == 50
+        assert memo.clears > 1
+
+
+def test_associativity_work_counts(monkeypatch):
+    # the associativity walk takes only products that are nonzero: 2,328 cup
+    # calls on d4 at n = 3, none of them zero (30,285 calls, 5,759 of the
+    # 7,147 distinct products zero, when every triple under the degree cut
+    # reached cup)
+    products = []
+
+    def counted(*args):
+        products.append(cup(*args))
+        return products[-1]
+
+    monkeypatch.setattr(wreath_ring, "cup", counted)
+    assert check_associativity(load_ring(save_ring(preset("d4"))), 3).passed
+    assert len(products) <= 3_000
+    assert all(products)
+
+
+def test_product_groups_push_each_distinct_product_once(monkeypatch):
+    # the pair suites' group filter pushes each distinct product of two
+    # factor groups once per (g, m_res): 600 pushes over the 24 orbit
+    # signatures of k3 at n <= 4, where pushing every pair of groups took
+    # 14,356 (as local_product calls)
+    ring = load_ring(save_ring(preset("k3")))
+    pushes = []
+
+    def counted(*args):
+        pushes.append(args)
+        return local_push(*args)
+
+    monkeypatch.setattr(wreath_ring, "local_push", counted)
+    monkeypatch.setattr(wreath_ring, "local_product", None)
+    signatures = {
+        (len(xg), len(yg), g, m_res)
+        for sigma, tau in _transitive_tuples(4, 1, 2)
+        for ((xg, yg, g, m_res),) in [_cup_plan(sigma.images, tau.images)[1]]
+    }
+    assert len(signatures) == 24
+    for signature in signatures:
+        _product_groups(ring, *signature)
+    assert len(pushes) == 600
+
+
+def _partner_ring(name: str) -> SurfaceRing:
+    if name in _PAIR_MUTANTS:
+        return _PAIR_MUTANTS[name][0]()
+    if name == "a0-odd-diagonal":
+        return _with_diag2("a0", _A0_ODD_DIAGONAL)
+    return load_ring(save_ring(preset(name)))
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, *_PAIR_MUTANTS, "a0-odd-diagonal"])
+def test_partners_are_exactly_the_nonzero_products(name):
+    # _partners against cup on every pair (sigma, tau) of S_m, m <= 3,
+    # transitive or not, with at most 50,000 basis pairs: all 41 pairs on
+    # the a0 and d4 rings, 20 to 40 on the others (non-transitive ones on
+    # every ring but k3 and abelian).  For each factor tuple of either side,
+    # the partners are the other side's elements with a nonzero product,
+    # ascending by degree
+    ring = _partner_ring(name)
+    checked = 0
+    for m in (1, 2, 3):
+        by_perm: dict = {}
+        for x in enumerate_wreath_basis(ring, m):
+            by_perm.setdefault(x[0], []).append(x)
+        for s, t in product(by_perm, repeat=2):
+            xs, ys = by_perm[s], by_perm[t]
+            if len(xs) * len(ys) > 50_000:
+                continue
+            checked += 1
+            nonzero = {(x, y) for x in xs for y in ys if cup(ring, x, y)}
+            for x in xs:
+                expected = sorted((element_degree(ring, y), y[1]) for y in ys if (x, y) in nonzero)
+                _assert_partners(ring, (s, t, 0, x[1]), expected)
+            for y in ys:
+                expected = sorted((element_degree(ring, x), x[1]) for x in xs if (x, y) in nonzero)
+                _assert_partners(ring, (s, t, 1, y[1]), expected)
+    assert checked >= (41 if ring.size <= 6 else 20)
+
+
+def _assert_partners(ring: SurfaceRing, args: tuple, expected: list) -> None:
+    """_partners(ring, *args, low, high) yields the (degree, factors) of
+    expected, ascending by degree, or those with low < degree <= high."""
+    partners = list(_partners(ring, *args, -1, inf))
+    degrees = [d for d, _ in partners]
+    assert degrees == sorted(degrees), args
+    assert sorted(partners) == expected, args
+    if partners:
+        low, high = degrees[0], degrees[len(degrees) // 2]
+        assert list(_partners(ring, *args, low, high)) == [
+            p for p in partners if low < p[0] <= high
+        ], args
 
 
 @pytest.mark.parametrize("name", ["a0", "d4"])
