@@ -8,42 +8,49 @@ on the orbits of sigma of type 1^{a_1} ... n^{a_n} is
 
 the zero class has perversity bottom (-infinity), and the perversity of a
 class is the maximum over its support.  The multiplicativity checker verifies
-p(x.y) <= p(x) + p(y) over every pair of basis elements; it factorizes over
-the joint orbits of the two permutations (both the product and the perversity
-bookkeeping decompose orbitwise), which turns the factorially large pair
-space into transitive local subproblems without giving up exhaustiveness.
-`symmetric_groups.pair_orbits` gives the joint orbits and the ranks of the
-orbits of sigma, tau and sigma tau inside each: their numbers make the
-orbit-count signature (m, a, b, m_res), and sigma's and tau's ranks lift a
-local witness back to the pair.
-A local subproblem depends only on that signature, which keys its memo,
-and its search runs over groups of factor tuples with equal merged product
-and perversity sum, pushing each distinct product of two groups once.
-Since a pair (sigma, tau) is read only through the multiset of its
-signatures, which simultaneous conjugation keeps, the run takes one sigma
-per cycle type and every tau, and is always exhaustive.
+p(x.y) <= p(x) + p(y) over every pair of basis elements.  Both the product
+and the perversity bookkeeping decompose over the joint orbits of the two
+permutations, and the worst excess on one joint orbit depends only on its
+signature (m, a, b, m_res): its size and the numbers of orbits of sigma,
+tau and sigma tau on it (_local_mult_stats, whose search runs over groups
+of factor tuples with equal merged product and perversity sum, and takes
+each distinct product and its push once, by id in `ring.intern`).  So the
+worst excess of a pair is the sum over its signature multiset, and since
+every multiset of transitive signatures with sizes summing to n is realized
+by a pair placed on disjoint blocks, the worst over all n!^2 pairs is a
+knapsack over the transitive signatures with m <= n
+(_worst_pair_total), exact for every ring.  Which signatures occur on m
+points is counted from the characters of S_m (Jucys 1974; Okounkov-Vershik,
+Selecta Math. 2 (1996)) and the exponential formula (Stanley, EC2 Ch. 5):
+`symmetric_groups.transitive_signatures`.  Only a failing ring walks one
+sigma per cycle type against every tau, through `pair_orbits`, to list
+its witnesses; a local witness lifts back to the pair through the ranks of
+sigma's and tau's orbits in each joint orbit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+from typing import Iterable
 
 from .errors import UsageError
 from .report import CheckReport, run_suite
-from .surface_ring import SurfaceRing, Vec, diagonal_push
+from .surface_ring import SurfaceRing, diagonal_push
 from .symmetric_groups import (
     Perm,
     _perm_orbit_blocks,
     class_representatives,
     enumerate_sn,
     pair_orbits,
+    require_enumerable,
     signature_defect,
+    transitive_signatures,
 )
 from .wreath_ring import (
     Element,
     WreathClass,
     cup,
-    local_push,
     render_element,
 )
 
@@ -69,67 +76,69 @@ def perversity_class(ring: SurfaceRing, cls: WreathClass) -> int | float:
 # -- multiplicativity ----------------------------------------------------------
 
 
-def _factor_groups(ring: SurfaceRing, k: int) -> list[tuple[tuple[int, ...], Vec, int]]:
+def _factor_groups(ring: SurfaceRing, k: int) -> list[tuple[tuple[int, ...], int, int]]:
     """Factor tuples of length k grouped by merged product and perversity sum.
 
-    Returns (representative, merged product, perversity sum) per group whose
-    merged product (the left fold from the unit, as in _mul_sequence) is
-    nonzero.  The representative is the lexicographically first tuple of its
-    group and the list is in the order of the representatives.  Level k is
-    built from level k - 1 with one more factor, since the lexicographically
-    first tuple of a group extends the representative of its prefix's group.
+    Returns (representative, id of the merged product in `ring.intern`,
+    perversity sum) per group whose merged product (the left fold from the
+    unit, as in _mul_sequence) is nonzero.  The representative is the
+    lexicographically first tuple of its group and the list is in the order
+    of the representatives.  Level k is built from level k - 1 with one
+    more factor, since the lexicographically first tuple of a group extends
+    the representative of its prefix's group.
     """
     cache = ring._caches.setdefault("mult_groups", {})
     hit = cache.get(k)
     if hit is not None:
         return hit
+    intern = ring.intern
     if k == 0:
-        groups = [((), {ring.unit: 1}, 0)]
+        groups = [((), intern.id_of({ring.unit: 1}), 0)]
     else:
         groups = []
         seen = set()
         perv = ring.perversities
+        basis = [intern.id_of({f: 1}) for f in range(ring.size)]
         for rep, vec, psum in _factor_groups(ring, k - 1):
-            for f in range(ring.size):
-                merged = ring.mul_class(vec, {f: 1})
-                key = (frozenset(merged.items()), psum + perv[f])
-                if merged and key not in seen:
+            for f, fid in enumerate(basis):
+                key = (intern.mul(vec, fid), psum + perv[f])
+                if key[0] is not None and key not in seen:
                     seen.add(key)
-                    groups.append((rep + (f,), merged, key[1]))
+                    groups.append((rep + (f,), *key))
     cache[k] = groups
     return groups
 
 
-def _product_table(ring: SurfaceRing, a: int, b: int) -> list[tuple[Vec, int, tuple]]:
+def _product_table(ring: SurfaceRing, a: int, b: int) -> list[tuple[int, int, tuple]]:
     """The pairs of factor groups of lengths a and b, one entry per distinct
     nonzero product mx.my.
 
-    An entry is (product, least perversity sum px + py over the pairs with
-    that product, the factor tuples of the first such pair in the search's
-    loop order: x's groups outer, y's inner).  Entries are in the loop order
-    of those pairs.  The frozenset key is exact because no vector stores a
-    zero.  The table does not depend on the defect or on m_res, so it is
-    built once per (a, b) and shared by every signature with those counts.
+    An entry is (id of the product, least perversity sum px + py over the
+    pairs with that product, the factor tuples of the first such pair in the
+    search's loop order: x's groups outer, y's inner).  Entries are in the
+    loop order of those pairs.  The table does not depend on the defect or
+    on m_res, so it is built once per (a, b) and shared by every signature
+    with those counts.
     """
     cache = ring._caches.setdefault("mult_products", {})
     hit = cache.get((a, b))
     if hit is not None:
         return hit
-    least: dict[frozenset, tuple] = {}
+    least: dict[int, tuple] = {}
+    mul = ring.intern.mul
     ys = _factor_groups(ring, b)
     order = 0
     for fx, mx, px in _factor_groups(ring, a):
         for fy, my, py in ys:
-            prod = ring.mul_class(mx, my)
-            if not prod:
+            prod = mul(mx, my)
+            if prod is None:
                 continue
-            key = frozenset(prod.items())
-            entry = least.get(key)
+            entry = least.get(prod)
             if entry is None or px + py < entry[1]:
-                least[key] = (order, px + py, (fx, fy), prod)
+                least[prod] = (order, px + py, (fx, fy))
             order += 1
-    ordered = sorted(least.values(), key=lambda entry: entry[0])
-    table = cache[(a, b)] = [(prod, psum, pair) for _, psum, pair, prod in ordered]
+    ordered = sorted(least.items(), key=lambda item: item[1][0])
+    table = cache[(a, b)] = [(prod, psum, pair) for prod, (_, psum, pair) in ordered]
     return table
 
 
@@ -144,10 +153,11 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     depends only on the two merged products and perversity sums, and the
     lexicographically first maximizing pair of factor tuples is a pair of
     representatives.  Pairs with the same product mx.my share the pushed
-    split and its top perversity, so the search pushes each distinct product
-    once (_product_table) and charges it the least perversity sum among its
-    pairs; scanning the products in the loop order of their least pairs keeps
-    the first maximizing pair.
+    split and its top perversity (`ring.intern.push_top`, shared with every
+    other signature and suite), so the search charges each distinct product
+    (_product_table) the least perversity sum among its pairs; scanning the
+    products in the loop order of their least pairs keeps the first
+    maximizing pair.
 
     Returns (best_excess, argmax factor tuples) over all local factor
     assignments; both are None when every local product vanishes, in which
@@ -161,19 +171,48 @@ def _local_mult_stats(ring: SurfaceRing, m: int, a: int, b: int, m_res: int):
     g = signature_defect(m, a, b, m_res)
     best = None
     arg = None
-    perv = ring.perversities
+    push_top = ring.intern.push_top
     shift = a + b - m - m_res  # the three cycle-type shifts
     for prod, psum, pair in _product_table(ring, a, b):
-        split = local_push(ring, prod, g, m_res)
-        if not split:
+        top = push_top(prod, g, m_res)
+        if top is None:
             continue
-        top = max(sum(perv[f] for f in k2) for k2 in split)
         excess = top - psum + shift
         if best is None or excess > best:
             best = excess
             arg = pair
     result = cache[key] = (best, arg)
     return result
+
+
+def _worst_pair_total(ring: SurfaceRing, n: int) -> int | None:
+    """The largest total excess of a pair (sigma, tau) of S_n: the sum over
+    its joint orbits of their local worst excesses (_local_mult_stats),
+    nonpositive totals included; None when every pair has an orbit whose
+    products all vanish.
+
+    A knapsack over the transitive signatures of S_m, m <= n
+    (`transitive_signatures`), with sizes summing to n: worst[k] is the
+    largest best_s + worst[k - m_s] over the signatures s whose best is not
+    None and for which worst[k - m_s] is not None.  Every multiset of
+    transitive signatures with sizes summing to n is the signature multiset
+    of a pair, one transitive pair placed on each of disjoint blocks, so
+    worst[n] is the maximum over all pairs, for any ring.  Each signature is
+    solved once.
+    """
+    bests = [
+        (m, best)
+        for m in range(1, n + 1)
+        for a, b, m_res in transitive_signatures(m)
+        if (best := _local_mult_stats(ring, m, a, b, m_res)[0]) is not None
+    ]
+    worst: list[int | None] = [0]
+    for k in range(1, n + 1):
+        worst.append(max(
+            (best + worst[k - m] for m, best in bests if m <= k and worst[k - m] is not None),
+            default=None,
+        ))
+    return worst[n]
 
 
 def _mult_witness(ring: SurfaceRing, x: Element, y: Element, excess: int) -> dict:
@@ -236,33 +275,41 @@ def check_multiplicativity(
 ) -> CheckReport:
     """perversity(x.y) <= perversity(x) + perversity(y) over all basis pairs.
 
-    The run takes sigma over one representative per cycle type
-    (class_representatives) and tau over all of S_n.  That covers every pair
-    up to simultaneous conjugation (sigma, tau) -> (c sigma c^-1, c tau c^-1):
-    a pair (c rho c^-1, tau') with rho a representative is the conjugate by c
-    of (rho, c^-1 tau' c), which the run checks.  _mult_pair_check reads a
-    pair only through the multiset of its joint-orbit signatures
-    (m, a, b, m_res), and conjugation by c carries the joint orbits of
-    <sigma, tau> onto those of the conjugates, with the same sizes and the
-    same orbit counts of sigma, tau and sigma tau (c sigma tau c^-1 is the
-    product of the conjugates).  So pass/fail and the worst excess are those
-    of the run over all n!^2 pairs, for any ring, validated or not; only the
-    witnesses are limited to the representatives.
+    The verdict is the knapsack `_worst_pair_total`: a pair (sigma, tau) is
+    read only through the multiset of its joint-orbit signatures
+    (m, a, b, m_res), its worst excess is the sum of the local worst
+    excesses, and every multiset of transitive signatures with sizes summing
+    to n occurs, so the knapsack's worst total is that of all n!^2 pairs,
+    for any ring, validated or not.  `transitive_signatures` counts which
+    signatures exist on m points from the characters of S_m, without
+    listing S_m.  `checked` counts the p(n).n! pairs (one sigma per cycle
+    type, every tau) the verdict covers.
 
-    The run is always exhaustive: enumerate_sn refuses n > 8 with
-    ResourceError before any pair is checked.  `seed` is only echoed;
-    `sample_size` is unread.
+    Only a failing ring walks those pairs, to list its witnesses: sigma over
+    one representative per cycle type (class_representatives) and tau over
+    all of S_n.  That covers every pair up to simultaneous conjugation
+    (sigma, tau) -> (c sigma c^-1, c tau c^-1), which keeps the signature
+    multiset: a pair (c rho c^-1, tau') with rho a representative is the
+    conjugate by c of (rho, c^-1 tau' c), which the walk checks.
+
+    The run is always exhaustive, and refuses n > ENUMERATE_LIMIT with
+    ResourceError before any pair is checked, since the witness walk lists
+    S_n.  `seed` is only echoed; `sample_size` is unread.
     """
-    perms = list(enumerate_sn(n))
+    require_enumerable(n)
     reps = class_representatives(n)
     info = {
         "ring": ring.name,
         "n": n,
         "mode": "exhaustive",
         "seed": seed,
-        "checked": len(reps) * len(perms),
+        "checked": len(reps) * factorial(n),
     }
-    found = (_mult_pair_check(ring, s, t) for s in reps for t in perms)
+    found: Iterable[dict | None] = ()
+    worst = _worst_pair_total(ring, n)
+    if worst is not None and worst > 0:
+        perms = list(enumerate_sn(n))
+        found = (_mult_pair_check(ring, s, t) for s in reps for t in perms)
     return run_suite("multiplicativity", info, found)
 
 

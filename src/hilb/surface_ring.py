@@ -125,6 +125,7 @@ class SurfaceRing:
         self._diag_cache: dict[tuple[int, int], Tensor] = {}
         self._dual_rows: list[Vec] | None = None
         self._caches: dict[str, dict] = {}
+        self.intern = ProductIntern(self)
 
     # -- basic queries ---------------------------------------------------
 
@@ -783,6 +784,74 @@ def _diag_push_basis(ring: SurfaceRing, m: int, g: int) -> Tensor:
                 add_term(out, (a, b) + key[1:], c * c2)
     ring._diag_cache[(m, g)] = out
     return out
+
+
+def euler_vanishes(g: int) -> bool:
+    """e^g = 0 for g >= 2: e sits in top degree."""
+    return g >= 2
+
+
+def local_push(ring: SurfaceRing, prod: Vec, g: int, m: int) -> Tensor:
+    """prod times e^g, for the graph defect g of one joint orbit, pushed
+    along the small diagonal into the m orbits of sigma tau on it."""
+    if euler_vanishes(g):
+        return {}
+    if g == 1:
+        prod = ring.mul_class(prod, ring.euler)
+    if not prod:
+        return {}
+    return diagonal_push(ring, m, prod)
+
+
+class ProductIntern:
+    """The nonzero classes of one ring under int ids, with their products
+    and pushes memoized by id.
+
+    `id_of` gives each distinct nonzero vector an id, keyed by its items:
+    the one place a class is keyed so, exact because no vector stores a zero
+    (`linalg.add_term`).  `mul` memoizes the product of two ids, and
+    `push_top` the top perversity of `local_push` of an id per (g, m), so
+    every local search that meets the same merged product shares them.
+    """
+
+    __slots__ = ("ring", "vecs", "_ids", "_products", "_tops")
+
+    def __init__(self, ring: SurfaceRing):
+        self.ring = ring
+        self.vecs: list[Vec] = []  # id -> its vector
+        self._ids: dict[frozenset, int] = {}
+        self._products: dict[tuple[int, int], int | None] = {}
+        self._tops: dict[tuple[int, int, int], int | None] = {}
+
+    def id_of(self, vec: Vec) -> int | None:
+        """The id of vec, or None when it is zero."""
+        if not vec:
+            return None
+        key = frozenset(vec.items())
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.vecs)
+            self.vecs.append(vec)
+        return i
+
+    def mul(self, i: int, j: int) -> int | None:
+        """The id of the product of classes i and j, None when it is zero."""
+        key = (i, j)
+        if key in self._products:
+            return self._products[key]
+        prod = self._products[key] = self.id_of(self.ring.mul_class(self.vecs[i], self.vecs[j]))
+        return prod
+
+    def push_top(self, i: int, g: int, m: int) -> int | None:
+        """The largest perversity sum of a term of local_push of class i with
+        graph defect g into m slots, None when that push is zero."""
+        key = (i, g, m)
+        if key in self._tops:
+            return self._tops[key]
+        perv = self.ring.perversities
+        split = local_push(self.ring, self.vecs[i], g, m)
+        top = self._tops[key] = max((sum(perv[f] for f in k) for k in split), default=None)
+        return top
 
 
 # -- filtered basis (signed orthonormal) --------------------------------------

@@ -2,6 +2,9 @@
 
 One breadth-first walk (`_walk`) finds every orbit partition, and
 `joint_orbits` is the one joint-orbit decomposition the package reads.
+`transitive_signatures` counts the transitive pairs of S_m by the orbit
+numbers of sigma, tau and sigma tau from the characters of S_m, without
+listing it.
 
 Composition convention, fixed once for the whole package:
 
@@ -17,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import InternalInvariantError, ResourceError, UsageError
+from .linalg import add_term
 
 
 class Perm:
@@ -351,6 +357,73 @@ def signature_defect(m: int, a: int, b: int, m_res: int) -> int:
     return twice // 2
 
 
+@lru_cache(maxsize=None)
+def _pair_counts(m: int) -> dict[tuple[int, int, int], int]:
+    """{(a, b, c): number of pairs (sigma, tau) of S_m whose sigma, tau and
+    sigma tau have a, b and c cycles}, for m >= 1.
+
+    The class sum of x^(number of cycles) over S_m is the product of the
+    x + J_i over the Jucys-Murphy elements J_i, so it acts on the irreducible
+    V_lambda as the scalar C_lambda(x), the product of x + content over the
+    cells of lambda (Jucys 1974; Okounkov-Vershik, Selecta Math. 2 (1996)).
+    The triples with sigma tau rho = id, counted by the cycles of each, are
+    the identity coefficient of the product of three such sums, and rho has
+    the cycles of (sigma tau)^-1, so by Frobenius
+
+        P_m(x, y, z) = (1/m!) sum over lambda |- m of
+                       (f^lambda)^2 C_lambda(x) C_lambda(y) C_lambda(z),
+
+    with f^lambda by the hook-length formula.
+    """
+    totals: dict[tuple[int, int, int], int] = {}
+    for mults in partitions(m):
+        rows = Partition(mults).parts()
+        cols = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+        cells = [(i, j) for i, r in enumerate(rows) for j in range(r)]
+        hooks = 1
+        content = [1]  # coefficients of C_lambda, lowest degree first
+        for i, j in cells:
+            hooks *= rows[i] - j + cols[j] - i - 1
+            content = [
+                (content[d - 1] if d else 0) + (j - i) * (content[d] if d < len(content) else 0)
+                for d in range(len(content) + 1)
+            ]
+        weight = (factorial(m) // hooks) ** 2
+        terms = [(d, c) for d, c in enumerate(content) if c]
+        for a, ca in terms:
+            for b, cb in terms:
+                for c, cc in terms:
+                    add_term(totals, (a, b, c), weight * ca * cb * cc)
+    return {key: total // factorial(m) for key, total in totals.items()}
+
+
+@lru_cache(maxsize=None)
+def transitive_signatures(m: int) -> Mapping[tuple[int, int, int], int]:
+    """{(a, b, m_res): number of transitive pairs (sigma, tau) of S_m whose
+    sigma, tau and sigma tau have a, b and m_res orbits}, for m >= 1, in
+    exact ints; the keys are the orbit signatures (m, a, b, m_res) that
+    occur on a joint orbit of m points.
+
+    Cycle numbers add over the joint orbits of a pair, and the joint orbit
+    of the point 1 has some size j and C(m - 1, j - 1) choices of its other
+    points, so by the exponential formula (Stanley, EC2 Ch. 5) the pair
+    counts `_pair_counts` satisfy P_m = sum over j of C(m-1, j-1) T_j P_(m-j),
+    which leaves the transitive counts
+
+        T_m = P_m - sum over 1 <= j < m of C(m-1, j-1) T_j P_(m-j).
+    """
+    if m < 1:
+        raise UsageError("a transitive pair needs m >= 1 points")
+    counts = dict(_pair_counts(m))
+    for j in range(1, m):
+        weight = comb(m - 1, j - 1)
+        rest = _pair_counts(m - j)
+        for (a, b, c), t in transitive_signatures(j).items():
+            for (a2, b2, c2), p in rest.items():
+                add_term(counts, (a + a2, b + b2, c + c2), -weight * t * p)
+    return MappingProxyType(counts)
+
+
 def graph_defect(sigma: Perm, tau: Perm) -> dict[tuple[int, ...], int]:
     """The graph defect of a pair of permutations, one value per joint orbit.
 
@@ -391,13 +464,18 @@ def class_representatives(n: int) -> list[Perm]:
 ENUMERATE_LIMIT = 8
 
 
-def enumerate_sn(n: int):
-    """All n! permutations, lexicographic in image sequences; id comes first."""
+def require_enumerable(n: int) -> None:
+    """UsageError for a negative n; ResourceError past ENUMERATE_LIMIT."""
     if n < 0:
         raise UsageError("n must be nonnegative")
     if n > ENUMERATE_LIMIT:
         raise ResourceError(
             f"refusing to enumerate S_{n} (limit {ENUMERATE_LIMIT}); {factorial(n)} elements"
         )
+
+
+def enumerate_sn(n: int):
+    """All n! permutations, lexicographic in image sequences; id comes first."""
+    require_enumerable(n)
     for images in permutations(range(1, n + 1)):
         yield Perm(images)

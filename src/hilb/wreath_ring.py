@@ -12,8 +12,9 @@ relabeling; the cup product pulls both factor tensors back to the joint
 orbits of <sigma, tau>, multiplies there, inserts Euler-class powers e^g
 prescribed by the graph defect (with e^g = 0 for g >= 2, since e sits in top
 degree), and pushes forward to the orbits of <sigma tau>; `local_product` is
-that step on one joint orbit, and `local_push` its second half (e^g and the
-push), which the multiplicativity checker calls once per distinct product.
+that step on one joint orbit, and `surface_ring.local_push` its second half
+(e^g and the push), which the local searches reach once per distinct
+product through `ring.intern`.
 Odd-degree factors give the Koszul sign (`surface_ring.koszul_sign`) of
 each move of tensor factors, planned once per permutation pair.  The action
 moves sigma's orbits to their relabeled ranks.  The cup product makes two
@@ -31,10 +32,10 @@ product is S_n-equivariant.  The cup product reads each factor tuple only
 through its merged product on each joint orbit, and it vanishes exactly
 when one joint orbit's product does, so every suite multiplies only pairs
 with a nonzero product, found per pair of factor groups with one merged
-product each: the pair suites visit those pairs (`_nonzero_pairs`), and
-associativity walks, for each middle element, the partners of each
-element it meets (`_partners`), cut by the degree capacity of the target
-component.  Each violation is one witness, lifted onto points 1..m.
+product each (an interned id): the pair suites visit those pairs
+(`_nonzero_pairs`), and associativity walks, for each middle element, the
+partners of each element it meets (`_partners`), cut by the degree
+capacity of the target component.  Each violation is one witness, lifted onto points 1..m.
 Every function takes a basis element as the pair `Element` = (images of
 sigma, factors), and n is the length of the images; `WreathClass` is the
 class-level type, a linear combination of such pairs, taken by
@@ -56,9 +57,11 @@ from .surface_ring import (
     SurfaceRing,
     Tensor,
     Vec,
-    diagonal_push,
+    diagonal_push,  # noqa: F401  still bound here, as perfbench/tests expects
+    euler_vanishes,
     inverted_pairs,
     koszul_sign,
+    local_push,
     validate,
 )
 from .symmetric_groups import (
@@ -296,11 +299,6 @@ def _mul_sequence(ring: SurfaceRing, factors: tuple[int, ...]) -> Vec:
     return acc
 
 
-def euler_vanishes(g: int) -> bool:
-    """e^g = 0 for g >= 2: e sits in top degree."""
-    return g >= 2
-
-
 def local_product(ring: SurfaceRing, mx: Vec, my: Vec, g: int, m: int) -> Tensor:
     """The product on one transitive joint orbit of <sigma, tau>.
 
@@ -310,18 +308,6 @@ def local_product(ring: SurfaceRing, mx: Vec, my: Vec, g: int, m: int) -> Tensor
     if euler_vanishes(g):
         return {}
     return local_push(ring, ring.mul_class(mx, my), g, m)
-
-
-def local_push(ring: SurfaceRing, prod: Vec, g: int, m: int) -> Tensor:
-    """prod times e^g, for the graph defect g, pushed along the small
-    diagonal into the m orbits of sigma tau on one joint orbit."""
-    if euler_vanishes(g):
-        return {}
-    if g == 1:
-        prod = ring.mul_class(prod, ring.euler)
-    if not prod:
-        return {}
-    return diagonal_push(ring, m, prod)
 
 
 # the most entries each memo of the cup product (and of its partner lists)
@@ -573,9 +559,10 @@ def _transitive_tuples(n: int, smallest: int, arity: int):
                 yield perm_tuple
 
 
-def _factor_members(ring: SurfaceRing, k: int) -> list[tuple[Vec, list[tuple[int, ...]]]]:
-    """Factor tuples of length k grouped by merged product: (merged product,
-    member tuples) per group whose product is nonzero.
+def _factor_members(ring: SurfaceRing, k: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Factor tuples of length k grouped by merged product: (id of the merged
+    product in `ring.intern`, member tuples) per group whose product is
+    nonzero.
 
     The merged product is the left fold from the unit of `_mul_sequence`, so
     level k is built from level k - 1 with one more factor; a tuple whose
@@ -585,38 +572,38 @@ def _factor_members(ring: SurfaceRing, k: int) -> list[tuple[Vec, list[tuple[int
     hit = cache.get(k)
     if hit is not None:
         return hit
+    intern = ring.intern
     if k == 0:
-        groups = [({ring.unit: 1}, [()])]
+        groups = [(intern.id_of({ring.unit: 1}), [()])]
     else:
-        by_product: dict = {}
+        by_product: dict[int, list[tuple[int, ...]]] = {}
+        basis = [intern.id_of({f: 1}) for f in range(ring.size)]
         for vec, members in _factor_members(ring, k - 1):
-            for f in range(ring.size):
-                merged = ring.mul_class(vec, {f: 1})
-                if merged:
-                    _, extended = by_product.setdefault(frozenset(merged.items()), (merged, []))
-                    extended.extend(m + (f,) for m in members)
-        groups = list(by_product.values())
+            for f, fid in enumerate(basis):
+                merged = intern.mul(vec, fid)
+                if merged is not None:
+                    by_product.setdefault(merged, []).extend(m + (f,) for m in members)
+        groups = list(by_product.items())
     cache[k] = groups
     return groups
 
 
-def _group_products(ring: SurfaceRing, a: int, b: int) -> list[tuple[Vec, list[tuple[int, int]]]]:
-    """The distinct nonzero products mx.my of factor groups of lengths a and
-    b (`_factor_members`), each with the index pairs (i, j) of the groups
-    whose product it is, in loop order (x's groups outer).  Each mx.my is
-    computed once per (a, b); the frozenset key is exact because no vector
-    stores a zero."""
+def _group_products(ring: SurfaceRing, a: int, b: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The ids of the distinct nonzero products mx.my of factor groups of
+    lengths a and b (`_factor_members`), each with the index pairs (i, j) of
+    the groups whose product it is, in loop order (x's groups outer)."""
     cache = ring._caches.setdefault("group_products", {})
     hit = cache.get((a, b))
     if hit is None:
-        by_product: dict = {}
+        by_product: dict[int, list[tuple[int, int]]] = {}
+        mul = ring.intern.mul
         ys = _factor_members(ring, b)
         for i, (mx, _) in enumerate(_factor_members(ring, a)):
             for j, (my, _) in enumerate(ys):
-                prod = ring.mul_class(mx, my)
-                if prod:
-                    by_product.setdefault(frozenset(prod.items()), (prod, []))[1].append((i, j))
-        hit = cache[(a, b)] = list(by_product.values())
+                prod = mul(mx, my)
+                if prod is not None:
+                    by_product.setdefault(prod, []).append((i, j))
+        hit = cache[(a, b)] = list(by_product.items())
     return hit
 
 
@@ -626,16 +613,17 @@ def _product_groups(
     """The index pairs (i, j), ascending, of the factor groups of lengths a
     and b (`_factor_members`) whose local product on a joint orbit with
     graph defect g and m_res orbits of sigma tau is nonzero.  Each distinct
-    product of two groups is pushed once per (g, m_res) (`_group_products`,
-    `local_push`)."""
+    product of two groups (`_group_products`) is pushed once per (g, m_res)
+    for every signature and suite (`ring.intern.push_top`)."""
     cache = ring._caches.setdefault("product_groups", {})
     key = (a, b, g, m_res)
     hit = cache.get(key)
     if hit is None:
+        top = ring.intern.push_top
         hit = cache[key] = sorted(
             ij
             for prod, ijs in _group_products(ring, a, b)
-            if local_push(ring, prod, g, m_res)
+            if top(prod, g, m_res) is not None
             for ij in ijs
         )
     return hit

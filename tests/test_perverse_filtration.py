@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from hilb import perverse_filtration, surface_ring, wreath_ring
+from hilb import perverse_filtration, surface_ring, symmetric_groups, wreath_ring
 from hilb.errors import UsageError
 from hilb.perverse_filtration import (
     BOTTOM,
@@ -15,6 +15,7 @@ from hilb.perverse_filtration import (
     TRIANGLE_MATRIX,
     _local_mult_stats,
     _mult_pair_check,
+    _worst_pair_total,
     check_diagonal_bound,
     check_intersection_nondegenerate,
     check_monodromy_suite,
@@ -373,29 +374,41 @@ def test_multiplicativity_exhaustive_reach(name, n):
         "seed": 0,
         "checked": len(class_representatives(n)) * factorial(n),
     }
-    # the memos stay bounded: one local search per signature, and the grouped
-    # search never fills the per-tuple product memo
-    assert len(ring._caches["mult_local"]) <= _SIGNATURES[n]
+    # the memos stay bounded: the knapsack solves each signature exactly
+    # once, and the grouped search never fills the per-tuple product memo
+    assert len(ring._caches["mult_local"]) == _SIGNATURES[n]
     assert not ring._caches.get("mul_seq")
 
 
 @pytest.mark.parametrize("name,most", [("k3", 550), ("abelian", 600)])
 def test_multiplicativity_work_counts(monkeypatch, name, most):
-    # the local search pushes each distinct product of two factor groups once
-    # per signature: 504 and 540 pushes, against 2,004 and 2,304 when every
-    # pair of factor groups was pushed
-    calls = 0
-    push = surface_ring.diagonal_push
+    # the local searches push each distinct product once per (g, m_res):
+    # 102 and 108 pushes, against 504 and 540 when each (a, b) pushed its
+    # own and 2,004 and 2,304 when every pair of factor groups was pushed;
+    # the interned products are each multiplied once (675 and 783
+    # mul_class calls, against 8,296 and 6,279 per pair of groups), and a
+    # passing ring is decided by the knapsack, with no pair of S_n walked
+    ring = load_ring(save_ring(preset(name)))
+    calls = {"push": 0, "pair_orbits": 0, "mul_class": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return push(*args)
+    def counted(key, function):
+        def wrapper(*args):
+            calls[key] += 1
+            return function(*args)
 
-    for module in (surface_ring, wreath_ring, perverse_filtration):
-        monkeypatch.setattr(module, "diagonal_push", counted)
-    assert check_multiplicativity(load_ring(save_ring(preset(name))), 4).passed
-    assert 0 < calls <= most
+        return wrapper
+
+    push = counted("push", surface_ring.diagonal_push)
+    for module in (surface_ring, perverse_filtration):
+        monkeypatch.setattr(module, "diagonal_push", push)
+    orbit_walk = counted("pair_orbits", symmetric_groups.pair_orbits)
+    for module in (symmetric_groups, wreath_ring, perverse_filtration):
+        monkeypatch.setattr(module, "pair_orbits", orbit_walk)
+    monkeypatch.setattr(SurfaceRing, "mul_class", counted("mul_class", SurfaceRing.mul_class))
+    assert check_multiplicativity(ring, 4).passed
+    assert 0 < calls["push"] <= most
+    assert calls["pair_orbits"] == 0
+    assert calls["mul_class"] <= 800, calls
 
 
 def test_multiplicativity_accepts_the_benchmark_keywords():
@@ -439,7 +452,8 @@ _FAILING = {"corrupted": _corrupted_d4, "corrupted-E1": _corrupted_d4_e1}
 def test_conjugation_reduction_matches_all_pairs(name, n):
     # the run over one sigma per cycle type against the loop over all n!^2
     # pairs: same verdict, same worst excess, and the same worst pair total
-    # (nonpositive totals included, so passing rings are compared too)
+    # (nonpositive totals included, so passing rings are compared too),
+    # which is also the knapsack's over the transitive signatures
     ring = _FAILING[name]() if name in _FAILING else load_ring(save_ring(preset(name)))
     report = check_multiplicativity(ring, n)
     assert report.info["mode"] == "exhaustive"
@@ -450,7 +464,9 @@ def test_conjugation_reduction_matches_all_pairs(name, n):
         assert report.witnesses[0]["excess"] == max(w["excess"] for w in brute)
         assert all(w["actual"] - w["bound"] == w["excess"] for w in report.witnesses)
     reps = class_representatives(n)
-    assert _worst_total(ring, reps, perms) == _worst_total(ring, perms, perms)
+    worst = _worst_total(ring, reps, perms)
+    assert worst == _worst_total(ring, perms, perms)
+    assert _worst_pair_total(ring, n) == worst
 
 
 def test_diagonal_bound_presets():

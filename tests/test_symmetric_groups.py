@@ -11,7 +11,10 @@ from hilb.symmetric_groups import (
     graph_defect,
     is_least_conjugate,
     orbits,
+    pair_orbits,
     parse_cycles,
+    signature_defect,
+    transitive_signatures,
 )
 
 
@@ -103,6 +106,44 @@ def test_joint_orbits_coarsen_single_orbits():
                 joint = orbits(n, [s, t])
                 assert orbits(n, [s]).refines(joint)
                 assert orbits(n, [t]).refines(joint)
+
+
+def _transitive_pairs_by_signature(m: int) -> dict[tuple[int, int, int], int]:
+    """The transitive pairs of S_m counted by the numbers of orbits of
+    sigma, tau and sigma tau, over all of S_m x S_m."""
+    counts: dict[tuple[int, int, int], int] = {}
+    perms = [p.images for p in enumerate_sn(m)]
+    for s in perms:
+        for t in perms:
+            _, blocks, ranks = pair_orbits(s, t)
+            if len(blocks) == 1:
+                key = tuple(map(len, ranks[0]))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "m,pairs,signatures", [(1, 1, 1), (2, 3, 3), (3, 26, 7), (4, 426, 13), (5, 11_064, 22)]
+)
+def test_transitive_signatures_match_the_enumeration(m, pairs, signatures):
+    # the character count equals the count over S_m x S_m, coefficient by
+    # coefficient
+    counted = _transitive_pairs_by_signature(m)
+    assert sum(counted.values()) == pairs
+    assert len(counted) == signatures
+    assert dict(transitive_signatures(m)) == counted
+
+
+def test_transitive_signature_counts_are_positive():
+    # every coefficient counts pairs, so none is zero or negative, and every
+    # signature has a nonnegative integral graph defect
+    for m in range(1, 9):
+        counts = transitive_signatures(m)
+        assert all(isinstance(c, int) and c > 0 for c in counts.values()), m
+        for a, b, m_res in counts:
+            signature_defect(m, a, b, m_res)
+    with pytest.raises(UsageError):
+        transitive_signatures(0)
 
 
 def test_least_conjugate_is_a_class_invariant():

@@ -7,7 +7,7 @@ from math import inf
 
 import pytest
 
-from hilb import wreath_ring
+from hilb import surface_ring, wreath_ring
 from hilb.cli import main
 from hilb.errors import DataError, UsageError
 from hilb.report import witness_key
@@ -911,9 +911,10 @@ def test_associativity_work_counts(monkeypatch):
 
 def test_product_groups_push_each_distinct_product_once(monkeypatch):
     # the pair suites' group filter pushes each distinct product of two
-    # factor groups once per (g, m_res): 600 pushes over the 24 orbit
-    # signatures of k3 at n <= 4, where pushing every pair of groups took
-    # 14,356 (as local_product calls)
+    # factor groups once per (g, m_res), shared across the tuple lengths
+    # (a, b) through the ring's interned products: 150 pushes over the 24
+    # orbit signatures of k3 at n <= 4, where pushing once per (a, b) took
+    # 600 and pushing every pair of groups 14,356 (as local_product calls)
     ring = load_ring(save_ring(preset("k3")))
     pushes = []
 
@@ -921,7 +922,7 @@ def test_product_groups_push_each_distinct_product_once(monkeypatch):
         pushes.append(args)
         return local_push(*args)
 
-    monkeypatch.setattr(wreath_ring, "local_push", counted)
+    monkeypatch.setattr(surface_ring, "local_push", counted)
     monkeypatch.setattr(wreath_ring, "local_product", None)
     signatures = {
         (len(xg), len(yg), g, m_res)
@@ -931,7 +932,9 @@ def test_product_groups_push_each_distinct_product_once(monkeypatch):
     assert len(signatures) == 24
     for signature in signatures:
         _product_groups(ring, *signature)
-    assert len(pushes) == 600
+    assert len(pushes) == 150
+    # interned products are one object per distinct class
+    assert len({(id(prod), g, m_res) for _, prod, g, m_res in pushes}) == len(pushes)
 
 
 def _partner_ring(name: str) -> SurfaceRing:
