@@ -95,33 +95,53 @@ def _is_element(n: int, el) -> bool:
 class WreathClass:
     """Exact rational linear combination of basis elements of one A{S_n}.
 
-    The given terms' keys are checked once, here: a key outside A{S_n} is a
-    UsageError.
+    Keys are checked where they enter, here and in add_term: a key outside
+    A{S_n} is a UsageError.  Their factors are checked against a ring once,
+    by the first `cup_class` or `act_class` that takes the class with that
+    ring (`_require_class`).  The classes the library builds from keys it
+    has checked are made by `_trusted`, which checks nothing again.  `terms`
+    is read, never written, outside this class.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_ring")
 
     def __init__(self, n: int, terms: dict[Element, Fraction] | None = None):
         self.n = n
         self.terms: dict[Element, Fraction] = {}
+        self._ring = None  # the ring every factor was last checked against
         if terms:
             for el, c in terms.items():
-                if not _is_element(n, el):
-                    raise UsageError(f"{el!r} is not a basis element of A{{S_{n}}}")
+                self._require_key(el)
                 if c:
                     self.terms[el] = c
+
+    def _require_key(self, el) -> None:
+        if not _is_element(self.n, el):
+            raise UsageError(f"{el!r} is not a basis element of A{{S_{self.n}}}")
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Element, Fraction], ring) -> "WreathClass":
+        """The class with these terms, whose keys are basis elements of
+        A{S_n} and whose coefficients are nonzero, without checking them;
+        ring, unless None, is one that every factor lies in."""
+        out = cls.__new__(cls)
+        out.n, out.terms, out._ring = n, terms, ring
+        return out
 
     @classmethod
     def of(cls, element: Element, coeff=1) -> "WreathClass":
         return cls(len(element[0]), {element: coeff})
 
     def add_term(self, element: Element, coeff: Fraction) -> None:
+        self._require_key(element)
+        self._ring = None
         add_term(self.terms, element, coeff)
 
     def scale(self, coeff) -> "WreathClass":
-        if coeff == 1:
-            return WreathClass(self.n, dict(self.terms))
-        return WreathClass(self.n, {el: c * coeff for el, c in self.terms.items()})
+        if not coeff:
+            return WreathClass(self.n)
+        terms = {el: c * coeff for el, c in self.terms.items()}
+        return WreathClass._trusted(self.n, terms, self._ring)
 
     def __eq__(self, other) -> bool:
         return (
@@ -154,9 +174,12 @@ def _require_factors(ring: SurfaceRing, factors) -> None:
 
 def _require_class(ring: SurfaceRing, cls: WreathClass) -> None:
     """UsageError unless every factor of the class's terms lies in the ring:
-    WreathClass has no ring, so its own key check cannot see them."""
-    for _, factors in cls.terms:
-        _require_factors(ring, factors)
+    WreathClass has no ring, so its own key check cannot see them.  A class
+    passes once per ring; it is not checked again until add_term changes it."""
+    if cls._ring is not ring:
+        for _, factors in cls.terms:
+            _require_factors(ring, factors)
+        cls._ring = ring
 
 
 def make_element(ring: SurfaceRing, n: int, sigma: Perm, factors) -> Element:
@@ -237,22 +260,21 @@ def act_class(ring: SurfaceRing, tau: Perm, cls: WreathClass) -> WreathClass:
     if tau.n != cls.n:
         raise UsageError("tau and the class must live in the same S_n")
     _require_class(ring, cls)
-    out = WreathClass(cls.n)
+    terms: dict = {}
     for el, c in cls.terms.items():
         sign, moved = sn_act(ring, tau.images, el)
-        out.add_term(moved, sign * c)
-    return out
+        add_term(terms, moved, sign * c)
+    return WreathClass._trusted(cls.n, terms, ring)
 
 
 def invariant_project(ring: SurfaceRing, cls: WreathClass) -> WreathClass:
     """Average over the S_n action; idempotent; lands in the invariant model."""
     n = cls.n
-    out = WreathClass(n)
+    terms: dict = {}
     for tau in enumerate_sn(n):
-        moved = act_class(ring, tau, cls)
-        for el, c in moved.terms.items():
-            out.add_term(el, c)
-    return out.scale(Fraction(1, factorial(n)))
+        for el, c in act_class(ring, tau, cls).terms.items():
+            add_term(terms, el, c)
+    return WreathClass._trusted(n, terms, ring).scale(Fraction(1, factorial(n)))
 
 
 # -- cup product --------------------------------------------------------------
@@ -397,14 +419,14 @@ def cup_class(ring: SurfaceRing, a, b) -> WreathClass:
         raise UsageError("cup factors must live in the same A{S_n}")
     _require_class(ring, a)
     _require_class(ring, b)
-    out = WreathClass(a.n)
+    terms: dict = {}
     for xa, ca in a.terms.items():
         for xb, cb in b.terms.items():
             st = _cup_plan(xa[0], xb[0])[0]
             c = ca * cb
             for f, cc in cup(ring, xa, xb).items():
-                out.add_term((st, f), c * cc)
-    return out
+                add_term(terms, (st, f), c * cc)
+    return WreathClass._trusted(a.n, terms, ring)
 
 
 def unit_element(ring: SurfaceRing, n: int) -> Element:
@@ -986,9 +1008,11 @@ def check_equivariance(
     """sn_act(tau, x.y) = sn_act(tau, x) . sn_act(tau, y), one joint orbit at
     a time.
 
-    (i) sn_act is a group action with signs, checked on generators (see
-    composes), and (ii) the identity holds for every adjacent transposition
-    g = (i i+1); together they give it for every tau.  (ii) is checked on
+    (i) sn_act is a group action with signs, checked on generators once
+    per permutation sigma and parity pattern of its factors, all that it
+    reads of them (see composes), and (ii) the identity holds for every
+    adjacent transposition g = (i i+1); together they give it for every
+    tau.  (ii) is checked on
     every transitive pair (sigma, tau) of S_m, m >= 2 (`_transitive_tuples`),
     under every adjacent transposition of S_m, which is exact by the move
     argument of `check_associativity`.  If i and i+1 lie in one joint orbit
@@ -1018,40 +1042,66 @@ def check_equivariance(
     def composes():
         """The signed action law A(t2)A(t1) = A(t2 t1), A(t) = sn_act(t, .).
 
-        Checked are A(id) = 1 on every x and A(g)A(t) = A(g t) for every
-        generator g and every t.  That is the full law: write t2 as a word
-        g_k ... g_1 in the generators.  For k = 0 it is the identity check,
-        and for t2 = g w, A(g w)A(t1) = A(g)A(w)A(t1) = A(g)A(w t1) =
-        A(g w t1), by the generator check at t = w, induction on the word
-        length and the generator check at t = w t1.
+        Checked are A(id) = 1 and A(g)A(t) = A(g t) for every generator g
+        and every t.  That is the full law: write t2 as a word g_k ... g_1
+        in the generators.  For k = 0 it is the identity check, and for
+        t2 = g w, A(g w)A(t1) = A(g)A(w)A(t1) = A(g)A(w t1) = A(g w t1), by
+        the generator check at t = w, induction on the word length and the
+        generator check at t = w t1.
 
-        The basis is walked one S_n-orbit at a time, each orbit the images
-        of its least element under the transport of `sn_act` without its
-        signs (`_transport`), so the orbits cover the basis whatever sn_act
-        returns.  Each element's row A(t)y over every t is computed once,
-        and A(g)(A(t)x) is read from the row of A(t)x; sn_act is called
-        for it only when A(t)x lies outside the orbit.
+        sn_act reads x = (sigma, f) in two ways only: it moves f's slots by
+        the move of `_act_plan(t, sigma)` to the orbits of t sigma t^-1, and
+        on odd rings it takes `koszul_sign` over the move's inverted slot
+        pairs, which reads f only through the parities of its factors.  So
+        A(g)A(t)x and A(gt)x are the same element for every f exactly when
+        the conjugated images agree and the composite of the moves of
+        `_act_plan(t, sigma)` and `_act_plan(g, t sigma t^-1)` is the move
+        of `_act_plan(gt, sigma)`, compared as permutations of slots (two
+        moves that differ show on any f with distinct factors there); and
+        their signs agree for every f exactly when they agree on one f per
+        parity pattern, whose moved pattern is the moved f's.  An even ring
+        has one pattern per sigma, an odd ring 2^(number of orbits).  The
+        signs come from sn_act itself, called on the pattern's
+        representative: `ring.unit` in each even slot and the least odd
+        basis class in each odd slot, so a wrong `koszul_sign` shows.  The
+        identity check is that `_act_plan(id, sigma)` keeps sigma and every
+        slot, with sign 1 on each representative.  A witness's x is the
+        representative of its pattern.
         """
         identity = unit_element(ring, n)[0]
         images = [t.images for t in perms]
         # per t: (g, g t) for every generator g
         steps = [(t.images, [(g.images, g.compose(t)) for g in generators[n]]) for t in perms]
-        for s, _, prev in _class_slots(n):
-            for factors in _sorted_tuples(ring.size, prev):
-                orbit = {_transport(t, (s, factors))[0] for t in images}
-                rows = {y: {t: sn_act(ring, t, y) for t in images} for y in orbit}
-                for x, acts in rows.items():
-                    if acts[identity] != (1, x):
-                        yield {"x": render_element(ring, x), "tau": "id",
-                               "detail": "action-identity", "excess": 1}
-                    for t, gts in steps:
-                        s1, tx = acts[t]
-                        row = rows.get(tx)
-                        for g, gt in gts:
-                            s2, gtx = row[g] if row is not None else sn_act(ring, g, tx)
-                            if (s1 * s2, gtx) != acts[gt.images]:
-                                yield {"x": render_element(ring, x), "tau": gt.cycle_string(),
-                                       "detail": "action-composition", "excess": 1}
+        odd = [f for f in range(ring.size) if ring.degrees[f] % 2][:1]
+        values = (ring.unit, *odd)  # one factor per parity
+        rows: dict = {}  # pattern representative -> {t: sign of sn_act(t, .)}
+
+        def signs(x) -> dict:
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = {t: sn_act(ring, t, x)[0] for t in images}
+            return row
+
+        for s in images:
+            k = len(_perm_orbit_blocks(s))
+            reps = [(s, f) for f in iproduct(values, repeat=k)]
+            kept = _act_plan(identity, s)[:2] == (s, tuple(range(k)))
+            for x in reps:
+                if not kept or signs(x)[identity] != 1:
+                    yield {"x": render_element(ring, x), "tau": "id",
+                           "detail": "action-identity", "excess": 1}
+            for t, gts in steps:
+                s1, pos1, _ = _act_plan(t, s)
+                moved = [(x, _transport(t, x)[0]) for x in reps]
+                for g, gt in gts:
+                    s2, pos2, _ = _act_plan(g, s1)
+                    s3, pos3, _ = _act_plan(gt.images, s)
+                    composite = s2 == s3 and tuple(pos2[p] for p in pos1) == pos3
+                    for x, tx in moved:
+                        row = signs(x)
+                        if not composite or row[t] * signs(tx)[g] != row[gt.images]:
+                            yield {"x": render_element(ring, x), "tau": gt.cycle_string(),
+                                   "detail": "action-composition", "excess": 1}
 
     def found():
         yield from composes()

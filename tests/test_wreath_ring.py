@@ -14,6 +14,8 @@ from hilb.report import witness_key
 from hilb.surface_ring import (
     PRESET_NAMES,
     SurfaceRing,
+    inverted_pairs,
+    koszul_sign,
     load_ring,
     preset,
     save_ring,
@@ -291,6 +293,19 @@ def test_class_factors_outside_the_ring_are_rejected(factor):
         act_class(ring, Perm.identity(1), bad)
 
 
+def test_class_keys_are_checked_after_add_term():
+    # add_term checks its key, and a class checked once against a ring is
+    # checked again after add_term changes it
+    ring = preset("d4")
+    cls = WreathClass(1, {((1,), (0,)): Fraction(1)})
+    with pytest.raises(UsageError, match="not a basis element"):
+        cls.add_term(((1, 2), (0, 0)), Fraction(1))
+    assert cup_class(ring, cls, cls) == cls
+    cls.add_term(((1,), (99,)), Fraction(1))
+    with pytest.raises(UsageError, match="out of range"):
+        cup_class(ring, cls, cls)
+
+
 def test_invariant_project_examples():
     ring = preset("d4")
     u = unit_element(ring, 2)
@@ -420,6 +435,49 @@ def test_asymmetric_product_fails_orbit_local(check):
     assert report.info["mode"] == "orbit-local"
 
 
+def _parities(ring: SurfaceRing, factors: tuple) -> tuple:
+    return tuple(ring.degrees[f] % 2 for f in factors)
+
+
+def _premise_breaks(ring: SurfaceRing, n: int, act=sn_act) -> set:
+    """The (t, sigma) of S_n, as images, at which act breaks what the action
+    law check of check_equivariance reads off sn_act: that it sends every
+    x = (sigma, f) to the images of `_act_plan(t, sigma)` with f's slots
+    moved by the plan's move, and gives one sign to all the f of one parity
+    pattern.  Every basis element is acted on by every t."""
+    by_sigma: dict = {}
+    for s, f in enumerate_wreath_basis(ring, n):
+        by_sigma.setdefault(s, []).append(f)
+    breaks = set()
+    for t in (p.images for p in enumerate_sn(n)):
+        for s, tuples in by_sigma.items():
+            images, new_pos, _ = wreath_ring._act_plan(t, s)
+            signs: dict = {}  # parity pattern -> sign
+            for f in tuples:
+                sign, (moved_images, moved) = act(ring, t, (s, f))
+                expected = [0] * len(f)
+                for m, v in enumerate(f):
+                    expected[new_pos[m]] = v
+                if (
+                    (moved_images, moved) != (images, tuple(expected))
+                    or signs.setdefault(_parities(ring, f), sign) != sign
+                ):
+                    breaks.add((t, s))
+                    break
+    return breaks
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sn_act_reads_only_slot_moves_and_parities(name):
+    # the premise of the action law check: for every (t, sigma) of S_n,
+    # n <= 3, sn_act moves the slots of every element over sigma by one
+    # permutation, the move of _act_plan(t, sigma), and gives the elements
+    # of one parity pattern one sign (94k sn_act calls on k3 at n = 3)
+    ring = preset(name)
+    for n in range(4):
+        assert not _premise_breaks(ring, n), n
+
+
 def _sign_mutant(flip):
     """sn_act with its sign negated wherever flip(t, s, factors) holds."""
 
@@ -436,31 +494,76 @@ def _odd(images: tuple[int, ...]) -> bool:
 
 _ID3, _T12, _T13, _C123 = (parse_cycles(c, 3).images for c in ("id", "(1 2)", "(1 3)", "(1 2 3)"))
 
-# name -> (mutant of sn_act on a ring, whether it is still a signed
-# action); x0 is an element as (images, factors)
+
+def _swapped_plan(monkeypatch):
+    """_act_plan with the first and last slots of its move swapped for
+    t = (1 2) on sigma = id in S_3; sn_act follows the plan."""
+    plan = wreath_ring._act_plan
+
+    def mutant(t, s):
+        images, new_pos, inverted = plan(t, s)
+        if (t, s) != (_T12, _ID3):
+            return images, new_pos, inverted
+        new_pos = (new_pos[-1], *new_pos[1:-1], new_pos[0])
+        return images, new_pos, inverted_pairs(new_pos)
+
+    monkeypatch.setattr(wreath_ring, "_act_plan", mutant)
+    return sn_act
+
+
+def _dropped_pair(monkeypatch):
+    """koszul_sign that never counts the first inverted pair of a move; cup
+    reads it too."""
+    monkeypatch.setattr(
+        wreath_ring, "koszul_sign", lambda degrees, f, inverted: koszul_sign(degrees, f, inverted[1:])
+    )
+    return sn_act
+
+
+# name -> (mutant of sn_act on a ring, given an element x0 as (images,
+# factors) and monkeypatch, the rings of the test on which it is no longer
+# a signed action, and whether it keeps the premise _premise_breaks tests)
 _ACTION_MUTANTS = {
-    "none": (lambda ring, x0: sn_act, True),
+    "none": (lambda ring, x0, mp: sn_act, (), True),
     # twisting by the sign character, everywhere or on the invariant span of
     # the elements over transpositions, keeps the law
-    "sign-twist": (lambda ring, x0: _sign_mutant(lambda t, s, f: _odd(t)), True),
+    "sign-twist": (lambda ring, x0, mp: _sign_mutant(lambda t, s, f: _odd(t)), (), True),
     "sign-twist-on-transpositions": (
-        lambda ring, x0: _sign_mutant(lambda t, s, f: _odd(t) and _odd(s)),
+        lambda ring, x0, mp: _sign_mutant(lambda t, s, f: _odd(t) and _odd(s)),
+        (),
         True,
     ),
+    # structural mutants: each keeps the premise
+    "swap-two-slots-of-one-plan": (lambda ring, x0, mp: _swapped_plan(mp), ("a0", "d4"), True),
+    "koszul-drops-a-pair": (lambda ring, x0, mp: _dropped_pair(mp), ("a0",), True),
+    "flip-one-pattern": (
+        lambda ring, x0, mp: _sign_mutant(
+            lambda t, s, f: (t, s) == (_T12, _ID3) and _parities(ring, f) == (ring.has_odd, 0, 0)
+        ),
+        ("a0", "d4"),
+        True,
+    ),
+    # element-specific mutants: each breaks the premise
     "flip-13-at-x0": (
-        lambda ring, x0: _sign_mutant(lambda t, s, f: t == _T13 and (s, f) == x0), False
+        lambda ring, x0, mp: _sign_mutant(lambda t, s, f: t == _T13 and (s, f) == x0),
+        ("a0", "d4"),
+        False,
     ),
     "flip-12-on-unit": (
-        lambda ring, x0: _sign_mutant(
+        lambda ring, x0, mp: _sign_mutant(
             lambda t, s, f: t == _T12 and (s, f) == (_ID3, (ring.unit,) * 3)
         ),
+        ("a0", "d4"),
         False,
     ),
     "flip-id-at-x0": (
-        lambda ring, x0: _sign_mutant(lambda t, s, f: t == _ID3 and (s, f) == x0), False
+        lambda ring, x0, mp: _sign_mutant(lambda t, s, f: t == _ID3 and (s, f) == x0),
+        ("a0", "d4"),
+        False,
     ),
     "fix-x0-under-123": (
-        lambda ring, x0: lambda r, t, x: (1, x) if t == _C123 and x == x0 else sn_act(r, t, x),
+        lambda ring, x0, mp: lambda r, t, x: (1, x) if t == _C123 and x == x0 else sn_act(r, t, x),
+        ("a0", "d4"),
         False,
     ),
 }
@@ -469,15 +572,20 @@ _ACTION_MUTANTS = {
 @pytest.mark.parametrize("mutant", list(_ACTION_MUTANTS))
 @pytest.mark.parametrize("name", ["a0", "d4"])
 def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
-    # the generator check of the action law (the action-* witnesses of
-    # check_equivariance) fails exactly when the law fails for some pair
-    # (t1, t2) of S_3.  Both sign twists keep the law; the twist on every
-    # odd tau breaks equivariance, the one on transpositions only does not
-    ring = preset(name)
+    # the brute-force law A(t2)A(t1) = A(t2 t1) over every element of A{S_3}
+    # and every pair (t1, t2) of S_3, against the action-* witnesses of
+    # check_equivariance, which check the law on generators once per
+    # parity pattern.  That check rests on the premise of
+    # test_sn_act_reads_only_slot_moves_and_parities.  A mutant that keeps
+    # the premise fails the check exactly when it fails the law; one that
+    # breaks the premise fails the law and the premise test, so no mutant
+    # goes uncaught.  Both sign twists keep the law; the twist on every odd
+    # tau breaks equivariance, the one on transpositions only does not
+    ring = load_ring(save_ring(preset(name)))
     elements = list(enumerate_wreath_basis(ring, 3))
     x0 = next((s, f) for s, f in elements if s == _T12 and len(set(f)) == 2)
-    make, is_action = _ACTION_MUTANTS[mutant]
-    act = make(ring, x0)
+    make, broken_on, keeps_premise = _ACTION_MUTANTS[mutant]
+    act = make(ring, x0, monkeypatch)
     perms = [p.images for p in enumerate_sn(3)]
     brute = all(
         (s1 * s2, m2) == act(ring, tuple(t2[j - 1] for j in t1), x)
@@ -487,11 +595,15 @@ def test_action_law_on_generators_matches_all_pairs(name, mutant, monkeypatch):
         for t2 in perms
         for s2, m2 in [act(ring, t2, m1)]
     )
+    assert brute == (name not in broken_on)
+    assert (not _premise_breaks(ring, 3, act)) == keeps_premise
     monkeypatch.setattr(wreath_ring, "sn_act", act)
     report = check_equivariance(ring, 3)
     law_holds = not any(w.get("detail", "").startswith("action-") for w in report.witnesses)
-    assert law_holds == brute == is_action, report.render_text()
-    assert report.passed == (mutant in ("none", "sign-twist-on-transpositions"))
+    if keeps_premise:
+        assert law_holds == brute, report.render_text()
+        # the sign twist on every odd tau is an action that breaks equivariance
+        assert report.passed == (brute and mutant != "sign-twist")
 
 
 # -- associativity up to simultaneous conjugation ---------------------------------
@@ -645,22 +757,23 @@ def _violations_by_api(ring: SurfaceRing, n: int) -> set:
     """The rendered basis triples of A{S_n} with (x.y).z != x.(y.z), through
     cup and cup_class, with raw keys and no split into joint orbits.  Triples
     above the degree capacity of their target component are skipped: both
-    sides vanish there (test_degree_capacity_cuts_skip_only_zero_products)."""
+    sides vanish there (test_degree_capacity_cuts_skip_only_zero_products).
+    Each element's class is made once, outside the loops."""
     by_sigma: dict = {}
     for x in enumerate_wreath_basis(ring, n):
-        by_sigma.setdefault(Perm(x[0]), []).append((element_degree(ring, x), x))
+        by_sigma.setdefault(Perm(x[0]), []).append((element_degree(ring, x), x, WreathClass.of(x)))
     for elements in by_sigma.values():
         elements.sort(key=lambda e: e[0])
     bad = set()
     for (sigma, xs), (tau, ys), (rho, zs) in product(by_sigma.items(), repeat=3):
         cap = max_degree(sigma.compose(tau).compose(rho).images)
-        for dx, x in xs:
-            for dy, y in ys:
-                xy = cup_class(ring, x, y)
-                for dz, z in zs:
+        for dx, x, cx in xs:
+            for dy, y, cy in ys:
+                xy = cup_class(ring, cx, cy)
+                for dz, z, cz in zs:
                     if dx + dy + dz > cap:
                         break
-                    if cup_class(ring, xy, z) != cup_class(ring, x, cup_class(ring, y, z)):
+                    if cup_class(ring, xy, cz) != cup_class(ring, cx, cup_class(ring, cy, cz)):
                         bad.add((render_element(ring, x), render_element(ring, y),
                                  render_element(ring, z)))
     return bad
@@ -705,14 +818,14 @@ _PAIR_CASES = [("a0", 2), ("a0", 3), ("d4", 2), ("d4", 3), ("abelian", 2)] + [
 
 
 def _pair_case(name: str, n: int):
-    """A fresh ring for a reference case, its basis, and the verdicts
-    (equivariance, graded commutativity) it must get."""
+    """A fresh ring for a reference case, its basis as {element: its class},
+    and the verdicts (equivariance, graded commutativity) it must get."""
     if name in _PAIR_MUTANTS:
         make, verdicts = _PAIR_MUTANTS[name]
         ring = make()
     else:
         ring, verdicts = load_ring(save_ring(preset(name))), (True, True)
-    return ring, list(enumerate_wreath_basis(ring, n)), verdicts
+    return ring, {x: WreathClass.of(x) for x in enumerate_wreath_basis(ring, n)}, verdicts
 
 
 @pytest.mark.parametrize("name,n", _PAIR_CASES)
@@ -727,11 +840,11 @@ def test_orbit_local_equivariance_matches_all_pairs(name, n):
     generators = [Perm.from_cycles([(i, i + 1)], n) for i in range(1, n)]
     brute = set()
     for x, y in product(basis, repeat=2):
-        xy = cup_class(ring, x, y)
+        xy = cup_class(ring, basis[x], basis[y])
         for g in generators:
             sx, gx = _act(ring, g, x)
             sy, gy = _act(ring, g, y)
-            if act_class(ring, g, xy) != cup_class(ring, gx, gy).scale(sx * sy):
+            if act_class(ring, g, xy) != cup_class(ring, basis[gx], basis[gy]).scale(sx * sy):
                 brute.add((render_element(ring, x), render_element(ring, y), g.cycle_string()))
     assert report.passed == (not brute) == passes
     assert {(w["x"], w["y"], w["tau"]) for w in report.witnesses} <= brute
@@ -766,7 +879,7 @@ def test_orbit_local_commutativity_matches_all_pairs(name, n):
         sign, moved = sn_act(ring, x[0], y)
         if element_degree(ring, x) % 2 and element_degree(ring, y) % 2:
             sign = -sign
-        if cup_class(ring, x, y) != cup_class(ring, moved, x).scale(sign):
+        if cup_class(ring, basis[x], basis[y]) != cup_class(ring, basis[moved], basis[x]).scale(sign):
             twisted.add((render_element(ring, x), render_element(ring, y)))
     invariant = _invariant_basis(ring, n)
     invariant_commutes = all(
@@ -1038,9 +1151,10 @@ def test_pair_suites_visit_exactly_the_pairs_with_a_nonzero_product(name, n):
 
 def test_equivariance_work_counts(monkeypatch):
     # cup runs on the local pairs with x.y != 0 only (10,147 calls when every
-    # pair under the degree cut reached it), and the action law reads each
-    # A(t)x from one row per basis element (26,398 sn_act calls when every
-    # element acted again under each generator)
+    # pair under the degree cut reached it).  The action law acts on one
+    # representative per permutation and parity pattern, 6 on this even
+    # ring, so 36 of the 2,674 sn_act calls are its; the pair walk makes
+    # the rest (10,558 calls when the law walked every basis element)
     calls = {"cup": 0, "sn_act": 0}
 
     def counting(name):
@@ -1056,7 +1170,7 @@ def test_equivariance_work_counts(monkeypatch):
         monkeypatch.setattr(wreath_ring, name, counting(name))
     assert check_equivariance(preset("e8"), 3).passed
     assert calls["cup"] <= 1_300
-    assert calls["sn_act"] <= 10_600
+    assert calls["sn_act"] <= 3_000
 
 
 # sha256 over every render_class(cup(x, y)) (x, y in basis order) and then
