@@ -6,16 +6,21 @@ are `fractions.Fraction`, exponents are nonnegative machine integers, zero
 coefficients are never stored, and every product discards the terms whose
 s-exponent exceeds the bound.  There is no floating point anywhere.
 
-Products run on plain term dicts through one kernel, `_mul_terms`.  Its
-arithmetic is generic, so a product of factors whose coefficients are all
-integral (every factor of the Goettsche products) runs on Python ints, and
-`Fraction`s are made once per term of the result, when `euler_product`
-wraps it in a `TruncatedSeries`.
+Products run on plain int-or-`Fraction` coefficients with generic `+` and
+`*`, so a product of factors whose coefficients are all integral (every
+factor of the Goettsche products) runs on Python ints, and `Fraction`s are
+made once per term of the result, when it is wrapped in a `TruncatedSeries`.
+`_mul_terms`, the schoolbook product of two term dicts, is the kernel of
+`TruncatedSeries.__mul__` only.
 
-`euler_product` folds its factors by descending s-exponent.  A factor in
-s^e has about s_bound / e terms, all on multiples of e, so the factors in
-large e barely fill the accumulator, and the dense m = 1 factors come last,
-when only a few multiplications are left to pay for a dense accumulator.
+`euler_product` folds its factors in place on s-graded levels,
+`levels[s] = {(e_q, e_t): coeff}`.  A factor (1 + u)^e in u = c s^e_s q^e_q
+t^e_t has one term c_j u^j per power j, so multiplying by it adds
+c_j q^(j e_q) t^(j e_t) levels[s - j e_s] into levels[s], level by level
+from the top down: each level reads only lower levels, which are not yet
+multiplied.  The constant term costs nothing and no pair above the s-bound
+is visited.  Factors are folded by descending e_s, so the levels stay
+sparse until the dense m = 1 factors come last.
 
 Canonical term order is lexicographic in (e_s, e_q, e_t); serialization and
 rendering always follow it, so identical series produce identical bytes.
@@ -239,28 +244,54 @@ def geometric_factor(
     )
 
 
+def _shift_add(target: dict, source: Mapping, d_q: int, d_t: int, c: Coeff) -> None:
+    """target += c * q^d_q t^d_t * source, on two distinct s-levels."""
+    get = target.get
+    for (e_q, e_t), a in source.items():
+        key = (e_q + d_q, e_t + d_t)
+        target[key] = get(key, 0) + c * a
+
+
 def euler_product(factors: Iterable[Factor], s_bound: int) -> TruncatedSeries:
     """The product of `geometric_factor(*factor, s_bound)` over `factors`.
 
     Each factor is a tuple `(coeff, e_s, e_q, e_t, sign, exponent)`.  Every
     factor is expanded first, in the order given, so an invalid one raises
-    before any product is taken.  The expansions are then folded with
-    `_mul_terms` on plain term dicts by descending e_s (a stable sort): the
-    accumulator stays sparse until the last, low-e_s factors, and since the
-    product is commutative and exact the result does not depend on the
-    order.  Integral factors multiply as ints, and the product is wrapped in
-    one `TruncatedSeries` at the end: `Fraction`s are made once per term of
-    the result.
+    before any product is taken.  The expansions are then folded in place on
+    the s-levels of one accumulator, by descending e_s (a stable sort); the
+    product is commutative and exact, so the result does not depend on the
+    order.  Within one factor the levels go from s_bound down, so the power
+    j adds levels[s - j*e_s] into levels[s] before that lower level is
+    itself multiplied.  Integral factors multiply as ints; zero sums are
+    dropped once, when the levels are wrapped in one `TruncatedSeries`,
+    which also makes the `Fraction`s, once per term of the result.
     """
     expanded = sorted(
         ((factor[1], _factor_terms(*factor, s_bound)) for factor in factors),
         key=lambda pair: pair[0],
         reverse=True,
     )
-    terms: dict[Exponent, Coeff] = {(0, 0, 0): 1}
-    for _, factor_terms in expanded:
-        terms = _mul_terms(terms, factor_terms, s_bound)
-    return TruncatedSeries(terms, s_bound)
+    levels: list[dict[tuple[int, int], Coeff]] = [{} for _ in range(s_bound + 1)]
+    levels[0][(0, 0)] = 1
+    for e_s, factor_terms in expanded:
+        # the powers j >= 1, by ascending j*e_s; the constant 1 is skipped
+        powers = [(s, q, t, c) for (s, q, t), c in factor_terms.items() if s]
+        for s in range(s_bound, e_s - 1, -1):
+            target = levels[s]
+            for p_s, p_q, p_t, c in powers:
+                if p_s > s:
+                    break
+                source = levels[s - p_s]
+                if source:
+                    _shift_add(target, source, p_q, p_t, c)
+    return TruncatedSeries(
+        {
+            (s, e_q, e_t): c
+            for s, level in enumerate(levels)
+            for (e_q, e_t), c in level.items()
+        },
+        s_bound,
+    )
 
 
 # -- serialization ------------------------------------------------------

@@ -64,7 +64,11 @@ BOTTOM = float("-inf")
 def perversity(ring: SurfaceRing, x: Element) -> int:
     """Sum of factor perversities plus the cycle-type shift n - #orbits."""
     s, factors = x
-    return sum(ring.perversities[f] for f in factors) + (len(s) - len(factors))
+    perversities = ring.perversities
+    total = len(s) - len(factors)
+    for f in factors:
+        total += perversities[f]
+    return total
 
 
 def perversity_class(ring: SurfaceRing, cls: WreathClass) -> int | float:

@@ -162,7 +162,11 @@ class WreathClass:
 
 def element_degree(ring: SurfaceRing, x: Element) -> int:
     s, factors = x
-    return sum(ring.degrees[f] for f in factors) + 2 * (len(s) - len(factors))
+    degrees = ring.degrees
+    total = 2 * (len(s) - len(factors))
+    for f in factors:
+        total += degrees[f]
+    return total
 
 
 def _require_factors(ring: SurfaceRing, factors) -> None:

@@ -13,6 +13,7 @@ from hilb.errors import DivergenceError, UsageError
 from hilb.exact_poly import (
     TruncatedSeries,
     _mul_terms,
+    _shift_add,
     euler_product,
     from_text,
     geometric_factor,
@@ -312,17 +313,45 @@ def test_euler_product_raises_on_the_first_invalid_factor():
 
 
 def test_euler_product_keeps_the_accumulator_sparse(monkeypatch):
-    # sum of |acc| * |factor| over the kernel calls: 267,657 when the k3
-    # factors were folded in ascending e_s, 63,572 in descending e_s
+    # multiply-adds of the level fold (the source sizes of its _shift_add
+    # calls): 12,463 for the k3 factors at s <= 12 in descending e_s; the
+    # schoolbook fold it replaced visited 63,572 operand pairs
     work = []
 
-    def counting(a, b, s_bound):
-        work.append(len(a) * len(b))
-        return _mul_terms(a, b, s_bound)
+    def counting(target, source, d_q, d_t, c):
+        work.append(len(source))
+        _shift_add(target, source, d_q, d_t, c)
 
-    monkeypatch.setattr(exact_poly, "_mul_terms", counting)
+    monkeypatch.setattr(exact_poly, "_shift_add", counting)
     refined_goettsche(ring_dims(preset("k3")), 12)
-    assert sum(work) <= 80_000
+    assert 0 < sum(work) <= 13_000
+
+
+_fold_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+_fold_factors = st.lists(
+    st.tuples(
+        _fold_coeffs,
+        st.integers(1, 5),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.sampled_from((1, -1)),
+        st.integers(-3, 3),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fold_factors, st.integers(0, 4), st.data())
+def test_euler_product_matches_naive_fold(factors, bound, data):
+    # mixed lists (repeats, e_s above the bound, exponents of either sign)
+    # would show a level read after it was already multiplied
+    repeats = data.draw(st.lists(st.sampled_from(factors), max_size=3)) if factors else []
+    factors = factors + repeats
+    assert euler_product(factors, bound) == _naive_fold(factors, bound)
 
 
 # sha256 of to_text(refined_goettsche(ring_dims(preset(name)), 12)), pinned

@@ -205,20 +205,20 @@ def test_joint_orbit_factorization_matches_brute_force(name, n):
     # per-joint-orbit worst excesses, and a dead orbit kills every product;
     # the memo reads each joint orbit only through its orbit-count signature
     # (k3 is the first ring here with a nonzero Euler class, a0 at n = 4 the
-    # first case with 4-point joint orbits)
+    # first case with 4-point joint orbits).  Each element's class and
+    # perversity are made once, outside the pair loops
     ring = preset(name)
     by_sigma: dict[Perm, list] = {}
     for x in enumerate_wreath_basis(ring, n):
-        by_sigma.setdefault(Perm(x[0]), []).append(x)
+        by_sigma.setdefault(Perm(x[0]), []).append((WreathClass.of(x), perversity(ring, x)))
     for sigma, xs in by_sigma.items():
         for tau, ys in by_sigma.items():
             brute = None
-            for x in xs:
-                px = perversity(ring, x)
-                for y in ys:
-                    product = cup_class(ring, x, y)
+            for cx, px in xs:
+                for cy, py in ys:
+                    product = cup_class(ring, cx, cy)
                     if product:
-                        excess = perversity_class(ring, product) - px - perversity(ring, y)
+                        excess = perversity_class(ring, product) - px - py
                         brute = excess if brute is None else max(brute, excess)
             bests = [
                 _local_mult_stats(ring, *_signature(sigma, tau, b))[0]

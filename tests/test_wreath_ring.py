@@ -758,24 +758,33 @@ def _violations_by_api(ring: SurfaceRing, n: int) -> set:
     cup and cup_class, with raw keys and no split into joint orbits.  Triples
     above the degree capacity of their target component are skipped: both
     sides vanish there (test_degree_capacity_cuts_skip_only_zero_products).
-    Each element's class is made once, outside the loops."""
+    Each element's class is made once, outside the loops, and each y.z once
+    per (tau, rho) block, when a triple under the cut first needs it."""
     by_sigma: dict = {}
     for x in enumerate_wreath_basis(ring, n):
         by_sigma.setdefault(Perm(x[0]), []).append((element_degree(ring, x), x, WreathClass.of(x)))
     for elements in by_sigma.values():
         elements.sort(key=lambda e: e[0])
+    blocks = list(by_sigma.items())
     bad = set()
-    for (sigma, xs), (tau, ys), (rho, zs) in product(by_sigma.items(), repeat=3):
-        cap = max_degree(sigma.compose(tau).compose(rho).images)
-        for dx, x, cx in xs:
-            for dy, y, cy in ys:
-                xy = cup_class(ring, cx, cy)
-                for dz, z, cz in zs:
-                    if dx + dy + dz > cap:
+    for (tau, ys), (rho, zs) in product(blocks, repeat=2):
+        yz: dict = {}  # (index of y, index of z) -> y.z
+        for sigma, xs in blocks:
+            cap = max_degree(sigma.compose(tau).compose(rho).images)
+            for dx, x, cx in xs:
+                for i, (dy, y, cy) in enumerate(ys):
+                    if dx + dy + zs[0][0] > cap:
                         break
-                    if cup_class(ring, xy, cz) != cup_class(ring, cx, cup_class(ring, cy, cz)):
-                        bad.add((render_element(ring, x), render_element(ring, y),
-                                 render_element(ring, z)))
+                    xy = cup_class(ring, cx, cy)
+                    for k, (dz, z, cz) in enumerate(zs):
+                        if dx + dy + dz > cap:
+                            break
+                        cyz = yz.get((i, k))
+                        if cyz is None:
+                            cyz = yz[i, k] = cup_class(ring, cy, cz)
+                        if cup_class(ring, xy, cz) != cup_class(ring, cx, cyz):
+                            bad.add((render_element(ring, x), render_element(ring, y),
+                                     render_element(ring, z)))
     return bad
 
 
