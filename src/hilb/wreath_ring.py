@@ -35,7 +35,11 @@ with a nonzero product, found per pair of factor groups with one merged
 product each (an interned id): the pair suites visit those pairs
 (`_nonzero_pairs`), and associativity walks, for each middle element, the
 partners of each element it meets (`_partners`), cut by the degree
-capacity of the target component.  Each violation is one witness, lifted onto points 1..m.
+capacity of the target component (`max_degree`): each orbit priced at the
+ring's largest degree when the ring is graded (`_top_degree`: it passes
+`validate` and Delta_2 raises degrees by 4, so the cup product is
+degree-additive), at degree 4 otherwise.  Each violation is one witness,
+lifted onto points 1..m.
 Every function takes a basis element as the pair `Element` = (images of
 sigma, factors), and n is the length of the images; `WreathClass` is the
 class-level type, a linear combination of such pairs, taken by
@@ -57,7 +61,7 @@ from .surface_ring import (
     SurfaceRing,
     Tensor,
     Vec,
-    diagonal_push,  # noqa: F401  still bound here, as perfbench/tests expects
+    diagonal_push,
     euler_vanishes,
     inverted_pairs,
     koszul_sign,
@@ -564,10 +568,12 @@ def _elements_by_degree(ring: SurfaceRing, s: tuple[int, ...]) -> list[tuple[int
     return out
 
 
-def max_degree(images: tuple[int, ...]) -> int:
-    """Largest degree supported on the A{S_n}-component of a permutation,
-    given by its images."""
-    return 2 * len(images) + 2 * len(_perm_orbit_blocks(images))
+def max_degree(ring: SurfaceRing, images: tuple[int, ...]) -> int:
+    """Degree capacity of the A{S_n}-component of a permutation, given by
+    its images: 2m + (top - 2)k on m points with k orbits, where top is the
+    largest degree a factor can have (`_top_degree`)."""
+    m, k = len(images), len(_perm_orbit_blocks(images))
+    return 2 * m + (_top_degree(ring) - 2) * k
 
 
 def _transitive_tuples(n: int, smallest: int, arity: int):
@@ -812,6 +818,29 @@ def _failing_axioms(ring: SurfaceRing) -> frozenset[str]:
     return cache["failing"]
 
 
+def _top_degree(ring: SurfaceRing) -> int:
+    """The factor degree the associativity cut prices each orbit at; read
+    once per ring, at its first call.
+
+    It is the ring's largest degree when the ring is graded: it passes
+    `validate` (so the product is degree-additive and e sits in degree 4)
+    and every term a (x) b of Delta_2(gamma) has deg a + deg b =
+    deg gamma + 4, which `validate` does not check.  Every other ring gets
+    4, the largest degree `validate` admits, so its reports do not depend
+    on the gate.
+    """
+    cache = ring._caches.setdefault("validate", {})
+    if "top" not in cache:
+        degs = ring.degrees
+        graded = not _failing_axioms(ring) and all(
+            degs[a] + degs[b] == degs[g] + 4
+            for g in range(ring.size)
+            for a, b in diagonal_push(ring, 2, g)
+        )
+        cache["top"] = max(degs) if graded else 4
+    return cache["top"]
+
+
 def _require_parity(ring: SurfaceRing, suite: str) -> None:
     """DataError unless the product, e and Delta_2 preserve parity, as the
     move argument of the orbit-local suites needs; even rings always pass."""
@@ -897,8 +926,22 @@ def _bracket(ring: SurfaceRing, inner: tuple, outer: tuple, room: int, least: in
 
 def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> list[tuple]:
     """Every basis triple over (sigma, tau, rho) with (x.y).z != x.(y.z), as
-    (images, factors) pairs, among the triples within the degree capacity of
-    the target component (above it both sides vanish).
+    (images, factors) pairs, among the triples within the degree capacity
+    `max_degree` of the target component, the one of sigma tau rho.
+
+    On a graded ring (`_top_degree`) the cut is exact: the cup product is
+    degree-additive, deg(x.y) = deg x + deg y.  On a joint orbit of
+    <sigma, tau> with a orbits of sigma, b of tau and m_res of sigma tau,
+    the merged product adds the factor degrees, e^g adds 4g and
+    Delta_{m_res} adds 4(m_res - 1).  Summed over the joint orbits, with
+    2g = m + 2 - a - b - m_res on each, 4g + 4(m_res - 1) comes to
+    2(m - k_x) + 2(m - k_y) - 2(m - k_st) for the orbit counts k of sigma,
+    tau and sigma tau on all m points: the cycle shifts of x and y less
+    that of the product.  So both bracketings of a triple have degree
+    deg x + deg y + deg z, and every element on m points with k orbits has
+    degree at most top k + 2(m - k), so a triple above that vanishes on
+    both sides.  Every other ring prices each orbit at degree 4, the
+    capacity its reports have always been taken under.
 
     Only products that are nonzero are taken.  Where both bracketings vanish
     the identity holds; (x.y).z != 0 needs a term u of x.y with u.z != 0,
@@ -906,13 +949,14 @@ def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> 
     side is summed over the x with x.y != 0, the terms u of x.y and the z
     with u.z != 0, the right side over the z with y.z != 0, the terms v of
     y.z and the x with x.v != 0 (`_partners`, ascending by degree, so the
-    capacity cuts each walk short; `_bracket`), and the two are compared key
-    by key: a triple missing from one side is 0 there.  One y is held at a
-    time.
+    capacity cuts each walk short; `_bracket`).  The two sides are compared
+    whole, and key by key only when they differ: a triple missing from one
+    side is 0 there, and one that cancelled to {} on a side is no
+    violation.  One y is held at a time.
     """
     s, t, r = sigma.images, tau.images, rho.images
     st, tr = _cup_plan(s, t)[0], _cup_plan(t, r)[0]
-    cap = max_degree(_cup_plan(st, r)[0])
+    cap = max_degree(ring, _cup_plan(st, r)[0])
     min_x = _elements_by_degree(ring, s)[0][0]
     min_z = _elements_by_degree(ring, r)[0][0]
     bad = []
@@ -922,9 +966,10 @@ def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> 
             break
         left = _bracket(ring, (s, t, 1, fy), (st, r, 0), room, min_z)
         right = _bracket(ring, (t, r, 0, fy), (s, tr, 1), room, min_x)
-        for fx, fz in sorted(left.keys() | right.keys()):
-            if left.get((fx, fz), {}) != right.get((fx, fz), {}):
-                bad.append(((s, fx), (t, fy), (r, fz)))
+        if left != right:
+            for fx, fz in sorted(left.keys() | right.keys()):
+                if left.get((fx, fz), {}) != right.get((fx, fz), {}):
+                    bad.append(((s, fx), (t, fy), (r, fz)))
     return bad
 
 
@@ -934,7 +979,11 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     Each joint orbit B of <sigma, tau, rho> is an independent transitive
     subproblem, checked exhaustively over the triples within the degree
     capacity of the target component, multiplying only pairs whose product
-    is nonzero (`_violating_triples`); a local violation on m points lifts
+    is nonzero (`_violating_triples`).  The capacity prices each orbit at
+    the ring's largest degree when the ring is graded, which is exact
+    because the cup product is then degree-additive, and at degree 4 on
+    every other ring (`max_degree`, gated by `_top_degree` once per ring,
+    at its first call).  A local violation on m points lifts
     to a global one on n points, with the other points carrying the
     identity and units.  The local pass is exact for every ring, Koszul
     signs included.  In `cup` each bracketing of
