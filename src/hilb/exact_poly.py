@@ -65,6 +65,16 @@ class TruncatedSeries:
         self.terms = clean
         self.s_bound = s_bound
 
+    @classmethod
+    def _trusted(cls, terms: Mapping[Exponent, Coeff], s_bound: int) -> "TruncatedSeries":
+        """The series with these terms, whose exponents are nonnegative and
+        within s_bound >= 0, without checking them: only the coefficients
+        are made `Fraction`s and the zero ones dropped."""
+        out = cls.__new__(cls)
+        out.terms = {exp: Fraction(c) for exp, c in terms.items() if c}
+        out.s_bound = s_bound
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -264,7 +274,9 @@ def euler_product(factors: Iterable[Factor], s_bound: int) -> TruncatedSeries:
     j adds levels[s - j*e_s] into levels[s] before that lower level is
     itself multiplied.  Integral factors multiply as ints; zero sums are
     dropped once, when the levels are wrapped in one `TruncatedSeries`,
-    which also makes the `Fraction`s, once per term of the result.
+    which also makes the `Fraction`s, once per term of the result, and
+    checks no exponent: the fold makes them nonnegative and within the
+    bound (`TruncatedSeries._trusted`).
     """
     expanded = sorted(
         ((factor[1], _factor_terms(*factor, s_bound)) for factor in factors),
@@ -284,7 +296,7 @@ def euler_product(factors: Iterable[Factor], s_bound: int) -> TruncatedSeries:
                 source = levels[s - p_s]
                 if source:
                     _shift_add(target, source, p_q, p_t, c)
-    return TruncatedSeries(
+    return TruncatedSeries._trusted(
         {
             (s, e_q, e_t): c
             for s, level in enumerate(levels)

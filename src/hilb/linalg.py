@@ -3,10 +3,11 @@ of every sparse vector in the package.
 
 Matrices are lists of rows of exact entries, int or Fraction.  `det` and
 `inverse` eliminate on sparse dict rows through `add_term` (the Poincare
-pairings here have a few nonzero entries per row) and keep integral entries
-as int, making a Fraction only where a pivot does not divide.  Sizes in this
-package stay below ~25, so asymptotics are irrelevant but exactness is not
-negotiable.
+pairings here have a few nonzero entries per row).  `det` keeps integral
+entries as int, making a Fraction only where a pivot does not divide;
+`inverse` eliminates fraction-free on int rows and divides once per entry
+at the end.  Sizes in this package stay below ~25, so asymptotics are
+irrelevant but exactness is not negotiable.
 
 Sparse vectors (ring classes, tensors, wreath classes, series terms) are
 dicts from keys to exact coefficients that never store a zero, so equal
@@ -17,6 +18,7 @@ that runs key by key keeps that rule through `add_term`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list]  # int or Fraction entries
 
@@ -55,33 +57,41 @@ def _div(c, p):
     return _exact(Fraction(c) / p)
 
 
-def _eliminate(rows: list[dict], n: int, clear_above: bool) -> int | None:
+def _pivot(rows: list[dict], col: int) -> int | None:
+    """Swap into row col a row at or below it with an entry in column col,
+    one of +-1 where the column has one; returns the row it came from, or
+    None when no row has an entry there."""
+    rest = [r for r in range(col, len(rows)) if col in rows[r]]
+    if not rest:
+        return None
+    r = min(rest, key=lambda i: abs(rows[i][col]) != 1)
+    rows[col], rows[r] = rows[r], rows[col]
+    return r
+
+
+def _eliminate(rows: list[dict], n: int) -> int | None:
     """Gaussian elimination on the sparse rows, over their columns 0..n-1.
 
     Row col ends with the pivot of column col, and the rows below it have
-    no entry there (with clear_above, no other row has).  A pivot of +-1 is
-    taken where the column has one, so integral matrices stay in ints as far
-    as their pivots divide.  Returns the sign of the row permutation, or None
-    when a column has no pivot (the matrix is singular).
+    no entry there.  A pivot of +-1 is taken where the column has one, so
+    integral matrices stay in ints as far as their pivots divide.  Returns
+    the sign of the row permutation, or None when a column has no pivot
+    (the matrix is singular).
     """
     sign = 1
     for col in range(n):
-        rest = [r for r in range(col, n) if col in rows[r]]
-        if not rest:
+        r = _pivot(rows, col)
+        if r is None:
             return None
-        r = min(rest, key=lambda i: abs(rows[i][col]) != 1)
         if r != col:
-            rows[col], rows[r] = rows[r], rows[col]
             sign = -sign
         pivot = rows[col]
         p = pivot[col]
-        for r in range(0 if clear_above else col + 1, n):
-            row = rows[r]
-            if r == col or col not in row:
-                continue
-            f = _div(row[col], p)
-            for k, v in pivot.items():
-                add_term(row, k, -f * v)
+        for row in rows[col + 1:]:
+            if col in row:
+                f = _div(row[col], p)
+                for k, v in pivot.items():
+                    add_term(row, k, -f * v)
     return sign
 
 
@@ -93,7 +103,7 @@ def det(m: Matrix) -> int | Fraction:
     """Exact determinant, an int when it is integral."""
     n = len(m)
     rows = _sparse_rows(m)
-    sign = _eliminate(rows, n, clear_above=False)
+    sign = _eliminate(rows, n)
     if sign is None:
         return 0
     result = sign
@@ -104,14 +114,37 @@ def det(m: Matrix) -> int | Fraction:
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse, integral entries as int; raises ValueError on a
-    singular matrix."""
+    singular matrix.
+
+    Fraction-free Gauss-Jordan on the rows of (m | 1), each scaled to ints
+    by the least common multiple of its denominators.  A row with entry a
+    in the pivot's column clears it as (p/g) row - (a/g) pivot, for the
+    pivot p and g = gcd(p, a), and is then divided by the gcd of its
+    entries, so the entries stay small.  Row col ends as a multiple d of
+    the unit vector col next to d times row col of the inverse, which is
+    divided out once per entry (`_div`).
+    """
     n = len(m)
-    rows = _sparse_rows(m)
-    for i, row in enumerate(rows):
+    rows = []
+    for i, row in enumerate(_sparse_rows(m)):
         row[n + i] = 1
-    if _eliminate(rows, n, clear_above=True) is None:
-        raise ValueError("singular matrix")
-    # Gauss-Jordan left row col as its pivot times row col of the inverse
+        scale = lcm(*(v.denominator for v in row.values()))
+        rows.append({k: int(v * scale) for k, v in row.items()})
+    for col in range(n):
+        if _pivot(rows, col) is None:
+            raise ValueError("singular matrix")
+        pivot = rows[col]
+        p = pivot[col]
+        for r, row in enumerate(rows):
+            a = row.get(col)
+            if r == col or a is None:
+                continue
+            g = gcd(p, a)
+            cleared = {k: p // g * v for k, v in row.items()}
+            for k, v in pivot.items():
+                add_term(cleared, k, -(a // g) * v)
+            d = gcd(*cleared.values())
+            rows[r] = {k: v // d for k, v in cleared.items()} if d > 1 else cleared
     return [
         [_div(row.get(n + j, 0), row[col]) for j in range(n)]
         for col, row in enumerate(rows)

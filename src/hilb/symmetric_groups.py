@@ -275,29 +275,6 @@ def _perm_orbit_blocks(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return _walk(len(images), (images,))
 
 
-def is_least_conjugate(images: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether permutations are their own least simultaneous conjugate.
-
-    `images` holds the image sequences of permutations of one [m].  False
-    at the first t in S_m whose (t p1 t^-1, t p2 t^-1, ...) is
-    lexicographically smaller; each conjugate is built only as far as it
-    takes to tell.
-    """
-    m = len(images[0])
-    for t in permutations(range(1, m + 1)):
-        for p in images:
-            # t p t^-1 sends t(i) to t(p(i))
-            moved = [0] * m
-            for i, j in enumerate(p):
-                moved[t[i] - 1] = t[j - 1]
-            moved = tuple(moved)
-            if moved != p:
-                if moved < p:
-                    return False
-                break
-    return True
-
-
 def joint_orbits(*images: tuple[int, ...]):
     """The joint orbits of permutations and where each one's orbits lie.
 

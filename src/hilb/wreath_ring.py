@@ -25,10 +25,13 @@ a triple product share their moves across joint orbits, so associativity is
 checked one joint orbit at a time on every ring (`check_associativity`).
 So are equivariance and graded commutativity (as the twisted identity
 x.y = (-1)^(|x||y|) sigma_x(y).x), over the joint orbits of <sigma, tau>.
-The three suites walk one generator of local problems, the transitive
-permutation tuples of S_m, m <= n (`_transitive_tuples`); associativity
-solves one triple per class under simultaneous conjugation when the cup
-product is S_n-equivariant.  The cup product reads each factor tuple only
+Their local problems are the transitive permutation tuples of S_m,
+m <= n (`_transitive_tuples`); when the cup product is S_n-equivariant,
+associativity and graded commutativity solve one tuple per class under
+simultaneous conjugation, generated directly (`_least_transitive_tuples`:
+sigma per conjugacy class, then the later entries up to its centralizer).
+The unit laws are decided on one cycle at a time (`check_unit_laws`).
+The cup product reads each factor tuple only
 through its merged product on each joint orbit, and it vanishes exactly
 when one joint orbit's product does, so every suite multiplies only pairs
 with a nonzero product, found per pair of factor groups with one merged
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import factorial
 from operator import itemgetter
 
@@ -71,11 +74,11 @@ from .surface_ring import (
 from .symmetric_groups import (
     Perm,
     _perm_orbit_blocks,
+    _walk,
     class_representatives,
     enumerate_sn,
-    is_least_conjugate,
-    joint_orbits,
     pair_orbits,
+    require_enumerable,
     signature_defect,
 )
 
@@ -578,17 +581,80 @@ def max_degree(ring: SurfaceRing, images: tuple[int, ...]) -> int:
 
 def _transitive_tuples(n: int, smallest: int, arity: int):
     """Every tuple of `arity` permutations of S_m, smallest <= m <= n, whose
-    joint orbit is all of [m]: the local problems of the orbit-local suites.
+    joint orbit is all of [m], by their images, in lexicographic order: the
+    local problems of the orbit-local suites.
 
     A joint orbit of a tuple of S_n, relabelled in order onto 1..m, is one
     of them, and each of them is one, on points 1..m with the identity on
     the other points.
     """
     for m in range(smallest, n + 1):
-        perms = list(enumerate_sn(m))
-        for perm_tuple in iproduct(perms, repeat=arity):
-            if len(joint_orbits(*(p.images for p in perm_tuple))[0]) == 1:
-                yield perm_tuple
+        perms = [p.images for p in enumerate_sn(m)]
+        for images in iproduct(perms, repeat=arity):
+            if len(_walk(m, images)) == 1:
+                yield images
+
+
+def _least_under(perms: list, group: list):
+    """(p, stabilizer) for every p of perms, all of S_m by images in
+    lexicographic order, that is least in its orbit under conjugation by
+    group, a list of (z, z^-1) image pairs that holds the identity; the
+    stabilizer lists the pairs of group whose z fixes p.
+
+    The walk meets each orbit first at its least element and marks the
+    whole orbit there.
+    """
+    if len(group) == 1:
+        for p in perms:
+            yield p, group
+        return
+    seen = set()
+    for p in perms:
+        if p in seen:
+            continue
+        fixing = []
+        for z, z_inv in group:
+            # z p z^-1 sends z(i) to z(p(i))
+            q = tuple(z[p[i - 1] - 1] for i in z_inv)
+            if q == p:
+                fixing.append((z, z_inv))
+            else:
+                seen.add(q)
+        yield p, fixing
+
+
+def _least_transitive_tuples(n: int, smallest: int, arity: int):
+    """The tuples of `_transitive_tuples` (arity 2 or 3) that are their own
+    least simultaneous conjugate t(sigma, tau, ...)t^-1 over t in S_m: one
+    per class, in the same order, generated without walking S_m^arity.
+
+    The tuples compare lexicographically, sigma first.  A t outside the
+    centralizer Z(sigma) conjugates sigma to another permutation, which is
+    larger exactly when sigma is the least of its class; a t in Z(sigma)
+    keeps sigma and compares tau; a t that fixes tau too compares rho.  So
+    a tuple is least exactly when sigma is a class representative
+    (`class_representatives`), tau is least under conjugation by Z(sigma),
+    and rho least under the stabilizer of tau in Z(sigma) (`_least_under`);
+    transitivity is the same on every conjugate, so it filters last.
+    """
+    for m in range(smallest, n + 1):
+        perms = [p.images for p in enumerate_sn(m)]
+        for sigma in class_representatives(m):
+            s = sigma.images
+            centralizer = [
+                (z, Perm(z).inverse().images)
+                for z in perms
+                if all(z[v - 1] == s[z[i] - 1] for i, v in enumerate(s))
+            ]
+            for t, fixing in _least_under(perms, centralizer):
+                whole = len(_walk(m, (s, t))) == 1
+                if arity == 2:
+                    if whole:
+                        yield s, t
+                    continue
+                for r, _ in _least_under(perms, fixing):
+                    if whole or len(_walk(m, (s, t, r))) == 1:
+                        yield s, t, r
 
 
 def _factor_members(ring: SurfaceRing, k: int) -> list[tuple[int, list[tuple[int, ...]]]]:
@@ -924,10 +990,13 @@ def _bracket(ring: SurfaceRing, inner: tuple, outer: tuple, room: int, least: in
     return out
 
 
-def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> list[tuple]:
-    """Every basis triple over (sigma, tau, rho) with (x.y).z != x.(y.z), as
-    (images, factors) pairs, among the triples within the degree capacity
-    `max_degree` of the target component, the one of sigma tau rho.
+def _violating_triples(
+    ring: SurfaceRing, s: tuple[int, ...], t: tuple[int, ...], r: tuple[int, ...]
+) -> list[tuple]:
+    """Every basis triple over (sigma, tau, rho), given by their images s, t
+    and r, with (x.y).z != x.(y.z), as (images, factors) pairs, among the
+    triples within the degree capacity `max_degree` of the target
+    component, the one of sigma tau rho.
 
     On a graded ring (`_top_degree`) the cut is exact: the cup product is
     degree-additive, deg(x.y) = deg x + deg y.  On a joint orbit of
@@ -954,7 +1023,6 @@ def _violating_triples(ring: SurfaceRing, sigma: Perm, tau: Perm, rho: Perm) -> 
     side is 0 there, and one that cancelled to {} on a side is no
     violation.  One y is held at a time.
     """
-    s, t, r = sigma.images, tau.images, rho.images
     st, tr = _cup_plan(s, t)[0], _cup_plan(t, r)[0]
     cap = max_degree(ring, _cup_plan(st, r)[0])
     min_x = _elements_by_degree(ring, s)[0][0]
@@ -1006,28 +1074,29 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     Each local problem is a triple (sigma, tau, rho) of S_m, m <= n, whose
     joint orbit is all of [m] (`_transitive_tuples`), and one is solved per
     class of such triples under simultaneous conjugation: the triple that
-    is its own least conjugate (`is_least_conjugate`).  That is exact when the
-    cup product is S_n-equivariant: then t.((xy)z) and t.(x(yz)) carry the
-    same sign against ((t x)(t y))(t z) and (t x)((t y)(t z)), so conjugate
-    triples have conjugate violating sets, and either both are empty or
-    neither is.  Equivariance follows from graded commutativity and
-    associativity of the surface product and a Koszul-symmetric,
-    coassociative Delta_2 (`cup_equivariant` reads them from `validate`).
+    is its own least conjugate, generated directly
+    (`_least_transitive_tuples`: sigma over the class representatives, tau
+    least under the centralizer of sigma, rho least under the stabilizer
+    of tau in it).  That is exact when the cup product is S_n-equivariant:
+    then t.((xy)z) and t.(x(yz)) carry the same sign against
+    ((t x)(t y))(t z) and (t x)((t y)(t z)), so conjugate triples have
+    conjugate violating sets, and either both are empty or neither is.
+    Equivariance follows from graded commutativity and associativity of the
+    surface product and a Koszul-symmetric, coassociative Delta_2
+    (`cup_equivariant` reads them from `validate`).
     A ring that lacks one of them may have a non-equivariant cup product,
     whose violating sets differ between conjugate triples, so every
     transitive triple is solved.  Each violation of a solved problem is one
     witness, lifted onto points 1..m (`_lifted_witness`); `local_suites`
     counts the problems solved.
 
-    `seed` is only echoed in the report.
+    `seed` is only echoed in the report.  n past ENUMERATE_LIMIT raises
+    ResourceError before any work.
     """
+    require_enumerable(n)
     _require_parity(ring, "associativity")
-    equivariant = cup_equivariant(ring)
-
-    def solved(triple) -> bool:
-        return not equivariant or is_least_conjugate(tuple(p.images for p in triple))
-
-    problems = [triple for triple in _transitive_tuples(n, 1, 3) if solved(triple)]
+    tuples = _least_transitive_tuples if cup_equivariant(ring) else _transitive_tuples
+    problems = list(tuples(n, 1, 3))
     found = (
         _lifted_witness(ring, n, *bad)
         for triple in problems
@@ -1043,10 +1112,49 @@ def check_associativity(ring: SurfaceRing, n: int, seed: int = 0) -> CheckReport
     return run_suite("associativity", info, found)
 
 
+def _unit_laws_hold_locally(ring: SurfaceRing, n: int) -> bool:
+    """Whether 1.x = x = x.1 for x = (c, (f,)) on every m-cycle c of S_m,
+    1 <= m <= n, and every basis class f, where 1 is the unit of A{S_m};
+    False without a look when the ring's unit has odd degree."""
+    if ring.degrees[ring.unit] % 2:
+        return False
+    for m in range(1, n + 1):
+        one = unit_element(ring, m)
+        for rest in permutations(range(2, m + 1)):
+            c = Perm.from_cycles([(1, *rest)], m).images
+            for f in range(ring.size):
+                x, expected = (c, (f,)), {(f,): 1}
+                if cup(ring, one, x) != expected or cup(ring, x, one) != expected:
+                    return False
+    return True
+
+
 def check_unit_laws(ring: SurfaceRing, n: int) -> CheckReport:
+    """1.x = x = x.1 on the basis elements x of A{S_n}, decided one cycle
+    at a time.
+
+    For x = (sigma, f), the joint orbits of <id, sigma> are sigma's cycles
+    B, each with |B| orbits of id, one of sigma and one of id sigma, so
+    g = 0.  The pull of 1.x brings the unit slots of B, then f's slot of B,
+    together, block by block: f's slots keep their order, so every pair of
+    slots it inverts holds a unit slot.  The push takes the one component
+    of each B, in joint-orbit order, to the slot of B in sigma: the
+    identity.  So with a unit of even degree, 1.x is the tensor over B of
+    the local products, with no sign, and so is x.1 (there the unit slots
+    follow f's slot of their B).  The local product of B depends on B only
+    through its size m and f's factor there, and it is the one of
+    1.(c, (f_B,)) in A{S_m} for an m-cycle c.  So if both laws hold on
+    every (c, (f,)) of every m <= n (`_unit_laws_hold_locally`), they hold
+    on all of A{S_n}, for every ring.  Otherwise, or when the unit is odd,
+    the basis is walked and every x at which a law fails is a witness.
+    n past ENUMERATE_LIMIT raises ResourceError before any work.
+    """
+    require_enumerable(n)
     one = unit_element(ring, n)
 
     def found():
+        if _unit_laws_hold_locally(ring, n):
+            return
         for x in enumerate_wreath_basis(ring, n):
             expected = {x[1]: 1}
             if cup(ring, one, x) != expected or cup(ring, x, one) != expected:
@@ -1158,11 +1266,11 @@ def check_equivariance(
 
     def found():
         yield from composes()
-        for sigma, tau in _transitive_tuples(n, 2, 2):
-            st = _cup_plan(sigma.images, tau.images)[0]
-            for x, y in _nonzero_pairs(ring, sigma.images, tau.images):
+        for s, t in _transitive_tuples(n, 2, 2):
+            st = _cup_plan(s, t)[0]
+            for x, y in _nonzero_pairs(ring, s, t):
                 xy = cup(ring, x, y)
-                for g in generators[sigma.n]:
+                for g in generators[len(s)]:
                     sx, gx = sn_act(ring, g.images, x)
                     sy, gy = sn_act(ring, g.images, y)
                     gxy: dict = {}  # g.(xy)
@@ -1198,13 +1306,27 @@ def check_graded_commutativity(ring: SurfaceRing, n: int, seed: int = 0) -> Chec
     once (`_commutativity_pairs`): the first from `_nonzero_pairs`, the
     second the sigma^-1 preimages of the nonzero pairs over
     (sigma tau sigma^-1, sigma).  Odd rings are gated by `_require_parity`.
-    `seed` is only echoed.
+
+    When the cup product is S_n-equivariant (`cup_equivariant`), one pair
+    per class under simultaneous conjugation is solved, the least one
+    (`_least_transitive_tuples`), as for associativity.  A t of S_m maps
+    the identity at (x, y) to the one at (tx, ty), up to the signs of tx
+    and ty: t.(x.y) = (tx).(ty) by equivariance, and t.(sigma_x(y).x) =
+    (t sigma_x(y)).(tx) with t sigma_x(y) = (t sigma t^-1)(ty) =
+    sigma_(tx)(ty) by the action law; the degrees, so eps, do not move.  So
+    conjugate pairs have conjugate violating sets, and either both are
+    empty or neither is.  Other rings solve every transitive pair.
+    Equivariance cannot be reduced this way: it is what the reduction
+    assumes.  `seed` is only echoed.  n past ENUMERATE_LIMIT raises
+    ResourceError before any work.
     """
+    require_enumerable(n)
     _require_parity(ring, "graded-commutativity")
+    tuples = _least_transitive_tuples if cup_equivariant(ring) else _transitive_tuples
 
     def found():
-        for sigma, tau in _transitive_tuples(n, 1, 2):
-            for x, y in _commutativity_pairs(ring, sigma.images, tau.images):
+        for s, t in tuples(n, 1, 2):
+            for x, y in _commutativity_pairs(ring, s, t):
                 sign, moved = sn_act(ring, x[0], y)
                 odd = element_degree(ring, x) % 2 and element_degree(ring, y) % 2
                 eps = -sign if odd else sign

@@ -380,6 +380,10 @@ def test_resource_error_exits_3(capsys):
     code, out, err = run(capsys, "verify", "multiplicativity", "--preset", "d4", "-n", "9")
     assert (code, out) == (3, "")
     assert "resource" in err
+    # associativity refuses S_9 before it generates any local problem
+    code, out, err = run(capsys, "verify", "associativity", "--preset", "d4", "-n", "9")
+    assert (code, out) == (3, "")
+    assert "resource" in err
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

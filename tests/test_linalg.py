@@ -1,4 +1,4 @@
-"""Exact determinant and inverse against a dense reference elimination."""
+"""Exact determinant and inverse against reference eliminations."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hilb import linalg
-from hilb.surface_ring import e8_cartan, preset
+from hilb.surface_ring import PRESET_NAMES, e8_cartan, preset
 
 
 def _dense_det(m) -> Fraction:
@@ -27,6 +27,58 @@ def _dense_det(m) -> Fraction:
             for c in range(col, n):
                 a[r][c] -= factor * a[col][c]
     return result
+
+
+def _inverse_by_fractions(m):
+    """The reference: Gauss-Jordan on sparse rows of (m | 1) that divides by
+    each pivot as it clears (Fractions where it does not divide), as
+    `inverse` did before it went fraction-free; integral entries as int."""
+    n = len(m)
+    rows = linalg._sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    for col in range(n):
+        if linalg._pivot(rows, col) is None:
+            raise ValueError("singular matrix")
+        pivot = rows[col]
+        for r, row in enumerate(rows):
+            if r != col and col in row:
+                f = linalg._div(row[col], pivot[col])
+                for k, v in pivot.items():
+                    linalg.add_term(row, k, -f * v)
+    return [
+        [linalg._div(row.get(n + j, 0), row[col]) for j in range(n)]
+        for col, row in enumerate(rows)
+    ]
+
+
+def _same_entries(a, b) -> bool:
+    """Equal matrices whose equal entries also have equal types."""
+    return a == b and [list(map(type, row)) for row in a] == [list(map(type, row)) for row in b]
+
+
+@pytest.mark.parametrize("name", [p for p in PRESET_NAMES if preset(p).mode == "compact"])
+def test_pairing_inverse_matches_the_fraction_reference(name):
+    pairing = preset(name).pairing
+    assert _same_entries(linalg.inverse(pairing), _inverse_by_fractions(pairing))
+
+
+def test_random_nonsingular_matrices_match_the_fraction_reference():
+    # int matrices, and Fraction matrices with small denominators, whose
+    # pivots do not all divide
+    rng = random.Random(11)
+    entries = (0, 0, 1, -1, 2, -3, 5)
+    seen = {"int": 0, "fraction": 0}
+    while min(seen.values()) < 100:
+        kind = rng.choice(sorted(seen))
+        n = rng.randint(1, 6)
+        m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if kind == "fraction":
+            m = [[Fraction(x, rng.choice((1, 2, 3, 4))) for x in row] for row in m]
+        if linalg.det(m) == 0:
+            continue
+        assert _same_entries(linalg.inverse(m), _inverse_by_fractions(m)), m
+        seen[kind] += 1
 
 
 _NONSINGULAR = {

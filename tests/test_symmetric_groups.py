@@ -1,5 +1,7 @@
 """Permutations, orbits, cycle types and the graph defect."""
 
+from itertools import permutations
+
 import pytest
 
 from hilb.errors import ResourceError, UsageError
@@ -9,13 +11,13 @@ from hilb.symmetric_groups import (
     cycle_type,
     enumerate_sn,
     graph_defect,
-    is_least_conjugate,
     orbits,
     pair_orbits,
     parse_cycles,
     signature_defect,
     transitive_signatures,
 )
+from hilb.wreath_ring import _least_transitive_tuples, _transitive_tuples
 
 
 def test_perm_basics():
@@ -146,10 +148,30 @@ def test_transitive_signature_counts_are_positive():
         transitive_signatures(0)
 
 
+def _is_least_conjugate(images: tuple[tuple[int, ...], ...]) -> bool:
+    """The reference: whether permutations of one [m], given by their image
+    sequences, are their own least simultaneous conjugate.  False at the
+    first t in S_m whose (t p1 t^-1, t p2 t^-1, ...) is lexicographically
+    smaller; each conjugate is built only as far as it takes to tell."""
+    m = len(images[0])
+    for t in permutations(range(1, m + 1)):
+        for p in images:
+            # t p t^-1 sends t(i) to t(p(i))
+            moved = [0] * m
+            for i, j in enumerate(p):
+                moved[t[i] - 1] = t[j - 1]
+            moved = tuple(moved)
+            if moved != p:
+                if moved < p:
+                    return False
+                break
+    return True
+
+
 def test_least_conjugate_is_a_class_invariant():
     # at m = 3 the 216 permutation triples fall into the classes of S_3
     # acting by simultaneous conjugation; exactly the least member of each
-    # class passes
+    # class passes the reference
     perms = list(enumerate_sn(3))
     triples = [(s, t, r) for s in perms for t in perms for r in perms]
     keys = set()
@@ -159,9 +181,9 @@ def test_least_conjugate_is_a_class_invariant():
             tuple(u.compose(p).compose(u.inverse()).images for p in triple)
             for u in perms
         }
-        assert is_least_conjugate(images) == (images == min(conjugates))
-        assert sum(map(is_least_conjugate, conjugates)) == 1
-        if is_least_conjugate(images):
+        assert _is_least_conjugate(images) == (images == min(conjugates))
+        assert sum(map(_is_least_conjugate, conjugates)) == 1
+        if _is_least_conjugate(images):
             keys.add(images)
     # Burnside: the average number of triples a conjugator fixes
     fixed = sum(
@@ -169,6 +191,27 @@ def test_least_conjugate_is_a_class_invariant():
         for u in perms
     )
     assert len(keys) == fixed // len(perms) == 49
+
+
+@pytest.mark.parametrize(
+    "arity,counts", [(2, (1, 3, 7, 26)), (3, (1, 7, 41, 604))]
+)
+def test_generated_classes_match_the_filtered_walk(arity, counts):
+    # the local problems of the equivariant pair and triple suites, one per
+    # class of transitive tuples of S_m under simultaneous conjugation, are
+    # generated from the class representatives and their centralizers; they
+    # are the tuples of the full walk that the reference keeps, in its order
+    for m, count in enumerate(counts, start=1):
+        walk = [t for t in _transitive_tuples(m, m, arity) if _is_least_conjugate(t)]
+        assert list(_least_transitive_tuples(m, m, arity)) == walk
+        assert len(walk) == count
+
+
+def test_generated_class_counts_past_the_walk():
+    # 13,753 transitive triple classes on 5 points (14,406 local problems at
+    # n = 5) and 504,243 on 6 points, where the walk would visit 720^3 triples
+    assert sum(1 for _ in _least_transitive_tuples(5, 5, 3)) == 13_753
+    assert sum(1 for _ in _least_transitive_tuples(6, 6, 3)) == 504_243
 
 
 def test_cycle_type():

@@ -9,7 +9,7 @@ import pytest
 
 from hilb import surface_ring, wreath_ring
 from hilb.cli import main
-from hilb.errors import DataError, UsageError
+from hilb.errors import DataError, ResourceError, UsageError
 from hilb.report import witness_key
 from hilb.surface_ring import (
     PRESET_NAMES,
@@ -38,6 +38,7 @@ from hilb.wreath_ring import (
     _partners,
     _product_groups,
     _transitive_tuples,
+    _unit_laws_hold_locally,
     _violating_triples,
     basis_count,
     check_associativity,
@@ -428,6 +429,93 @@ def test_unit_laws_catch_scaled_unit():
     assert len(report.witnesses) == 12
 
 
+def _with_unit_degree(base: str, degree: int) -> SurfaceRing:
+    """An open preset with its unit moved to another degree."""
+    ring = preset(base)
+    return SurfaceRing(
+        name="regraded",
+        mode=ring.mode,
+        names=ring.names,
+        degrees=tuple(degree if i == ring.unit else d for i, d in enumerate(ring.degrees)),
+        perversities=ring.perversities,
+        unit=ring.unit,
+        mul={
+            (i, j): dict(ring.mul_basis(i, j))
+            for i in range(ring.size)
+            for j in range(ring.size)
+        },
+        diag2=ring.diag2,
+        euler=ring.euler,
+    )
+
+
+# rings whose unit laws fail: a scaled left unit on an even class, a unit
+# whose square is not itself, a0 with 1.a := -a on the odd class a, and a0
+# with its unit in degree 1, which fails from n = 2 on by the Koszul signs
+# of the pull although every local law holds, so it walks the basis
+# without a local look
+_UNIT_MUTANTS = {
+    "d4-scaled-unit": lambda: _with_product("d4", "1", "E1", {"E1": 2}),
+    "d4-unit-square": lambda: _with_product("d4", "1", "1", {"1": 2}),
+    "a0-odd-unit-law": lambda: _with_product("a0", "1", "a", {"a": -1}),
+    "a0-odd-unit": lambda: _with_unit_degree("a0", 1),
+}
+
+
+def _unit_violations_by_walk(ring: SurfaceRing, n: int) -> set:
+    """The reference: the rendered basis elements x of A{S_n} with
+    1.x != x or x.1 != x, through cup_class on every element."""
+    one = WreathClass.of(unit_element(ring, n))
+    bad = set()
+    for x in enumerate_wreath_basis(ring, n):
+        cx = WreathClass.of(x)
+        if cup_class(ring, one, cx) != cx or cup_class(ring, cx, one) != cx:
+            bad.add(render_element(ring, x))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, n) for name in (*PRESET_NAMES, *_UNIT_MUTANTS) for n in range(4)]
+)
+def test_local_unit_verdict_matches_the_basis_walk(name, n):
+    # the unit laws are decided on the cycles of sigma; a ring that fails
+    # there walks the basis, and its report lists exactly the elements at
+    # which a law fails
+    ring = _UNIT_MUTANTS[name]() if name in _UNIT_MUTANTS else load_ring(save_ring(preset(name)))
+    brute = _unit_violations_by_walk(ring, n)
+    report = check_unit_laws(ring, n)
+    assert {w["x"] for w in report.witnesses} == brute
+    passes = name in PRESET_NAMES or n == 0 or (name == "a0-odd-unit" and n == 1)
+    assert report.passed == (not brute) == passes
+    assert _unit_laws_hold_locally(ring, n) == (not brute and name != "a0-odd-unit")
+
+
+def test_unit_laws_work_counts(monkeypatch):
+    # one left and one right product per m-cycle of S_m, m <= 3, and basis
+    # class: 2 * (1 + 1 + 2) * 6 = 48 cup calls on d4 at n = 3, where the
+    # walk over the basis made 2 * 336
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cup(*args)
+
+    monkeypatch.setattr(wreath_ring, "cup", counted)
+    assert check_unit_laws(load_ring(save_ring(preset("d4"))), 3).passed
+    assert len(calls) == 48
+
+
+@pytest.mark.parametrize(
+    "check", [check_associativity, check_graded_commutativity, check_unit_laws]
+)
+def test_suites_refuse_past_the_enumeration_limit(check, monkeypatch):
+    # the refusal comes first: no local problem is generated
+    monkeypatch.setattr(wreath_ring, "enumerate_sn", None)
+    monkeypatch.setattr(wreath_ring, "_require_parity", None)
+    with pytest.raises(ResourceError):
+        check(preset("d4"), 9)
+
+
 @pytest.mark.parametrize("check", [check_equivariance, check_graded_commutativity])
 def test_asymmetric_product_fails_orbit_local(check):
     # E1.E2 := S with E2.E1 left at 0
@@ -655,6 +743,14 @@ def test_diagonal_axioms_gate_the_conjugation_key(table, axiom):
     assert check_associativity(ring, 3).info["local_suites"] == 202
 
 
+@pytest.mark.parametrize("name", ["a0", "d4"])
+def test_associativity_at_five_points(name):
+    # 14,406 local problems, generated one per class
+    report = check_associativity(load_ring(save_ring(preset(name))), 5)
+    assert report.passed, report.render_text()
+    assert report.info["local_suites"] == 14_406
+
+
 def test_associativity_one_problem_per_conjugacy_class():
     # one local problem per class of transitive permutation triples under
     # simultaneous conjugation: 1 + 7 + 41 on 1, 2, 3 points (202 triples)
@@ -690,7 +786,7 @@ def _conjugated_violations(ring: SurfaceRing, triple, memo: dict) -> set:
     least = min(conjugates.values())
     t = next(t for t, images in conjugates.items() if images == least)
     if least not in memo:
-        memo[least] = _violating_triples(ring, *map(Perm, least))
+        memo[least] = _violating_triples(ring, *least)
     back = t.inverse()
     return {tuple(sn_act(ring, back.images, e)[1] for e in bad) for bad in memo[least]}
 
@@ -745,7 +841,7 @@ def test_conjugation_key_matches_raw_triples(name, m):
     violations = 0
     memo: dict = {}
     for triple in _transitive_triples(m):
-        raw = _violating_triples(ring, *triple)
+        raw = _violating_triples(ring, *(p.images for p in triple))
         assert _conjugated_violations(ring, triple, memo) == set(raw), triple
         violations += len(raw)
     assert (violations > 0) == (name not in PRESET_NAMES)
@@ -1056,8 +1152,8 @@ def test_product_groups_push_each_distinct_product_once(monkeypatch):
     monkeypatch.setattr(wreath_ring, "local_product", None)
     signatures = {
         (len(xg), len(yg), g, m_res)
-        for sigma, tau in _transitive_tuples(4, 1, 2)
-        for ((xg, yg, g, m_res),) in [_cup_plan(sigma.images, tau.images)[1]]
+        for s, t in _transitive_tuples(4, 1, 2)
+        for ((xg, yg, g, m_res),) in [_cup_plan(s, t)[1]]
     }
     assert len(signatures) == 24
     for signature in signatures:
@@ -1187,8 +1283,7 @@ def test_pair_suites_visit_exactly_the_pairs_with_a_nonzero_product(name, n):
         by_perm: dict = {}
         for x in enumerate_wreath_basis(ring, m):
             by_perm.setdefault(x[0], []).append(x)
-        for sigma, tau in _transitive_tuples(m, m, 2):
-            s, t = sigma.images, tau.images
+        for s, t in _transitive_tuples(m, m, 2):
             pairs = [(x, y) for x in by_perm[s] for y in by_perm[t]]
             nonzero = {(x, y) for x, y in pairs if cup(ring, x, y)}
             visited = list(_nonzero_pairs(ring, s, t))
